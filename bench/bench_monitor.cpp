@@ -3,16 +3,20 @@
 /// \file
 /// Experiment B8 (DESIGN.md §9): per-event admission throughput of the
 /// fused-DFA runtime monitor against the legacy per-policy probe, plus
-/// fusion cost, cache-hit cost, and sharded batch ingestion through the
-/// MonitorEngine (with a p99 batch-latency counter).
+/// fusion cost, cache-hit cost, and batch ingestion through the
+/// MonitorEngine (with a p99 batch-latency counter) — sharded, at 64 and
+/// 128 policies, and on a cold product memo.
 ///
 /// The workload is a fixed session shape: 4 parametric policy shapes,
-/// each instantiated twice (8 fused policies, the mask is a single
-/// uint32), over a 24-event closed universe. Offending edges are gated
-/// on an event value the trace never fires, so monitors churn state on
-/// every label but never latch a violation — the same batch can be
-/// re-ingested indefinitely and neither side ever takes the trivial
-/// "already violated" early-out.
+/// each instantiated twice (8 fused policies, one mask word), over a
+/// 24-event closed universe. Offending edges are gated on an event value
+/// the trace never fires, so monitors churn state on every label but
+/// never latch a violation — the same batch can be re-ingested
+/// indefinitely and neither side ever takes the trivial "already
+/// violated" early-out. The wide engine cases instantiate the same
+/// shapes 16 and 32 times (64 and 128 policies), and the cold-memo case
+/// times a first pass over a freshly fused automaton, where every product
+/// state is still to be materialized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,6 +129,17 @@ std::unique_ptr<Workload> buildWorkload(size_t NumEvents) {
   return WP;
 }
 
+/// \p N references over the workload's 4 shapes (parameters 2, 3, ...);
+/// every parameter >= 2 admits the whole trace.
+std::vector<PolicyRef> wideRefs(const Workload &W, unsigned N) {
+  std::vector<PolicyRef> Refs;
+  Refs.reserve(N);
+  for (size_t K = 0; K < N; ++K)
+    Refs.push_back({W.Refs[2 * (K % 4)].Name,
+                    {{Value::integer(static_cast<int64_t>(2 + K / 4))}}});
+  return Refs;
+}
+
 Workload &workload() {
   static std::unique_ptr<Workload> W = buildWorkload(/*NumEvents=*/1024);
   return *W;
@@ -181,7 +196,7 @@ void BM_LegacyAdvance(benchmark::State &State) {
 }
 BENCHMARK(BM_LegacyAdvance);
 
-/// Fused probe+commit: one stepIndex + mask test per event, the same
+/// Fused probe+commit: one row load + mask test per event, the same
 /// admission question BM_LegacyProbeAdvance answers.
 void BM_FusedProbeAdvance(benchmark::State &State) {
   const monitor::FusedPolicyAutomaton &F = fused();
@@ -219,16 +234,20 @@ BENCHMARK(BM_FusedAdvance);
 // Fusion construction and cache hits
 //===----------------------------------------------------------------------===//
 
+/// Fusion proper: compile and minimize each policy; the product is
+/// materialized later, as sessions step.
 void BM_Fusion(benchmark::State &State) {
   Workload &W = workload();
-  size_t States = 0;
+  size_t PartStates = 0;
   for (auto _ : State) {
     Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
         W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
-    States = Out.ok() ? Out.value().numStates() : 0;
-    benchmark::DoNotOptimize(States);
+    PartStates = 0;
+    for (const automata::Dfa &Part : Out.value().Parts)
+      PartStates += Part.numStates();
+    benchmark::DoNotOptimize(PartStates);
   }
-  State.counters["fused_states"] = static_cast<double>(States);
+  State.counters["part_states"] = static_cast<double>(PartStates);
 }
 BENCHMARK(BM_Fusion);
 
@@ -254,32 +273,43 @@ BENCHMARK(BM_FusionCacheHit);
 // MonitorEngine: sharded batch ingestion (events/sec + p99 batch latency)
 //===----------------------------------------------------------------------===//
 
-/// Ingests an 8192-item batch over 64 sessions; range(0) is the worker
-/// count (1 = no pool). Reports items/sec and the p99 wall-clock latency
-/// of a whole ingest() call in microseconds.
-void BM_EngineIngest(benchmark::State &State) {
+constexpr unsigned EngineSessions = 64;
+constexpr size_t EngineBatchSize = 8192;
+
+/// Opens EngineSessions sessions on \p Refs and opens every frame.
+void openFramedSessions(monitor::MonitorEngine &Engine,
+                        const std::vector<PolicyRef> &Refs) {
+  Workload &W = workload();
+  for (unsigned I = 0; I < EngineSessions; ++I) {
+    auto S = Engine.openSession(Refs, W.Universe);
+    for (const PolicyRef &R : Refs)
+      Engine.advance(S, Label::frameOpen(R));
+  }
+}
+
+/// An 8192-item batch interleaving the event stream over the sessions.
+std::vector<monitor::MonitorEngine::BatchItem> engineBatch() {
+  Workload &W = workload();
+  std::vector<monitor::MonitorEngine::BatchItem> Batch;
+  Batch.reserve(EngineBatchSize);
+  for (size_t I = 0; I < EngineBatchSize; ++I)
+    Batch.push_back({static_cast<monitor::MonitorEngine::SessionId>(
+                         I % EngineSessions),
+                     W.Events[I % W.Events.size()]});
+  return Batch;
+}
+
+/// Ingests the batch over 64 sessions framed by \p Refs with \p Workers
+/// shards. Reports items/sec and the p99 wall-clock latency of a whole
+/// ingest() call in microseconds.
+void runEngineIngest(benchmark::State &State,
+                     const std::vector<PolicyRef> &Refs, unsigned Workers) {
   Workload &W = workload();
   monitor::MonitorEngine::Options EO;
-  EO.Workers = static_cast<unsigned>(State.range(0));
+  EO.Workers = Workers;
   monitor::MonitorEngine Engine(W.Registry, W.Ctx.interner(), EO);
-
-  constexpr unsigned NumSessions = 64;
-  for (unsigned I = 0; I < NumSessions; ++I) {
-    auto S = Engine.openSession(W.Refs, W.Universe);
-    if (!Engine.isFused(S)) {
-      State.SkipWithError("session unexpectedly fell back to legacy");
-      return;
-    }
-    for (const Label &L : W.FrameOpens)
-      Engine.advance(S, L);
-  }
-
-  std::vector<monitor::MonitorEngine::BatchItem> Batch;
-  constexpr size_t BatchSize = 8192;
-  for (size_t I = 0; I < BatchSize; ++I)
-    Batch.push_back({static_cast<monitor::MonitorEngine::SessionId>(
-                         I % NumSessions),
-                     W.Events[I % W.Events.size()]});
+  openFramedSessions(Engine, Refs);
+  std::vector<monitor::MonitorEngine::BatchItem> Batch = engineBatch();
 
   std::vector<uint8_t> Decisions;
   std::vector<double> LatencyUs;
@@ -291,6 +321,8 @@ void BM_EngineIngest(benchmark::State &State) {
         std::chrono::duration<double, std::micro>(T1 - T0).count());
     benchmark::DoNotOptimize(Decisions.data());
   }
+  if (Engine.stats().Blocked != 0)
+    State.SkipWithError("the workload trace was blocked");
   std::sort(LatencyUs.begin(), LatencyUs.end());
   double P99 = 0.0;
   if (!LatencyUs.empty())
@@ -298,50 +330,59 @@ void BM_EngineIngest(benchmark::State &State) {
                              (LatencyUs.size() * 99) / 100)];
   State.counters["p99_batch_us"] = P99;
   State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(BatchSize));
+                          static_cast<int64_t>(EngineBatchSize));
+}
+
+/// The 8-policy session; range(0) is the worker count (1 = no pool).
+void BM_EngineIngest(benchmark::State &State) {
+  runEngineIngest(State, workload().Refs,
+                  static_cast<unsigned>(State.range(0)));
 }
 // Real time: the calling thread parks in waitIdle while pool workers do
 // the stepping, so CPU-time rates would be meaningless for Workers > 1.
 BENCHMARK(BM_EngineIngest)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// Same batch through sessions forced onto the legacy fallback (fusion
-/// refused by a 1-state governor budget): the engine-level baseline.
-void BM_EngineIngestLegacyFallback(benchmark::State &State) {
-  Workload &W = workload();
-  ResourceGovernor Gov;
-  Gov.setLimit(ResourceKind::ProductStates, 1);
-  monitor::MonitorEngine::Options EO;
-  EO.Workers = 1;
-  EO.Gov = &Gov;
-  monitor::MonitorEngine Engine(W.Registry, W.Ctx.interner(), EO);
-
-  constexpr unsigned NumSessions = 64;
-  for (unsigned I = 0; I < NumSessions; ++I) {
-    auto S = Engine.openSession(W.Refs, W.Universe);
-    if (Engine.isFused(S)) {
-      State.SkipWithError("session unexpectedly fused under a 1-state cap");
-      return;
-    }
-    for (const Label &L : W.FrameOpens)
-      Engine.advance(S, L);
-  }
-
-  std::vector<monitor::MonitorEngine::BatchItem> Batch;
-  constexpr size_t BatchSize = 8192;
-  for (size_t I = 0; I < BatchSize; ++I)
-    Batch.push_back({static_cast<monitor::MonitorEngine::SessionId>(
-                         I % NumSessions),
-                     W.Events[I % W.Events.size()]});
-
-  std::vector<uint8_t> Decisions;
-  for (auto _ : State) {
-    Engine.ingest(Batch, &Decisions);
-    benchmark::DoNotOptimize(Decisions.data());
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(BatchSize));
+/// Sessions of range(0) policies on one shard: 64 fills the inline mask
+/// word, 128 adds a second word.
+void BM_EngineIngestWide(benchmark::State &State) {
+  runEngineIngest(State,
+                  wideRefs(workload(), static_cast<unsigned>(State.range(0))),
+                  /*Workers=*/1);
 }
-BENCHMARK(BM_EngineIngestLegacyFallback);
+BENCHMARK(BM_EngineIngestWide)->Arg(64)->Arg(128)->UseRealTime();
+
+/// The first pass over a freshly fused automaton of range(0) policies:
+/// fusion and session set-up are untimed, so the time is ingestion plus
+/// materializing every product state the batch reaches.
+void BM_EngineIngestColdMemo(benchmark::State &State) {
+  Workload &W = workload();
+  std::vector<PolicyRef> Refs =
+      wideRefs(W, static_cast<unsigned>(State.range(0)));
+  std::vector<monitor::MonitorEngine::BatchItem> Batch = engineBatch();
+  std::vector<uint8_t> Decisions;
+  size_t States = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    auto Cache = std::make_unique<monitor::FusedCache>();
+    monitor::MonitorEngine::Options EO;
+    EO.Cache = Cache.get();
+    auto Engine = std::make_unique<monitor::MonitorEngine>(
+        W.Registry, W.Ctx.interner(), EO);
+    openFramedSessions(*Engine, Refs);
+    State.ResumeTiming();
+    Engine->ingest(Batch, &Decisions);
+    benchmark::DoNotOptimize(Decisions.data());
+    State.PauseTiming();
+    States = Cache->snapshot().front()->numStates();
+    Engine.reset();
+    Cache.reset();
+    State.ResumeTiming();
+  }
+  State.counters["fused_states"] = static_cast<double>(States);
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(EngineBatchSize));
+}
+BENCHMARK(BM_EngineIngestColdMemo)->Arg(8)->Arg(128)->UseRealTime();
 
 } // namespace
 

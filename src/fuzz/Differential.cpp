@@ -181,10 +181,9 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   if (Refs.empty() || Universe.empty())
     return;
 
+  // Ungoverned fusion never refuses.
   Outcome<monitor::FusedPolicyAutomaton> Fused =
       monitor::fusePolicies(File.Registry, Ctx.interner(), Refs, Universe);
-  if (!Fused.ok())
-    return; // Refusal (width/budget) is a capacity decision, not a bug.
 
   // Pool of framing refs to open/close mid-trace: every collected ref,
   // one "ghost" naming an undeclared policy, and one trivial ref.
@@ -269,6 +268,12 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   auto ColdCache = std::make_shared<core::VerifierCache>();
   core::Verifier Cold(Ctx, File.Repo, File.Registry, VOpts, ColdCache);
   std::string ColdText = verifyAllInto(Ctx, File, Cold);
+  // A fused monitor puts the fused section (per-policy DFAs) under the
+  // round trip and the corruption battery.
+  std::vector<const hist::Expr *> Behaviors = allBehaviors(File);
+  ColdCache->fusedMonitors().fuse(File.Registry, Ctx.interner(),
+                                  monitor::collectPolicyRefs(Behaviors),
+                                  policy::eventUniverse(Behaviors));
   std::string Bytes =
       core::saveSnapshot(Ctx, File.Repo, *ColdCache, Cold.index());
   if (Bytes.empty()) {

@@ -1,20 +1,21 @@
 //===- monitor/Fused.h - Fused multi-policy monitor DFAs --------*- C++ -*-===//
 ///
 /// \file
-/// Fuses a *set* of instantiated usage policies into one flat DFA so that
-/// a session's entire monitor state is a single integer. Each policy is
-/// subset-compiled over a shared concrete event universe (policy/Compile),
-/// Hopcroft-minimized, and the product of the per-policy DFAs is built
-/// with one offending bitmask per product state (bit i set ⇔ policy i is
-/// offending there). Per-event admission then costs one branch-free
-/// `Dfa::stepIndex` plus one mask AND against the active-policy mask —
-/// the trap-state test — instead of re-running every PolicyMonitor.
+/// Fuses a *set* of instantiated usage policies into one lazily grown
+/// product DFA so that a session's entire monitor state is a single
+/// pointer. Each policy is subset-compiled over a shared concrete event
+/// universe (policy/Compile) and Hopcroft-minimized; the product of the
+/// per-policy DFAs is never built up front. A product state — its
+/// successor row and its offending mask (bit i set ⇔ policy i is
+/// offending there, ceil(K/64) words for K policies) — is materialized
+/// on first visit and memoized inside the FusedPolicyAutomaton, so every
+/// session sharing the automaton reuses it. Per-event admission on an
+/// already visited edge costs one acquire load of the row entry plus one
+/// mask AND against the active-policy mask.
 ///
 /// Soundness contract: offending states of usage automata are absorbing,
 /// so per-policy acceptance is prefix-sticky and survives language-
-/// preserving minimization; the product is additionally reduced by a
-/// mask-aware Moore refinement (states are merged only when their masks
-/// and successor classes agree). The fused monitor is exact — it blocks a
+/// preserving minimization. The fused monitor is exact — it blocks a
 /// label iff the legacy ValidityChecker probe would (MonitorDiffTest
 /// proves this bit-for-bit) — *provided the universe is closed*: every
 /// event the session can fire must be in the fusion universe, because an
@@ -22,9 +23,12 @@
 /// guarantee closure must not enable the fused path (net::Interpreter
 /// validates closure up front and falls back to the legacy probe).
 ///
-/// Fusion is governed: product blow-up trips the ResourceGovernor's
-/// ProductStates budget and returns ResourceExhausted, never a wrong
-/// verdict — callers fall back to the legacy probe path.
+/// Memory is capped, verdicts are not: once the memo holds
+/// FuseOptions::MaxStates states, a session that needs a new one steps
+/// the per-policy DFAs directly (SessionMonitor's past-cap path). Only a
+/// ResourceGovernor (deadline, cancellation, ProductStates budget on the
+/// per-policy compilation) can refuse a fusion; callers then fall back to
+/// the legacy probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +42,7 @@
 #include "support/ResourceGovernor.h"
 #include "support/Sync.h"
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,35 +54,74 @@ namespace monitor {
 
 /// Knobs for one fusion.
 struct FuseOptions {
-  /// Governs the product exploration (ProductStates budget, deadline,
-  /// cancellation). Null = ungoverned, but MaxStates still applies.
+  /// Governs the per-policy compilation (ProductStates budget charged
+  /// with the summed part states, deadline, cancellation). Null =
+  /// ungoverned: fusion then never refuses.
   const ResourceGovernor *Gov = nullptr;
 
-  /// Hard product-state cap that holds even without a governor, so a
-  /// pathological policy set can never OOM the monitor.
+  /// Memory cap of the product memo, in materialized states (at least
+  /// the start state is always kept). Past it sessions step the
+  /// per-policy DFAs directly; verdicts are unaffected.
   uint64_t MaxStates = 1u << 20;
 };
 
-/// A set of instantiated policies fused into one flat DFA.
-///
-/// States are product states of the per-policy minimized DFAs (further
-/// merged by mask-aware Moore refinement); symbol code i is Universe[i],
-/// and because codes are dense 0..|Universe|-1 the compact alphabet index
-/// equals the code, so `eventIndexOf` feeds `Dfa::stepIndex` directly.
-struct FusedPolicyAutomaton {
-  /// OffendingMask is a uint32_t: a session may fuse at most 32 distinct
-  /// non-trivial policies (beyond that, fusion refuses and callers use
-  /// the legacy probe).
-  static constexpr unsigned MaxPolicies = 32;
+/// One materialized product state. Everything but the successor row is
+/// written before the state is published and immutable afterwards; each
+/// row entry goes from null to its final successor exactly once.
+class FusedState {
+public:
+  /// Offending-mask bits 0..63 (bit i ⇔ policy i offends here).
+  uint64_t mask0() const { return Mask0; }
 
+  /// Offending-mask words 1..ceil(K/64)-1; null when K <= 64.
+  const uint64_t *maskHi() const { return MaskHi; }
+
+  /// True when policy \p Bit offends here.
+  bool offends(unsigned Bit) const {
+    uint64_t Word = Bit < 64 ? Mask0 : MaskHi[Bit / 64 - 1];
+    return (Word >> (Bit % 64)) & 1;
+  }
+
+  /// The per-policy DFA states this product state stands for.
+  const automata::StateId *tuple() const { return Tuple; }
+
+  /// The successor on symbol index \p Idx once materialized, else null.
+  /// The acquire pairs with the release store that publishes the row
+  /// entry, so the successor's mask and tuple are visible without a lock.
+  const FusedState *next(uint32_t Idx) const {
+    return row()[Idx].load(std::memory_order_acquire);
+  }
+
+private:
+  friend class ProductMemo;
+  using Edge = std::atomic<const FusedState *>;
+
+  /// The row of |Universe| edges is laid out right after the header.
+  Edge *row() const {
+    return reinterpret_cast<Edge *>(const_cast<FusedState *>(this) + 1);
+  }
+
+  uint64_t Mask0 = 0;
+  const uint64_t *MaskHi = nullptr;
+  const automata::StateId *Tuple = nullptr;
+};
+
+/// The memo of materialized product states (defined in Fused.cpp).
+class ProductMemo;
+
+/// A set of instantiated policies fused into one lazily built DFA.
+///
+/// Symbol code i is Universe[i], and because codes are dense
+/// 0..|Universe|-1 the compact alphabet index equals the code, so
+/// `eventIndexOf` indexes the per-policy DFAs and the product rows.
+struct FusedPolicyAutomaton {
   /// Sentinel of eventIndexOf for events outside the universe.
   static constexpr uint32_t NoEvent = ~0u;
 
-  /// The fused transition structure; total over indices 0..|Universe|-1.
-  automata::Dfa Automaton;
-
-  /// Per fused state: bit i set ⇔ policy Policies[i] is offending.
-  std::vector<uint32_t> OffendingMask;
+  /// Per fused policy, its minimized DFA over the universe (total; a
+  /// state accepts iff the policy is offending there). Parts[i] decides
+  /// Policies[i]. This, not the memo, is what a snapshot stores.
+  std::vector<automata::Dfa> Parts;
 
   /// The fused non-trivial, instantiable policies (sorted, distinct);
   /// index == mask bit.
@@ -94,6 +138,11 @@ struct FusedPolicyAutomaton {
 
   /// Cache key: policySetFingerprint(Policies ∪ UnknownPolicies, Universe).
   uint64_t Fingerprint = 0;
+
+  FusedPolicyAutomaton();
+  FusedPolicyAutomaton(FusedPolicyAutomaton &&) noexcept;
+  FusedPolicyAutomaton &operator=(FusedPolicyAutomaton &&) noexcept;
+  ~FusedPolicyAutomaton();
 
   /// Symbol index of \p Ev, or NoEvent when outside the universe.
   uint32_t eventIndexOf(const hist::Event &Ev) const {
@@ -112,10 +161,35 @@ struct FusedPolicyAutomaton {
     return Ref.isTrivial() || policyBit(Ref) >= 0 || isUnknown(Ref);
   }
 
-  size_t numStates() const { return Automaton.numStates(); }
+  /// Offending-mask words per state: ceil(|Policies| / 64), at least 1.
+  size_t maskWords() const {
+    return Policies.size() <= 64 ? 1 : (Policies.size() + 63) / 64;
+  }
 
-  /// Built by fusePolicies; exposed for hot paths that pre-translate.
+  /// Product states materialized so far (grows as sessions explore).
+  size_t numStates() const;
+
+  /// The start state; always materialized.
+  const FusedState *start() const;
+
+  /// The row-less state a session moves to once the memo is full: every
+  /// next() on it misses. Never a successor of a materialized state.
+  const FusedState *pastCap() const;
+
+  /// The successor of \p From on symbol index \p Idx, materializing it on
+  /// a miss; null when that would exceed the memo cap.
+  const FusedState *successor(const FusedState *From, uint32_t Idx) const;
+
+  /// Rebuilds EventIndex from Universe and starts an empty memo over
+  /// Parts capped at \p MaxStates. fusePolicies and the snapshot decoder
+  /// call it once the fields above are final.
+  void finalize(uint64_t MaxStates);
+
+  /// Built by finalize; exposed for hot paths that pre-translate.
   std::unordered_map<hist::Event, uint32_t> EventIndex;
+
+private:
+  std::unique_ptr<ProductMemo> Memo;
 };
 
 /// Canonicalizes a fusion request in place: trivial refs dropped, refs and
@@ -125,7 +199,8 @@ void canonicalizePolicySet(std::vector<hist::PolicyRef> &Refs,
                            std::vector<hist::Event> &Universe);
 
 /// Order-independent fingerprint of a *canonicalized* policy set plus
-/// universe (the VerifierCache key for fused DFAs).
+/// universe (the VerifierCache key for fused DFAs). Collisions are
+/// possible; FusedCache compares the actual set on every hit.
 uint64_t policySetFingerprint(const std::vector<hist::PolicyRef> &Refs,
                               const std::vector<hist::Event> &Universe);
 
@@ -137,10 +212,10 @@ std::vector<hist::PolicyRef> collectPolicyRefs(const hist::Expr *Root);
 std::vector<hist::PolicyRef>
 collectPolicyRefs(const std::vector<const hist::Expr *> &Exprs);
 
-/// Fuses \p Refs over \p Universe (both canonicalized internally).
-/// Returns ResourceExhausted{ProductStates,...} when the product trips
-/// the governor, the MaxStates cap, or the MaxPolicies width — callers
-/// fall back to the legacy probe path; a fused result is always exact.
+/// Fuses \p Refs over \p Universe (both canonicalized internally): compiles
+/// and minimizes every policy and starts an empty product memo. Returns
+/// ResourceExhausted only when Opts.Gov trips — callers fall back to the
+/// legacy probe path; ungoverned fusion always succeeds.
 Outcome<FusedPolicyAutomaton>
 fusePolicies(const policy::PolicyRegistry &Registry,
              const StringInterner &Interner,
@@ -154,21 +229,20 @@ fusePolicies(const policy::PolicyRegistry &Registry,
 /// later run with a larger budget recomputes.
 class FusedCache {
 public:
-  /// The fused DFA for \p Fingerprint, or null.
-  std::shared_ptr<const FusedPolicyAutomaton> find(uint64_t Fingerprint) const;
-
   /// Canonicalizes, then returns the cached fusion or fuses and records
-  /// it. Null when fusion was refused (budget/width) — not cached.
+  /// it. A cached entry is returned only when its policy set and universe
+  /// equal the request's; a fingerprint collision fuses without caching.
+  /// Null when the governor refused fusion — not cached.
   std::shared_ptr<const FusedPolicyAutomaton>
   fuse(const policy::PolicyRegistry &Registry, const StringInterner &Interner,
        std::vector<hist::PolicyRef> Refs, std::vector<hist::Event> Universe,
        const FuseOptions &Opts = FuseOptions());
 
   struct Stats {
-    size_t Lookups = 0;  ///< fuse() + find() calls.
+    size_t Lookups = 0;  ///< fuse() calls.
     size_t Hits = 0;     ///< ... answered from the cache.
-    size_t Fusions = 0;  ///< Products actually built.
-    size_t Refusals = 0; ///< Fusions refused (budget/width trips).
+    size_t Fusions = 0;  ///< Automata actually fused.
+    size_t Refusals = 0; ///< Fusions refused by the governor.
   };
   Stats stats() const;
 
@@ -181,9 +255,9 @@ public:
 
 private:
   /// Leaf lock over the table and stats. fuse() deliberately *releases*
-  /// M while building the product (fusion can take milliseconds and may
-  /// recurse into governed kernels), then re-locks to insert — losing a
-  /// duplicate-fusion race is cheaper than serializing every fusion.
+  /// M while compiling the policies (which may recurse into governed
+  /// kernels), then re-locks to insert — losing a duplicate-fusion race
+  /// is cheaper than serializing every fusion.
   mutable Mutex M;
   mutable Stats S SUS_GUARDED_BY(M);
   std::map<uint64_t, std::shared_ptr<const FusedPolicyAutomaton>>

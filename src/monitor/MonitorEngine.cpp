@@ -45,47 +45,32 @@ MonitorEngine::openSession(std::vector<hist::PolicyRef> Refs,
                            std::vector<hist::Event> Universe) {
   FusedCache &Cache = Opts.Cache ? *Opts.Cache : PrivateCache;
   FuseOptions FO;
-  FO.Gov = Opts.Gov;
   FO.MaxStates = Opts.MaxFusedStates;
-
-  Session Sess;
-  Sess.FusedDfa =
+  std::shared_ptr<const FusedPolicyAutomaton> Dfa =
       Cache.fuse(Registry, Interner, std::move(Refs), std::move(Universe), FO);
-  if (Sess.FusedDfa) {
-    Sess.Fused.emplace(*Sess.FusedDfa);
-    ++S.FusedSessions;
-  } else {
-    // Fusion refused (governor / width): the session still gets a sound
-    // monitor, just the O(#policies) legacy one.
-    Sess.Legacy.emplace(Registry, Interner);
-  }
-  Sessions.push_back(std::move(Sess));
+  assert(Dfa && "ungoverned fusion never refuses");
+  Sessions.push_back({Dfa, SessionMonitor(*Dfa)});
   ++S.Sessions;
+  ++S.FusedSessions;
   if (metrics::enabled())
     sessionsCounter().add();
   return static_cast<SessionId>(Sessions.size() - 1);
 }
 
 bool MonitorEngine::isViolated(SessionId Id) const {
-  const Session &Sess = Sessions[Id];
-  return Sess.Fused ? Sess.Fused->isViolated() : !Sess.Legacy->isValid();
+  return Sessions[Id].Monitor.isViolated();
 }
 
 bool MonitorEngine::wouldAdmit(SessionId Id, const hist::Label &L) const {
-  const Session &Sess = Sessions[Id];
-  return Sess.Fused ? Sess.Fused->wouldAdmit(L)
-                    : Sess.Legacy->wouldRemainValid(L);
+  return Sessions[Id].Monitor.wouldAdmit(L);
 }
 
 bool MonitorEngine::advanceImpl(Session &Sess, const hist::Label &L,
                                 uint64_t &Unknown) {
-  if (Sess.Fused) {
-    if (L.isEvent() && Sess.FusedDfa->eventIndexOf(L.asEvent()) ==
-                           FusedPolicyAutomaton::NoEvent)
-      ++Unknown; // Admitted as a self-loop; see the closure contract.
-    return Sess.Fused->advance(L);
-  }
-  return Sess.Legacy->append(L);
+  if (L.isEvent() && Sess.FusedDfa->eventIndexOf(L.asEvent()) ==
+                         FusedPolicyAutomaton::NoEvent)
+    ++Unknown; // Admitted as a self-loop; see the closure contract.
+  return Sess.Monitor.advance(L);
 }
 
 bool MonitorEngine::advance(SessionId Id, const hist::Label &L) {

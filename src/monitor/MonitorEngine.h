@@ -2,11 +2,10 @@
 ///
 /// \file
 /// Runs many concurrent sessions against fused policy DFAs, sharded over
-/// the work-stealing ThreadPool. Sessions whose policy set fuses get the
-/// single-integer fast path (SessionMonitor); sessions whose fusion trips
-/// the ResourceGovernor (product blow-up, > 32 policies) transparently
-/// fall back to the legacy policy::ValidityChecker — an Inconclusive
-/// fusion never produces a wrong verdict, only a slower one.
+/// the work-stealing ThreadPool. Every session runs a SessionMonitor: the
+/// fused product is built lazily and shared through the FusedCache, so no
+/// policy-set width or product size is refused (past the memo cap a
+/// session steps its per-policy DFAs directly, with the same verdicts).
 ///
 /// Batched ingestion (`ingest`) partitions a label batch by
 /// `session % shards`: each shard task consumes its sessions' labels in
@@ -27,11 +26,9 @@
 
 #include "monitor/Fused.h"
 #include "monitor/SessionMonitor.h"
-#include "policy/Validity.h"
 #include "support/ThreadPool.h"
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace sus {
@@ -45,14 +42,12 @@ public:
     /// 1 keeps everything on the calling thread (no pool is spawned).
     unsigned Workers = 1;
 
-    /// Governs fusion (not the per-event hot path, which is O(1)).
-    const ResourceGovernor *Gov = nullptr;
-
     /// Optional shared fused-DFA cache (e.g. core::VerifierCache's);
     /// null = fuse privately per distinct fingerprint.
     FusedCache *Cache = nullptr;
 
-    /// Product-state cap per fusion, governor or not.
+    /// Memo cap (materialized product states) of the automata this
+    /// engine fuses; a cache hit keeps the cap it was fused with.
     uint64_t MaxFusedStates = 1u << 20;
   };
 
@@ -75,16 +70,12 @@ public:
   MonitorEngine &operator=(const MonitorEngine &) = delete;
 
   /// Opens a session whose policies are \p Refs over event universe
-  /// \p Universe (the closure contract above). Fuses — via the shared
-  /// cache when configured — or falls back to a legacy checker when
-  /// fusion is refused. Returns the new session's id.
+  /// \p Universe (the closure contract above), fusing via the shared
+  /// cache when configured. Returns the new session's id.
   SessionId openSession(std::vector<hist::PolicyRef> Refs,
                         std::vector<hist::Event> Universe);
 
   size_t numSessions() const { return Sessions.size(); }
-
-  /// True when \p S runs on the fused fast path (false = legacy fallback).
-  bool isFused(SessionId S) const { return Sessions[S].Fused.has_value(); }
 
   /// True once some label violated \p S's policies (violations latch).
   bool isViolated(SessionId S) const;
@@ -106,7 +97,7 @@ public:
 
   struct Stats {
     uint64_t Sessions = 0;        ///< openSession calls.
-    uint64_t FusedSessions = 0;   ///< ... that run the fused fast path.
+    uint64_t FusedSessions = 0;   ///< ... fused (all: fusion never refuses).
     uint64_t Events = 0;          ///< Labels processed (advance + ingest).
     uint64_t Blocked = 0;         ///< ... that reported a violation.
     uint64_t UnknownEvents = 0;   ///< Out-of-universe events admitted.
@@ -117,9 +108,7 @@ private:
   struct Session {
     /// Keeps the fused DFA alive (sessions may outlive cache entries).
     std::shared_ptr<const FusedPolicyAutomaton> FusedDfa;
-    std::optional<SessionMonitor> Fused;
-    /// Legacy fallback when fusion was refused.
-    std::optional<policy::ValidityChecker> Legacy;
+    SessionMonitor Monitor;
   };
 
   /// advance() body without stats accounting (shared with ingest shards).
@@ -133,7 +122,9 @@ private:
   // shard accumulates private counters that the calling thread merges
   // into S only after Pool->waitIdle() — confinement, not locks, is the
   // safety argument, and the pool's join edge is the publication point.
-  // No engine state needs a guard; the shared FusedCache locks itself.
+  // No engine state needs a guard; the shared FusedCache locks itself,
+  // and shards that share an automaton meet only in its product memo,
+  // which publishes rows lock-free and takes its own leaf lock on a miss.
   const policy::PolicyRegistry &Registry;
   const StringInterner &Interner;
   Options Opts;

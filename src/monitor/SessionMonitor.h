@@ -1,10 +1,13 @@
 //===- monitor/SessionMonitor.h - One session's fused monitor ---*- C++ -*-===//
 ///
 /// \file
-/// The per-session view of a FusedPolicyAutomaton: one DFA state integer,
-/// one active-policy bitmask, and (off the hot path) small per-policy
-/// frame-nesting counters. The event hot path is `admitsEventIndex` /
-/// `advanceEventIndex` — one branch-free table load plus one mask AND.
+/// The per-session view of a FusedPolicyAutomaton: one product-state
+/// pointer, one active-policy bitmask, and (off the hot path) small
+/// per-policy frame-nesting counters. The event hot path is
+/// `admitsEventIndex` / `advanceEventIndex` — one row load plus, for up to
+/// 64 policies, one mask-word AND. A row miss materializes the successor
+/// in the automaton's shared memo; past the memo cap the session steps
+/// the per-policy DFAs itself, with the same verdicts.
 ///
 /// Semantics mirror policy::ValidityChecker exactly (§3.1 validity):
 /// every policy's DFA consumes the full history from session start
@@ -31,24 +34,33 @@ namespace monitor {
 class SessionMonitor {
 public:
   explicit SessionMonitor(const FusedPolicyAutomaton &Fused)
-      : F(&Fused), State(Fused.Automaton.start()),
+      : F(&Fused), State(Fused.start()), ActiveHi(Fused.maskWords() - 1, 0),
         ActiveCounts(Fused.Policies.size(), 0) {}
 
   const FusedPolicyAutomaton &fused() const { return *F; }
-  automata::StateId state() const { return State; }
-  uint32_t activeMask() const { return ActiveMask; }
   bool isViolated() const { return Violated; }
+
+  /// True once the memo was full when this session needed a new state:
+  /// it then steps the per-policy DFAs itself.
+  bool isPastCap() const { return State == F->pastCap(); }
 
   /// Hot path: would firing the event at symbol index \p Idx be admitted?
   bool admitsEventIndex(uint32_t Idx) const {
-    automata::StateId Next = F->Automaton.stepIndex(State, Idx);
-    return (F->OffendingMask[Next] & ActiveMask) == 0 && !Violated;
+    const FusedState *Next = State->next(Idx);
+    if (!Next) [[unlikely]]
+      return admitsSlow(Idx);
+    return !offends(*Next) && !Violated;
   }
 
   /// Hot path: fires the event at symbol index \p Idx unconditionally.
   void advanceEventIndex(uint32_t Idx) {
-    State = F->Automaton.stepIndex(State, Idx);
-    if (F->OffendingMask[State] & ActiveMask)
+    const FusedState *Next = State->next(Idx);
+    if (!Next) [[unlikely]] {
+      advanceSlow(Idx);
+      return;
+    }
+    State = Next;
+    if (offends(*Next))
       Violated = true;
   }
 
@@ -76,7 +88,7 @@ public:
         return false; // Uninstantiable (or uncovered): opening violates.
       // History dependence: the history so far must already respect the
       // newly-framed policy.
-      return (F->OffendingMask[State] & (1u << Bit)) == 0;
+      return !policyOffends(static_cast<unsigned>(Bit));
     }
     case hist::LabelKind::FrameClose:
       return true;
@@ -106,9 +118,10 @@ public:
         Violated = true; // Uninstantiable policy: the framing cannot hold.
         break;
       }
-      ++ActiveCounts[Bit];
-      ActiveMask |= 1u << Bit;
-      if (F->OffendingMask[State] & (1u << Bit))
+      auto B = static_cast<unsigned>(Bit);
+      ++ActiveCounts[B];
+      activeWord(B) |= uint64_t(1) << (B % 64);
+      if (policyOffends(B))
         Violated = true;
       break;
     }
@@ -116,8 +129,10 @@ public:
       if (L.policy().isTrivial())
         break;
       int Bit = F->policyBit(L.policy());
-      if (Bit >= 0 && ActiveCounts[Bit] > 0 && --ActiveCounts[Bit] == 0)
-        ActiveMask &= ~(1u << Bit);
+      if (Bit >= 0 && ActiveCounts[Bit] > 0 && --ActiveCounts[Bit] == 0) {
+        auto B = static_cast<unsigned>(Bit);
+        activeWord(B) &= ~(uint64_t(1) << (B % 64));
+      }
       break;
     }
     default:
@@ -140,13 +155,42 @@ public:
   }
 
 private:
+  /// Does an active policy offend in \p S? One AND up to 64 policies.
+  bool offends(const FusedState &S) const {
+    return (S.mask0() & Active0) != 0 || (!ActiveHi.empty() && offendsHi(S));
+  }
+  bool offendsHi(const FusedState &S) const;
+
+  /// Is policy \p Bit offending in the current state?
+  bool policyOffends(unsigned Bit) const;
+
+  uint64_t &activeWord(unsigned Bit) {
+    return Bit < 64 ? Active0 : ActiveHi[Bit / 64 - 1];
+  }
+  bool isActive(unsigned Bit) const {
+    uint64_t Word = Bit < 64 ? Active0 : ActiveHi[Bit / 64 - 1];
+    return (Word >> (Bit % 64)) & 1;
+  }
+
+  /// The misses of the hot path: materialize the successor in the shared
+  /// memo, or, past its cap, step the per-policy DFAs directly.
+  bool admitsSlow(uint32_t Idx) const;
+  void advanceSlow(uint32_t Idx);
+  /// Does an active policy offend after \p Idx from the per-policy states?
+  bool offendsDirect(uint32_t Idx) const;
+
   const FusedPolicyAutomaton *F;
-  automata::StateId State;
-  uint32_t ActiveMask = 0;
+  /// The current product state; F->pastCap() once the session steps the
+  /// per-policy DFAs in Direct instead.
+  const FusedState *State;
+  uint64_t Active0 = 0;           ///< Active-policy bits 0..63.
   bool Violated = false;
+  std::vector<uint64_t> ActiveHi; ///< Active-policy words 1..; empty for K <= 64.
   /// Frame-nesting depth per policy bit (⌊ϕ…⌊ϕ nests); only the derived
-  /// ActiveMask is consulted on the event hot path.
+  /// active mask is consulted on the event hot path.
   std::vector<uint32_t> ActiveCounts;
+  /// Per-policy DFA states past the memo cap (empty before).
+  std::vector<automata::StateId> Direct;
 };
 
 } // namespace monitor

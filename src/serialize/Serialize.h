@@ -45,7 +45,7 @@ namespace sus {
 namespace serialize {
 
 /// Bumped on any incompatible layout change; loaders reject mismatches.
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 
 /// The 8-byte magic prefix of every snapshot.
 constexpr char Magic[8] = {'S', 'U', 'S', 'S', 'N', 'A', 'P', '\0'};

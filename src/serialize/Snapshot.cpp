@@ -272,10 +272,6 @@ void sus::serialize::encodeValidity(Writer &W, SymbolTable &Strings,
 
 void sus::serialize::encodeFused(Writer &W, SymbolTable &Strings,
                                  const monitor::FusedPolicyAutomaton &F) {
-  encodeDfa(W, F.Automaton);
-  W.putU32(static_cast<uint32_t>(F.OffendingMask.size()));
-  for (uint32_t Mask : F.OffendingMask)
-    W.putU32(Mask);
   W.putU32(static_cast<uint32_t>(F.Policies.size()));
   for (const PolicyRef &Ref : F.Policies)
     encodePolicyRef(W, Strings, Ref);
@@ -285,6 +281,11 @@ void sus::serialize::encodeFused(Writer &W, SymbolTable &Strings,
   W.putU32(static_cast<uint32_t>(F.Universe.size()));
   for (const Event &Ev : F.Universe)
     encodeEvent(W, Strings, Ev);
+  // The per-policy DFAs, not the product memo: a restored automaton
+  // starts with an empty memo and regrows it on demand.
+  W.putU32(static_cast<uint32_t>(F.Parts.size()));
+  for (const automata::Dfa &Part : F.Parts)
+    encodeDfa(W, Part);
 }
 
 //===----------------------------------------------------------------------===//
@@ -697,18 +698,6 @@ validity::StaticValidityResult sus::serialize::decodeValidity(
 monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
     Reader &R, const SymbolDecoder &Strings) {
   monitor::FusedPolicyAutomaton F;
-  F.Automaton = decodeDfa(R);
-  if (R.failed())
-    return F;
-  uint32_t NMasks = R.getU32();
-  if (NMasks != F.Automaton.numStates()) {
-    if (!R.failed())
-      R.fail("fused monitor mask count does not match its state count");
-    return F;
-  }
-  F.OffendingMask.reserve(NMasks);
-  for (uint32_t I = 0; I < NMasks && !R.failed(); ++I)
-    F.OffendingMask.push_back(R.getU32());
   auto DecodeRefs = [&](const char *What) {
     std::vector<PolicyRef> Refs;
     uint32_t N = R.getU32();
@@ -732,10 +721,6 @@ monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
   F.Policies = DecodeRefs("fused policy");
   if (R.failed())
     return F;
-  if (F.Policies.size() > monitor::FusedPolicyAutomaton::MaxPolicies) {
-    R.fail("fused monitor exceeds the policy width cap");
-    return F;
-  }
   F.UnknownPolicies = DecodeRefs("fused unknown policy");
   if (R.failed())
     return F;
@@ -753,45 +738,40 @@ monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
     }
     F.Universe.push_back(Ev);
   }
+  uint32_t NParts = R.getU32();
   if (R.failed())
     return F;
-
-  // Structural validation: symbol code i must be Universe[i] (dense codes
-  // make the compact alphabet index equal the code), the transition
-  // function must be total, the mask bits must fit the fused policy
-  // count, and a state is accepting exactly when some policy is
-  // offending there (how fusePolicies builds the product).
-  const automata::Dfa &D = F.Automaton;
-  if (D.numSymbols() != F.Universe.size()) {
-    R.fail("fused monitor alphabet does not match its universe");
+  if (NParts != F.Policies.size()) {
+    R.fail("fused monitor part count does not match its policy count");
     return F;
   }
-  for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-    if (D.alphabet()[Idx] != Idx) {
-      R.fail("fused monitor symbol codes are not dense");
+
+  // Structural validation per part: symbol code i must be Universe[i]
+  // (dense codes make the compact alphabet index equal the code) and the
+  // transition function must be total — the product memo steps parts
+  // without checking.
+  F.Parts.reserve(NParts);
+  for (uint32_t P = 0; P < NParts; ++P) {
+    automata::Dfa D = decodeDfa(R);
+    if (R.failed())
       return F;
-    }
-  uint64_t MaskLimit =
-      F.Policies.size() >= 32 ? ~uint64_t(0)
-                              : ((uint64_t(1) << F.Policies.size()) - 1);
-  for (automata::StateId S = 0; S < D.numStates(); ++S) {
-    if (F.OffendingMask[S] > MaskLimit) {
-      R.fail("fused monitor offending mask names an absent policy");
-      return F;
-    }
-    if (D.isAccepting(S) != (F.OffendingMask[S] != 0)) {
-      R.fail("fused monitor acceptance disagrees with its masks");
+    if (D.numSymbols() != F.Universe.size()) {
+      R.fail("fused monitor part alphabet does not match its universe");
       return F;
     }
     for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-      if (D.stepIndex(S, Idx) == automata::Dfa::NoState) {
-        R.fail("fused monitor transition function is not total");
+      if (D.alphabet()[Idx] != Idx) {
+        R.fail("fused monitor part symbol codes are not dense");
         return F;
       }
+    for (automata::StateId S = 0; S < D.numStates(); ++S)
+      for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
+        if (D.stepIndex(S, Idx) == automata::Dfa::NoState) {
+          R.fail("fused monitor part transition function is not total");
+          return F;
+        }
+    F.Parts.push_back(std::move(D));
   }
-
-  for (uint32_t Idx = 0; Idx < F.Universe.size(); ++Idx)
-    F.EventIndex.emplace(F.Universe[Idx], Idx);
 
   // The fingerprint is keyed on the *canonical* request — the merged
   // instantiable + unknown policy list — which fusePolicies computes
@@ -808,5 +788,6 @@ monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
       return F;
     }
   F.Fingerprint = monitor::policySetFingerprint(AllRefs, F.Universe);
+  F.finalize(monitor::FuseOptions().MaxStates);
   return F;
 }

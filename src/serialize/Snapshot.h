@@ -165,9 +165,10 @@ contract::ComplianceResult decodeCompliance(Reader &R,
                                             const ExprDecoder &Exprs);
 validity::StaticValidityResult decodeValidity(Reader &R,
                                               const SymbolDecoder &Strings);
-/// Rebuilds the fused automaton including the derived EventIndex and the
-/// recomputed fingerprint; validates totality and mask/acceptance
-/// consistency.
+/// Rebuilds the fused automaton from its per-policy DFAs, with the derived
+/// EventIndex, the recomputed fingerprint and an empty product memo at
+/// the default cap; validates that there is one part per policy and that
+/// every part is dense over the universe and total.
 monitor::FusedPolicyAutomaton decodeFused(Reader &R,
                                           const SymbolDecoder &Strings);
 

@@ -5,10 +5,10 @@
 /// random policy sets and traces, the fused SessionMonitor must make
 /// bit-for-bit the same blocked/allowed decisions as the legacy
 /// policy::ValidityChecker probe — per label, per multi-label probe, and
-/// through the MonitorEngine's sharded batch path — including when a
-/// governor trip refuses fusion and the engine falls back to the legacy
-/// checker, and through net::Interpreter end to end on the paper's hotel
-/// example. Seeds are fixed; nothing depends on wall-clock or the
+/// through the MonitorEngine's sharded batch path — at policy-set widths
+/// of 33, 64 and 128, past the product memo's cap, over a cold memo shared
+/// by four shards, and through net::Interpreter end to end on the paper's
+/// hotel example. Seeds are fixed; nothing depends on wall-clock or the
 /// iteration order of unordered containers.
 ///
 //===----------------------------------------------------------------------===//
@@ -83,7 +83,10 @@ policy::UsageAutomaton randomShape(std::mt19937_64 &Rng, Symbol Name,
 }
 
 /// Heap-allocated because HistContext pins its address (arena + interner).
-std::unique_ptr<Scenario> makeScenario(uint64_t Seed, size_t TraceLen = 60) {
+/// \p Width > 0 asks for exactly that many instantiable references (random
+/// shapes instantiated with parameters 1..), otherwise 1-8 of them.
+std::unique_ptr<Scenario> makeScenario(uint64_t Seed, size_t TraceLen = 60,
+                                       unsigned Width = 0) {
   auto SP = std::make_unique<Scenario>();
   Scenario &S = *SP;
   std::mt19937_64 Rng(Seed);
@@ -94,15 +97,19 @@ std::unique_ptr<Scenario> makeScenario(uint64_t Seed, size_t TraceLen = 60) {
     EventNames.push_back(In.intern(N));
   Symbol ParamName = In.intern("t");
 
-  unsigned NumShapes = 1 + Rng() % 4;
+  unsigned NumShapes = Width ? 4 : 1 + Rng() % 4;
+  std::vector<Symbol> Shapes;
   for (unsigned I = 0; I < NumShapes; ++I) {
-    Symbol Name = In.intern("phi" + std::to_string(I));
-    S.Registry.add(randomShape(Rng, Name, ParamName, EventNames));
+    Shapes.push_back(In.intern("phi" + std::to_string(I)));
+    S.Registry.add(randomShape(Rng, Shapes.back(), ParamName, EventNames));
     unsigned NumInsts = 1 + Rng() % 2;
-    for (unsigned K = 0; K < NumInsts; ++K)
-      S.Refs.push_back(
-          {Name, {{Value::integer(static_cast<int64_t>(1 + Rng() % 3))}}});
+    for (unsigned K = 0; !Width && K < NumInsts; ++K)
+      S.Refs.push_back({Shapes.back(),
+                        {{Value::integer(static_cast<int64_t>(1 + Rng() % 3))}}});
   }
+  for (unsigned K = 0; K < Width; ++K)
+    S.Refs.push_back({Shapes[K % NumShapes],
+                      {{Value::integer(static_cast<int64_t>(1 + K / NumShapes))}}});
 
   for (Symbol N : EventNames)
     for (int64_t V = 1; V <= 3; ++V)
@@ -129,24 +136,12 @@ std::unique_ptr<Scenario> makeScenario(uint64_t Seed, size_t TraceLen = 60) {
   return SP;
 }
 
-class MonitorDiffTest : public ::testing::TestWithParam<int> {};
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// SessionMonitor vs ValidityChecker, label by label and probe by probe
-//===----------------------------------------------------------------------===//
-
-TEST_P(MonitorDiffTest, FusedMatchesLegacyProbe) {
-  uint64_t Seed = static_cast<uint64_t>(GetParam());
-  std::unique_ptr<Scenario> SP = makeScenario(Seed);
-  Scenario &S = *SP;
-
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
-  ASSERT_TRUE(Out.ok()) << Out.exhausted().str();
-  monitor::FusedPolicyAutomaton F = Out.takeValue();
-
+/// Drives \p Fused and a fresh legacy checker through \p S's trace in
+/// chunks of 1-3 labels: the multi-label probe, then per label the probe,
+/// the commit and the violation latch must agree.
+void expectMatchesLegacy(const Scenario &S,
+                         const monitor::FusedPolicyAutomaton &F,
+                         uint64_t Seed) {
   monitor::SessionMonitor Fused(F);
   policy::ValidityChecker Legacy(S.Registry, S.Ctx.interner());
 
@@ -174,19 +169,136 @@ TEST_P(MonitorDiffTest, FusedMatchesLegacyProbe) {
   }
 }
 
+/// A random label for \p S: 60% universe events, 20% frame opens, 20%
+/// frame closes over the open pool.
+Label randomLabel(const Scenario &S, std::mt19937_64 &Rng) {
+  unsigned R = Rng() % 100;
+  if (R < 60)
+    return Label::event(S.Universe[Rng() % S.Universe.size()]);
+  const PolicyRef &Ref = S.OpenPool[Rng() % S.OpenPool.size()];
+  return R < 80 ? Label::frameOpen(Ref) : Label::frameClose(Ref);
+}
+
+/// Ingests one 600-item batch of interleaved labels over 8 sessions into
+/// \p Engine and checks every decision against per-session legacy
+/// checkers, then the latches.
+void expectEngineMatchesLegacy(const Scenario &S,
+                               monitor::MonitorEngine &Engine, uint64_t Seed) {
+  constexpr unsigned NumSessions = 8;
+  std::vector<policy::ValidityChecker> Legacy;
+  std::vector<monitor::MonitorEngine::SessionId> Ids;
+  for (unsigned I = 0; I < NumSessions; ++I) {
+    Ids.push_back(Engine.openSession(S.Refs, S.Universe));
+    Legacy.emplace_back(S.Registry, S.Ctx.interner());
+  }
+  std::mt19937_64 Rng(Seed);
+  std::vector<monitor::MonitorEngine::BatchItem> Batch;
+  Batch.reserve(600);
+  for (unsigned I = 0; I < 600; ++I)
+    Batch.push_back({Ids[Rng() % NumSessions], randomLabel(S, Rng)});
+
+  std::vector<uint8_t> Decisions;
+  Engine.ingest(Batch, &Decisions);
+  std::vector<uint8_t> LegacyDecisions(Batch.size());
+  for (size_t I = 0; I < Batch.size(); ++I)
+    LegacyDecisions[I] =
+        Legacy[Batch[I].Session - Ids.front()].append(Batch[I].L) ? 1 : 0;
+  EXPECT_EQ(Decisions, LegacyDecisions) << "seed " << Seed;
+  for (unsigned I = 0; I < NumSessions; ++I)
+    EXPECT_EQ(Engine.isViolated(Ids[I]), !Legacy[I].isValid())
+        << "seed " << Seed << " session " << I;
+}
+
+class MonitorDiffTest : public ::testing::TestWithParam<int> {};
+class MonitorWidthTest : public ::testing::TestWithParam<unsigned> {};
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// SessionMonitor vs ValidityChecker, label by label and probe by probe
+//===----------------------------------------------------------------------===//
+
+TEST_P(MonitorDiffTest, FusedMatchesLegacyProbe) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  std::unique_ptr<Scenario> SP = makeScenario(Seed);
+  Scenario &S = *SP;
+
+  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
+      S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
+  ASSERT_TRUE(Out.ok()) << Out.exhausted().str();
+  expectMatchesLegacy(S, Out.value(), Seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(HundredSeeds, MonitorDiffTest,
                          ::testing::Range(0, 100));
 
 //===----------------------------------------------------------------------===//
-// Governor trip: fusion refuses, the fallback decides identically
+// Wide policy sets, the memo cap and the governor
 //===----------------------------------------------------------------------===//
 
-TEST(MonitorGovernorTest, TrippedFusionFallsBackIdentically) {
+TEST_P(MonitorWidthTest, WideSetsFuseAndMatchLegacy) {
+  unsigned Width = GetParam();
+  for (uint64_t Seed = 0; Seed < 4; ++Seed) {
+    std::unique_ptr<Scenario> SP = makeScenario(Seed, /*TraceLen=*/200, Width);
+    Scenario &S = *SP;
+    monitor::FusedCache Cache;
+    std::shared_ptr<const monitor::FusedPolicyAutomaton> F =
+        Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
+    ASSERT_TRUE(F);
+    EXPECT_EQ(Cache.stats().Refusals, 0u);
+    EXPECT_EQ(F->Policies.size(), Width);
+    EXPECT_EQ(F->maskWords(), (Width + 63) / 64);
+    expectMatchesLegacy(S, *F, Seed);
+
+    monitor::MonitorEngine::Options EO;
+    EO.Workers = 4;
+    EO.Cache = &Cache;
+    monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
+    expectEngineMatchesLegacy(S, Engine, Seed);
+    EXPECT_EQ(Cache.stats().Fusions, 1u);
+    EXPECT_EQ(Cache.stats().Refusals, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, MonitorWidthTest,
+                         ::testing::Values(33u, 64u, 128u));
+
+TEST(MonitorMemoCapTest, PastCapPathMatchesLegacy) {
+  monitor::FuseOptions FO;
+  FO.MaxStates = 2;
+  unsigned PastCap = 0;
+  for (uint64_t Seed = 0; Seed < 20; ++Seed) {
+    std::unique_ptr<Scenario> SP =
+        makeScenario(Seed, /*TraceLen=*/120, /*Width=*/Seed % 2 ? 72 : 0);
+    Scenario &S = *SP;
+    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
+        S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
+    ASSERT_TRUE(Out.ok());
+    const monitor::FusedPolicyAutomaton &F = Out.value();
+    expectMatchesLegacy(S, F, Seed);
+    EXPECT_LE(F.numStates(), 2u);
+
+    monitor::SessionMonitor Probe(F);
+    for (const Label &L : S.Trace)
+      Probe.advance(L);
+    PastCap += Probe.isPastCap() ? 1 : 0;
+
+    monitor::MonitorEngine::Options EO;
+    EO.Workers = 4;
+    EO.MaxFusedStates = 2;
+    monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
+    expectEngineMatchesLegacy(S, Engine, Seed);
+  }
+  // The cap must actually have been reached, or this tests nothing.
+  EXPECT_GE(PastCap, 5u);
+}
+
+TEST(MonitorGovernorTest, ExpiredDeadlineRefusesAndIsNotCached) {
   std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/7);
   Scenario &S = *SP;
 
   ResourceGovernor Gov;
-  Gov.setLimit(ResourceKind::ProductStates, 1);
+  Gov.setDeadlineAfterMillis(0);
   monitor::FuseOptions FO;
   FO.Gov = &Gov;
 
@@ -194,54 +306,51 @@ TEST(MonitorGovernorTest, TrippedFusionFallsBackIdentically) {
   Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
       S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
   ASSERT_FALSE(Out.ok());
-  EXPECT_EQ(Out.exhausted().Which, ResourceKind::ProductStates);
+  EXPECT_EQ(Out.exhausted().Which, ResourceKind::Deadline);
 
-  // ...the cache must refuse without recording...
+  // ...and the cache must refuse without recording, so the next
+  // ungoverned request fuses fresh.
   monitor::FusedCache Cache;
   EXPECT_EQ(Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO),
             nullptr);
   EXPECT_EQ(Cache.stats().Refusals, 1u);
   EXPECT_EQ(Cache.stats().Fusions, 0u);
-
-  // ...and the engine must fall back to a legacy checker that decides
-  // exactly as a stand-alone one.
-  monitor::MonitorEngine::Options EO;
-  EO.Gov = &Gov;
-  monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
-  monitor::MonitorEngine::SessionId Id =
-      Engine.openSession(S.Refs, S.Universe);
-  EXPECT_FALSE(Engine.isFused(Id));
-
-  policy::ValidityChecker Legacy(S.Registry, S.Ctx.interner());
-  for (const Label &L : S.Trace) {
-    EXPECT_EQ(Engine.wouldAdmit(Id, L), Legacy.wouldRemainValid(L));
-    EXPECT_EQ(Engine.advance(Id, L), Legacy.append(L));
-  }
-  EXPECT_EQ(Engine.isViolated(Id), !Legacy.isValid());
+  EXPECT_NE(Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe),
+            nullptr);
+  EXPECT_EQ(Cache.stats().Fusions, 1u);
 }
 
-TEST(MonitorGovernorTest, WidthOverflowRefusesFusion) {
-  hist::HistContext Ctx;
-  StringInterner &In = Ctx.interner();
-  policy::PolicyRegistry Registry;
-  Symbol E = In.intern("e");
-  policy::UsageAutomaton Shape(In.intern("p"), {{In.intern("t"), false}});
-  Shape.addState("ok");
-  Shape.addState("bad", /*Offending=*/true);
-  Shape.addEdge(0, E, policy::Guard::cmpParam(policy::CmpOp::EQ, 0), 1);
-  Registry.add(Shape);
+//===----------------------------------------------------------------------===//
+// FusedCache: a fingerprint collision never serves another set's monitor
+//===----------------------------------------------------------------------===//
 
-  // 33 distinct instantiations exceed the 32-bit offending mask.
-  std::vector<PolicyRef> Refs;
-  for (int64_t I = 0; I < 33; ++I)
-    Refs.push_back({In.intern("p"), {{Value::integer(I)}}});
-  std::vector<Event> Universe{{E, Value::integer(1)}};
+TEST(FusedCacheTest, FingerprintCollisionIsNotServed) {
+  std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/3, 0, /*Width=*/6);
+  Scenario &S = *SP;
+  std::vector<PolicyRef> Other(S.Refs.begin(), S.Refs.end() - 1);
+  std::vector<Event> Universe = S.Universe;
+  monitor::canonicalizePolicySet(Other, Universe);
 
-  Outcome<monitor::FusedPolicyAutomaton> Out =
-      monitor::fusePolicies(Registry, In, Refs, Universe);
-  ASSERT_FALSE(Out.ok());
-  EXPECT_EQ(Out.exhausted().Which, ResourceKind::ProductStates);
-  EXPECT_EQ(Out.exhausted().Limit, monitor::FusedPolicyAutomaton::MaxPolicies);
+  // An entry for the full set, forged to carry the smaller set's key.
+  Outcome<monitor::FusedPolicyAutomaton> Forged = monitor::fusePolicies(
+      S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
+  ASSERT_TRUE(Forged.ok());
+  monitor::FusedPolicyAutomaton F = Forged.takeValue();
+  F.Fingerprint = monitor::policySetFingerprint(Other, Universe);
+  auto ForgedPtr = std::make_shared<const monitor::FusedPolicyAutomaton>(
+      std::move(F));
+  monitor::FusedCache Cache;
+  Cache.restore(ForgedPtr);
+
+  for (int Round = 0; Round < 2; ++Round) {
+    std::shared_ptr<const monitor::FusedPolicyAutomaton> Got =
+        Cache.fuse(S.Registry, S.Ctx.interner(), Other, S.Universe);
+    ASSERT_TRUE(Got);
+    EXPECT_NE(Got, ForgedPtr);
+    EXPECT_EQ(Got->Policies, Other);
+  }
+  EXPECT_EQ(Cache.stats().Hits, 0u);
+  EXPECT_EQ(Cache.stats().Fusions, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,7 +372,6 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
   for (unsigned I = 0; I < NumSessions; ++I) {
     EXPECT_EQ(Sharded.openSession(S.Refs, S.Universe), I);
     EXPECT_EQ(Sequential.openSession(S.Refs, S.Universe), I);
-    EXPECT_TRUE(Sharded.isFused(I));
     Legacy.emplace_back(S.Registry, S.Ctx.interner());
   }
 
@@ -273,14 +381,7 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
   for (unsigned I = 0; I < 600; ++I) {
     auto Session =
         static_cast<monitor::MonitorEngine::SessionId>(Rng() % NumSessions);
-    unsigned R = Rng() % 100;
-    Label L = R < 60
-                  ? Label::event(S.Universe[Rng() % S.Universe.size()])
-                  : (R < 80 ? Label::frameOpen(
-                                  S.OpenPool[Rng() % S.OpenPool.size()])
-                            : Label::frameClose(
-                                  S.OpenPool[Rng() % S.OpenPool.size()]));
-    Batch.push_back({Session, L});
+    Batch.push_back({Session, randomLabel(S, Rng)});
   }
 
   std::vector<uint8_t> ShardedDecisions, SequentialDecisions;
@@ -298,6 +399,53 @@ TEST(MonitorEngineTest, ShardedIngestMatchesSequentialAndLegacy) {
     EXPECT_EQ(Sharded.isViolated(I), !Legacy[I].isValid());
   }
   EXPECT_EQ(Sharded.stats().Events, Batch.size());
+}
+
+TEST(MonitorEngineTest, ColdSharedMemoAcrossFourShards) {
+  // One automaton, shared by every session and shard, with only its start
+  // state materialized: the first round of the batch starts every session
+  // on the cold start row, so the shards race to materialize and publish
+  // the same rows while others read them.
+  std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/17, 0, /*Width=*/64);
+  Scenario &S = *SP;
+  monitor::FusedCache Cache;
+  monitor::MonitorEngine::Options EO;
+  EO.Workers = 4;
+  EO.Cache = &Cache;
+  monitor::MonitorEngine Sharded(S.Registry, S.Ctx.interner(), EO);
+  monitor::MonitorEngine Sequential(S.Registry, S.Ctx.interner());
+
+  constexpr unsigned NumSessions = 64;
+  std::vector<policy::ValidityChecker> Legacy;
+  for (unsigned I = 0; I < NumSessions; ++I) {
+    Sharded.openSession(S.Refs, S.Universe);
+    Sequential.openSession(S.Refs, S.Universe);
+    Legacy.emplace_back(S.Registry, S.Ctx.interner());
+  }
+  ASSERT_EQ(Cache.snapshot().size(), 1u);
+  const monitor::FusedPolicyAutomaton &Shared = *Cache.snapshot().front();
+  EXPECT_EQ(Shared.numStates(), 1u);
+
+  std::mt19937_64 Rng(17);
+  std::vector<monitor::MonitorEngine::BatchItem> Batch;
+  Batch.reserve(NumSessions + 4000);
+  for (unsigned I = 0; I < NumSessions; ++I)
+    Batch.push_back(
+        {I, Label::event(S.Universe[Rng() % S.Universe.size()])});
+  for (unsigned I = 0; I < 4000; ++I)
+    Batch.push_back({static_cast<monitor::MonitorEngine::SessionId>(
+                         Rng() % NumSessions),
+                     randomLabel(S, Rng)});
+
+  std::vector<uint8_t> ShardedDecisions, SequentialDecisions;
+  Sharded.ingest(Batch, &ShardedDecisions);
+  Sequential.ingest(Batch, &SequentialDecisions);
+  EXPECT_EQ(ShardedDecisions, SequentialDecisions);
+  std::vector<uint8_t> LegacyDecisions(Batch.size());
+  for (size_t I = 0; I < Batch.size(); ++I)
+    LegacyDecisions[I] = Legacy[Batch[I].Session].append(Batch[I].L) ? 1 : 0;
+  EXPECT_EQ(ShardedDecisions, LegacyDecisions);
+  EXPECT_GT(Shared.numStates(), 1u);
 }
 
 TEST(MonitorEngineTest, CacheSharesFusionsAcrossSessions) {

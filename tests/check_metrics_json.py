@@ -19,7 +19,8 @@ Runs the shipped example through susc five ways and asserts:
 With the optional BENCH_MONITOR argument (the bench_monitor binary), also
 smoke-runs the fused-monitor benchmark with `--quick --metrics-out=` and
 asserts the emitted JSON validates and actually exercised the monitor:
-`monitor.events` > 0 and `monitor.fusions` >= 1.
+`monitor.events` > 0, `monitor.fusions` >= 1, `monitor.fused_states` >= 1
+and no `monitor.memo_overflows` (no bench case lowers the memo cap).
 
 With the optional BENCH_PLANS argument (the bench_plans binary), also
 smoke-runs the plan-search benchmark the same way and asserts the emitted
@@ -120,6 +121,12 @@ def check_bench_monitor(bench, schema, tmp):
         fail("bench_monitor counted no monitor.events")
     if counters.get("monitor.fusions", 0) < 1:
         fail("bench_monitor performed no monitor.fusions")
+    if counters.get("monitor.fused_states", 0) < 1:
+        fail("bench_monitor materialized no monitor.fused_states")
+    # No bench case lowers the memo cap, so nothing may step past it.
+    if counters.get("monitor.memo_overflows", 0) != 0:
+        fail("bench_monitor stepped past a memo cap: "
+             f"{counters['monitor.memo_overflows']} monitor.memo_overflows")
 
 
 def check_bench_plans(bench, schema, tmp):
