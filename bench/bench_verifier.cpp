@@ -2,18 +2,17 @@
 ///
 /// \file
 /// Experiment B7 (DESIGN.md): the §5 verifier as a pipeline — serial
-/// recompute-per-plan (the pre-cache baseline), serial over the shared
-/// VerifierCache, and cache + parallel security checking over the
-/// work-stealing pool. The headline workload is a re-verification
-/// *session*: the repository grows by one service at a time and the
-/// client is re-verified after each step, so the cache answers every
-/// previously-explored plan instantly while the baseline re-explores the
-/// whole candidate space from scratch. Single-shot sweeps over width ×
-/// request count × depth are kept alongside. Run with
-/// `--benchmark_format=json` to extend BENCH_verifier.json, the perf
-/// trajectory tracked across PRs.
+/// over the shared VerifierCache, and cache + parallel security checking
+/// over the work-stealing pool. The headline workload is a
+/// re-verification *session*: the repository grows by one service at a
+/// time and the client is re-verified after each step, so the cache
+/// answers every previously-explored plan instantly. Single-shot sweeps
+/// over width × request count × depth are kept alongside. The uncached
+/// recompute-per-plan baseline (mode 0) is retired; EXPERIMENTS.md keeps
+/// its last measurement. Run with `--benchmark_format=json` to extend
+/// BENCH_verifier.json, the perf trajectory tracked across PRs.
 ///
-/// The binary self-checks determinism at startup: the three modes must
+/// The binary self-checks determinism at startup: both modes must
 /// produce element-wise identical verdicts at every step of the
 /// acceptance session (8 services × 3 requests, 4 worker threads) or it
 /// aborts.
@@ -35,16 +34,15 @@ using namespace sus::bench;
 
 namespace {
 
-/// Mode knob for the sweeps below.
+/// Mode knob for the sweeps below (0 was the retired uncached baseline;
+/// the values stay so benchmark names match the recorded JSON).
 enum Mode : int {
-  SerialUncached = 0, ///< The seed behaviour: every plan recomputes.
   SerialCached = 1,   ///< Shared VerifierCache, one thread.
   ParallelCached = 2, ///< Shared VerifierCache + 4 worker shards.
 };
 
 core::VerifierOptions optionsFor(Mode M) {
   core::VerifierOptions Opts;
-  Opts.UseCache = M != SerialUncached;
   Opts.Jobs = M == ParallelCached ? 4 : 1;
   return Opts;
 }
@@ -78,11 +76,11 @@ runSession(hist::HistContext &Ctx, unsigned R, unsigned Q, unsigned Depth,
 }
 
 /// Startup determinism check: identical verdicts at every step of the
-/// acceptance session (R=8, Q=3, 4 worker threads) across all modes.
+/// acceptance session (R=8, Q=3, 4 worker threads) across both modes.
 bool selfCheck() {
   std::vector<std::vector<std::vector<plan::Plan>>> Valid;
   std::vector<std::vector<size_t>> Candidates;
-  for (Mode M : {SerialUncached, SerialCached, ParallelCached}) {
+  for (Mode M : {SerialCached, ParallelCached}) {
     hist::HistContext Ctx;
     std::vector<core::VerificationReport> Reports =
         runSession(Ctx, 8, 3, 6, /*Steps=*/2, M);
@@ -95,8 +93,7 @@ bool selfCheck() {
   }
   // Plans are Symbol maps; symbol ids are identical across the fresh
   // contexts because each run interns the same names in the same order.
-  if (Valid[0] != Valid[1] || Valid[1] != Valid[2] ||
-      Candidates[0] != Candidates[1] || Candidates[1] != Candidates[2]) {
+  if (Valid[0] != Valid[1] || Candidates[0] != Candidates[1]) {
     std::fprintf(stderr,
                  "bench_verifier: verdicts diverge across modes\n");
     std::abort();
@@ -107,9 +104,8 @@ bool selfCheck() {
 const bool SelfChecked = selfCheck();
 
 /// The headline benchmark: a 4-step re-verification session at
-/// repository width R × request count Q, protocol depth 6, across the
-/// three modes. The baseline re-explores every candidate plan on every
-/// pass; the cached pipeline only pays for plans the repository growth
+/// repository width R × request count Q, protocol depth 6, in both
+/// modes. The cached pipeline only pays for plans the repository growth
 /// made possible.
 void BM_VerifySession(benchmark::State &State) {
   unsigned R = static_cast<unsigned>(State.range(0));
@@ -136,13 +132,10 @@ void BM_VerifySession(benchmark::State &State) {
       static_cast<double>(State.iterations());
 }
 BENCHMARK(BM_VerifySession)
-    ->Args({4, 2, SerialUncached})
     ->Args({4, 2, SerialCached})
     ->Args({4, 2, ParallelCached})
-    ->Args({8, 3, SerialUncached})
     ->Args({8, 3, SerialCached})
     ->Args({8, 3, ParallelCached})
-    ->Args({12, 3, SerialUncached})
     ->Args({12, 3, SerialCached})
     ->Args({12, 3, ParallelCached});
 
@@ -165,9 +158,9 @@ void BM_VerifySingleShot(benchmark::State &State) {
       static_cast<double>(State.iterations());
 }
 BENCHMARK(BM_VerifySingleShot)
-    ->Args({8, 3, SerialUncached})
+    ->Args({8, 3, SerialCached})
     ->Args({8, 3, ParallelCached})
-    ->Args({16, 3, SerialUncached})
+    ->Args({16, 3, SerialCached})
     ->Args({16, 3, ParallelCached});
 
 /// Depth sweep: per-plan security work grows with protocol depth; the
@@ -183,25 +176,23 @@ void BM_VerifyDepth(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_VerifyDepth)
-    ->Args({2, SerialUncached})
+    ->Args({2, SerialCached})
     ->Args({2, ParallelCached})
-    ->Args({8, SerialUncached})
+    ->Args({8, SerialCached})
     ->Args({8, ParallelCached})
-    ->Args({16, SerialUncached})
+    ->Args({16, SerialCached})
     ->Args({16, ParallelCached});
 
 /// Cross-client cache reuse: verifying a whole network of N clients with
-/// the same contract shares every compliance pair across clients.
+/// the same contract shares every compliance pair across clients. (The
+/// second argument, 1, is the cached mode; 0 was the retired baseline.)
 void BM_VerifyNetworkSharedCache(benchmark::State &State) {
   unsigned Clients = static_cast<unsigned>(State.range(0));
-  bool Cached = State.range(1) != 0;
   for (auto _ : State) {
     hist::HistContext Ctx;
     plan::Repository Repo = chattyRepository(Ctx, 8, 4, 4);
     policy::PolicyRegistry Registry;
-    core::VerifierOptions Opts;
-    Opts.UseCache = Cached;
-    core::Verifier V(Ctx, Repo, Registry, Opts);
+    core::Verifier V(Ctx, Repo, Registry);
     std::vector<std::pair<const hist::Expr *, plan::Loc>> Net;
     const hist::Expr *Client = chattyClient(Ctx, 2, 4);
     for (unsigned I = 0; I < Clients; ++I)
@@ -210,11 +201,7 @@ void BM_VerifyNetworkSharedCache(benchmark::State &State) {
     benchmark::DoNotOptimize(Report.allClientsHaveValidPlans());
   }
 }
-BENCHMARK(BM_VerifyNetworkSharedCache)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
+BENCHMARK(BM_VerifyNetworkSharedCache)->Args({2, 1})->Args({8, 1});
 
 /// The enumerator after the bind/undo rewrite: pure candidate explosion,
 /// no checking (companion to B3's BM_EnumerateOnly; kept here so the B7

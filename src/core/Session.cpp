@@ -1,0 +1,250 @@
+//===- core/Session.cpp - The request core of susc and susd ---------------===//
+
+#include "core/Session.h"
+
+#include "plan/RepositoryDelta.h"
+
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+
+using namespace sus;
+using namespace sus::core;
+
+bool Session::open(std::string Src, std::string Name, VerifierOptions Opts,
+                   DiagnosticEngine &Diags) {
+  Source = std::move(Src);
+  FileName = std::move(Name);
+  File = syntax::parseSusFile(Ctx, Source, Diags, FileName);
+  if (!File)
+    return false;
+  V = std::make_unique<Verifier>(Ctx, File->Repo, File->Registry,
+                                 std::move(Opts));
+  return true;
+}
+
+ClientOutcome Session::verifyClient(Symbol Name, const hist::Expr *Client,
+                                    const std::string &OnlyPlan,
+                                    bool Enumerate, std::ostream &OS) {
+  ClientOutcome Out;
+  OS << "== client " << Ctx.interner().text(Name) << " ==\n";
+
+  // Declared plans first.
+  for (const syntax::PlanDecl &Decl : File->Plans) {
+    if (Decl.Client != Name)
+      continue;
+    std::string PlanName(Ctx.interner().text(Decl.Name));
+    if (!OnlyPlan.empty() && PlanName != OnlyPlan)
+      continue;
+    PlanVerdict Verdict = V->checkPlan(Client, Name, Decl.Pi);
+    OS << "plan " << PlanName << " " << Decl.Pi.str(Ctx.interner()) << ": ";
+    if (Verdict.inconclusive()) {
+      std::optional<ResourceExhausted> E = Verdict.exhaustedReason();
+      OS << "Inconclusive(resource: "
+         << (E ? resourceKindName(E->Which) : "unknown") << ")\n";
+      Out.Inconclusive = true;
+      continue;
+    }
+    OS << (Verdict.isValid() ? "VALID" : "invalid") << "\n";
+    for (const RequestCheck &C : Verdict.RequestChecks)
+      if (!C.Compliant && !C.Exhausted) {
+        OS << "  request " << C.Request << ": not compliant";
+        if (C.Witness)
+          OS << " (" << C.Witness->str(Ctx) << ")";
+        OS << "\n";
+      }
+    if (!Verdict.Security.Valid &&
+        Verdict.Security.Failure != validity::PlanFailureKind::None &&
+        Verdict.Security.Failure !=
+            validity::PlanFailureKind::ResourceExhausted) {
+      OS << "  security: failed";
+      if (Verdict.Security.Policy)
+        OS << " (policy " << Verdict.Security.Policy->str(Ctx.interner())
+           << ")";
+      if (!Verdict.Security.Trace.empty()) {
+        OS << " via";
+        for (const std::string &L : Verdict.Security.Trace)
+          OS << " " << L;
+      }
+      OS << "\n";
+    }
+    if (Verdict.isValid() && !Out.FirstValid)
+      Out.FirstValid = Decl.Pi;
+  }
+
+  // Enumerated candidates.
+  if (Enumerate && OnlyPlan.empty()) {
+    VerificationReport Report = V->verifyClient(Client, Name);
+    printReport(Report, Ctx, OS);
+    if (Report.anyInconclusive())
+      Out.Inconclusive = true;
+    if (!Out.FirstValid) {
+      std::vector<plan::Plan> Valid = Report.validPlans();
+      if (!Valid.empty())
+        Out.FirstValid = Valid.front();
+    }
+  }
+  return Out;
+}
+
+int Session::verifyAll(const std::string &OnlyPlan, bool Enumerate,
+                       std::ostream &OS) {
+  ExitTally Tally;
+  for (const auto &[Name, Client] : File->Clients) {
+    ClientOutcome O = verifyClient(Name, Client, OnlyPlan, Enumerate, OS);
+    Tally.add(O.FirstValid.has_value(), O.Inconclusive);
+  }
+  return Tally.code();
+}
+
+namespace {
+
+/// A percentile over recorded repair latencies (rounded-down index, the
+/// same convention as the benchmarks).
+int64_t percentileUs(std::vector<int64_t> Sorted, size_t Pct) {
+  if (Sorted.empty())
+    return 0;
+  std::sort(Sorted.begin(), Sorted.end());
+  return Sorted[std::min(Sorted.size() - 1, Sorted.size() * Pct / 100)];
+}
+
+} // namespace
+
+bool Session::replayChurn(RepairSession &Repair, uint64_t Rounds,
+                          uint64_t &Rng, std::ostream &OS) {
+  // Deterministic picks: a tiny LCG (constants from Numerical Recipes) so
+  // replays are reproducible across runs, platforms and both tools.
+  auto NextRand = [&Rng]() {
+    Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return Rng >> 33;
+  };
+  plan::Repository &Repo = File->Repo;
+  std::vector<plan::Loc> Locs = Repo.locations();
+  size_t Kept = 0, Dropped = 0, Reverified = 0, Repairs = 0;
+  std::vector<int64_t> LatenciesUs;
+  bool Tripped = false;
+  for (uint64_t Round = 0; Round < Rounds && !Tripped; ++Round) {
+    plan::Loc L = Locs[NextRand() % Locs.size()];
+    const hist::Expr *Service = Repo.find(L);
+    unsigned Capacity = Repo.capacity(L);
+    // One round = remove + re-publish: the repository ends the round
+    // unchanged, and both delta directions get exercised.
+    for (int Phase = 0; Phase < 2; ++Phase) {
+      plan::RepositoryDelta Delta;
+      Delta.Changes.push_back(
+          Phase == 0 ? plan::applyRemove(Repo, L)
+                     : plan::applyPublish(Repo, L, Service, Capacity));
+      auto Start = std::chrono::steady_clock::now();
+      Outcome<RepairStats> R = Repair.applyDelta(Delta);
+      auto End = std::chrono::steady_clock::now();
+      LatenciesUs.push_back(
+          std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
+              .count());
+      ++Repairs;
+      if (!R.ok()) {
+        OS << "churn: round " << Round << " Inconclusive(resource: "
+           << resourceKindName(R.exhausted().Which) << ")\n";
+        Tripped = true;
+        break;
+      }
+      Kept += R.value().PlansKept;
+      Dropped += R.value().PlansDropped;
+      Reverified += R.value().PlansReverified;
+    }
+  }
+  OS << "churn: " << Repairs << " repairs over " << Rounds
+     << " round(s), plans kept " << Kept << ", dropped " << Dropped
+     << ", reverified " << Reverified << "\n";
+  OS << "repair latency: p50 " << percentileUs(LatenciesUs, 50)
+     << " us, p99 " << percentileUs(LatenciesUs, 99) << " us\n";
+  OS << "valid plans after churn: " << Repair.report().validPlans().size()
+     << "\n";
+  return !Tripped;
+}
+
+bool Session::loadSnapshot(std::string_view Bytes, std::string &Err,
+                           SnapshotStats *Stats) {
+  SnapshotLoadResult R =
+      core::loadSnapshot(Bytes, Ctx, File->Repo, *V->cache());
+  if (!R.Ok) {
+    Err = R.Error;
+    return false;
+  }
+  if (Stats)
+    *Stats = R.Stats;
+  if (V->options().UseIndex && !R.IndexEntries.empty())
+    V->adoptIndex(std::make_unique<plan::ServiceIndex>(Ctx, File->Repo,
+                                                       R.IndexEntries));
+  return true;
+}
+
+std::string Session::saveSnapshot(SnapshotStats *Stats) {
+  return core::saveSnapshot(Ctx, File->Repo, *V->cache(), V->index(), Stats);
+}
+
+bool core::readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  Out = Buffer.str();
+  return true;
+}
+
+bool core::writeFileAtomic(const std::string &Path, std::string_view Bytes,
+                           std::string &Err) {
+  // The temp file sits next to the target, so the rename never crosses a
+  // filesystem and is atomic. Its name is unique per process and call;
+  // O_EXCL refuses to reuse a stale one.
+  static std::atomic<uint64_t> Counter{0};
+  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(Counter.fetch_add(1));
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (Fd < 0) {
+    Err = std::strerror(errno);
+    return false;
+  }
+  bool Ok = true;
+  for (size_t Done = 0; Ok && Done < Bytes.size();) {
+    ssize_t N = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
+    if (N > 0)
+      Done += static_cast<size_t>(N);
+    else if (N < 0 && errno != EINTR)
+      Ok = false;
+  }
+  if (Ok && ::fsync(Fd) != 0)
+    Ok = false;
+  int Errno = errno; // Meaningful only once Ok is false.
+  if (::close(Fd) != 0 && Ok) {
+    Ok = false;
+    Errno = errno;
+  }
+  if (Ok && ::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    Ok = false;
+    Errno = errno;
+  }
+  if (!Ok) {
+    ::unlink(Tmp.c_str());
+    Err = std::strerror(Errno);
+    return false;
+  }
+  // Make the rename itself durable (best effort: the data already is).
+  size_t Slash = Path.rfind('/');
+  std::string Dir =
+      Slash == std::string::npos ? "." : Path.substr(0, Slash + 1);
+  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (DirFd >= 0) {
+    (void)::fsync(DirFd);
+    ::close(DirFd);
+  }
+  return true;
+}

@@ -52,8 +52,6 @@ Verifier::Verifier(hist::HistContext &Ctx, const plan::Repository &Repo,
 Verifier::~Verifier() = default;
 
 unsigned Verifier::effectiveJobs() const {
-  if (!Options.UseCache)
-    return 1;
   return Options.Jobs == 0 ? ThreadPool::defaultWorkers() : Options.Jobs;
 }
 
@@ -61,34 +59,14 @@ unsigned Verifier::effectiveJobs() const {
 // Compliance
 //===----------------------------------------------------------------------===//
 
-contract::ComplianceResult
-Verifier::complianceOf(const hist::Expr *RequestBody,
-                       const hist::Expr *Service) {
-  if (Options.UseCache)
-    return Cache->compliance(Ctx, RequestBody, Service, gov());
-  return contract::checkServiceCompliance(Ctx, RequestBody, Service, gov());
-}
-
 bool Verifier::bindingCompliant(const hist::Expr *RequestBody,
                                 const hist::Expr *Service) {
-  if (Options.UseCache) {
-    contract::ComplianceResult R =
-        Cache->compliance(Ctx, RequestBody, Service, gov());
-    // An exhausted product refutes nothing: keep the binding, so the
-    // per-plan checks surface it as inconclusive instead of this pruning
-    // silently shrinking the candidate set.
-    return R.Compliant || R.Exhausted.has_value();
-  }
-  auto Key = std::make_pair(RequestBody, Service);
-  auto It = ComplianceMemo.find(Key);
-  if (It != ComplianceMemo.end())
-    return It->second;
   contract::ComplianceResult R =
-      contract::checkServiceCompliance(Ctx, RequestBody, Service, gov());
-  if (R.Exhausted)
-    return true; // Inconclusive: keep the binding, don't memoize a trip.
-  ComplianceMemo.emplace(Key, R.Compliant);
-  return R.Compliant;
+      Cache->compliance(Ctx, RequestBody, Service, gov());
+  // An exhausted product refutes nothing: keep the binding, so the
+  // per-plan checks surface it as inconclusive instead of this pruning
+  // silently shrinking the candidate set.
+  return R.Compliant || R.Exhausted.has_value();
 }
 
 std::map<hist::RequestId, plan::RequestSite>
@@ -130,7 +108,8 @@ std::vector<RequestCheck> Verifier::buildRequestChecks(
       continue;
     }
     Check.Service = *L;
-    contract::ComplianceResult R = complianceOf(Site.body(), Repo.find(*L));
+    contract::ComplianceResult R =
+        Cache->compliance(Ctx, Site.body(), Repo.find(*L), gov());
     Check.Compliant = R.Compliant;
     Check.Witness = std::move(R.Witness);
     Check.Exhausted = R.Exhausted;
@@ -152,9 +131,6 @@ validity::StaticValidityResult Verifier::securityOf(const hist::Expr *Client,
   validity::StaticValidityOptions VOpts;
   VOpts.MaxStates = Options.MaxStatesPerPlan;
   VOpts.Governor = gov();
-  if (!Options.UseCache)
-    return validity::checkPlanValidity(Ctx, Client, ClientLoc, Pi, Repo,
-                                       Registry, VOpts);
   if (std::optional<validity::StaticValidityResult> Hit =
           Cache->findValidity(Client, ClientLoc, Pi, VOpts.MaxStates)) {
     if (CacheHit)
@@ -206,11 +182,10 @@ PlanVerdict Verifier::checkPlan(const hist::Expr *Client,
   return Verdict;
 }
 
-void Verifier::checkPlansParallel(const hist::Expr *Client,
-                                  plan::Loc ClientLoc,
-                                  const std::vector<plan::Plan> &Plans,
-                                  unsigned Jobs,
-                                  VerificationReport &Report) {
+std::vector<PlanVerdict>
+Verifier::checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
+                             const std::vector<plan::Plan> &Plans,
+                             unsigned Jobs) {
   validity::StaticValidityOptions VOpts;
   VOpts.MaxStates = Options.MaxStatesPerPlan;
   VOpts.Governor = gov();
@@ -302,13 +277,13 @@ void Verifier::checkPlansParallel(const hist::Expr *Client,
   }
 
   // Stage 3 (serial): assemble verdicts in enumeration order.
+  std::vector<PlanVerdict> Verdicts(Plans.size());
   for (size_t I = 0; I < Plans.size(); ++I) {
-    PlanVerdict Verdict;
-    Verdict.Pi = Plans[I];
-    Verdict.RequestChecks = buildRequestChecks(Sites[I], Plans[I]);
-    Verdict.Security = std::move(*Security[I]);
-    Report.Verdicts.push_back(std::move(Verdict));
+    Verdicts[I].Pi = Plans[I];
+    Verdicts[I].RequestChecks = buildRequestChecks(Sites[I], Plans[I]);
+    Verdicts[I].Security = std::move(*Security[I]);
   }
+  return Verdicts;
 }
 
 const plan::ServiceIndex *Verifier::index() {
@@ -336,11 +311,8 @@ std::vector<PlanVerdict>
 Verifier::checkPlans(const hist::Expr *Client, plan::Loc ClientLoc,
                      const std::vector<plan::Plan> &Plans) {
   unsigned Jobs = effectiveJobs();
-  if (Jobs > 1 && Plans.size() > 1) {
-    VerificationReport Scratch;
-    checkPlansParallel(Client, ClientLoc, Plans, Jobs, Scratch);
-    return std::move(Scratch.Verdicts);
-  }
+  if (Jobs > 1 && Plans.size() > 1)
+    return checkPlansParallel(Client, ClientLoc, Plans, Jobs);
   std::vector<PlanVerdict> Verdicts;
   Verdicts.reserve(Plans.size());
   for (const plan::Plan &Pi : Plans)
@@ -376,13 +348,7 @@ VerificationReport Verifier::verifyClient(const hist::Expr *Client,
     PlansChecked.add(Enumeration.Plans.size());
   }
 
-  unsigned Jobs = effectiveJobs();
-  if (Jobs > 1 && Enumeration.Plans.size() > 1) {
-    checkPlansParallel(Client, ClientLoc, Enumeration.Plans, Jobs, Report);
-    return Report;
-  }
-  for (const plan::Plan &Pi : Enumeration.Plans)
-    Report.Verdicts.push_back(checkPlan(Client, ClientLoc, Pi));
+  Report.Verdicts = checkPlans(Client, ClientLoc, Enumeration.Plans);
   return Report;
 }
 

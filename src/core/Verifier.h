@@ -144,12 +144,6 @@ struct VerifierOptions {
   /// 0 = one per hardware thread. Reports are identical at any width.
   unsigned Jobs = 1;
 
-  /// Route checkPlan through the shared VerifierCache. Off reproduces the
-  /// pre-cache behaviour (each plan re-checks its compliance pairs and
-  /// re-explores its state space; only the pruning filter memoizes) — kept
-  /// for the B7 baseline measurements. Off forces Jobs = 1.
-  bool UseCache = true;
-
   /// Enumerate candidates through a plan::ServiceIndex (built lazily per
   /// verifier, kept current by applyDelta) instead of scanning the whole
   /// repository per request. Effective only with PruneWithCompliance on:
@@ -273,14 +267,14 @@ private:
   collectPlanSites(const hist::Expr *Client, const plan::Plan &Pi) const;
 
   /// Builds the per-request compliance section of a verdict, answering
-  /// every pair from the cache (or directly when UseCache is off).
+  /// every pair from the cache.
   std::vector<RequestCheck>
   buildRequestChecks(const std::map<hist::RequestId, plan::RequestSite> &ById,
                      const plan::Plan &Pi);
 
   /// Cache-aware whole-plan security check on the session context. When
   /// \p CacheHit is non-null it reports whether the verdict came from the
-  /// VerifierCache (always false with UseCache off).
+  /// VerifierCache.
   validity::StaticValidityResult securityOf(const hist::Expr *Client,
                                             plan::Loc ClientLoc,
                                             const plan::Plan &Pi,
@@ -288,28 +282,22 @@ private:
 
   /// Checks every enumerated plan through the parallel pipeline:
   /// compliance pre-warmed serially through the cache, security fanned
-  /// out over per-worker shards. Results land in enumeration order.
+  /// out over per-worker shards. Verdicts come back in enumeration order.
   ///
   /// Concurrency discipline (DESIGN.md §11): workers never lock. Each
-  /// task writes only its own Report slot (disjoint indices) through a
+  /// task writes only its own result slot (disjoint indices) through a
   /// private per-worker Shard; the shared VerifierCache is read-only to
   /// workers after the serial pre-warm, and ThreadPool::waitIdle() is
   /// the join edge that publishes every slot back to the caller.
-  void checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
-                          const std::vector<plan::Plan> &Plans,
-                          unsigned Jobs, VerificationReport &Report);
+  std::vector<PlanVerdict>
+  checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
+                     const std::vector<plan::Plan> &Plans, unsigned Jobs);
 
-  /// Effective worker count (resolves Jobs == 0, honours UseCache).
+  /// Effective worker count (resolves Jobs == 0).
   unsigned effectiveJobs() const;
 
   /// The session governor, or null when ungoverned.
   const ResourceGovernor *gov() const { return Options.Governor.get(); }
-
-  /// Memoized compliance with the full result (witness + exhaustion),
-  /// honouring UseCache and the governor. Exhausted results are never
-  /// memoized on either path.
-  contract::ComplianceResult complianceOf(const hist::Expr *RequestBody,
-                                          const hist::Expr *Service);
 
   /// True when candidate selection goes through the index: requires both
   /// UseIndex and the compliance filter (see VerifierOptions::UseIndex).
@@ -328,10 +316,6 @@ private:
 
   /// Lazily created; rebuilt when the requested width changes.
   std::unique_ptr<ThreadPool> Pool;
-
-  /// Legacy pruning memo, used only when UseCache is off.
-  std::map<std::pair<const hist::Expr *, const hist::Expr *>, bool>
-      ComplianceMemo;
 };
 
 /// Renders a report in a compact human-readable format.

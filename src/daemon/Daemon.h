@@ -1,11 +1,13 @@
 //===- daemon/Daemon.h - The resident verification engine -------*- C++ -*-===//
 ///
 /// \file
-/// susd's core: an Engine keeps one parsed .sus session resident — the
+/// susd's core: an Engine keeps one core::Session resident — the
 /// HistContext, repository, policy registry, shared VerifierCache,
 /// ServiceIndex and a Verifier — and serves protocol requests against it,
 /// so repeat verifications pay memo-table lookups instead of re-parsing
-/// and re-exploring (DESIGN.md §13).
+/// and re-exploring (DESIGN.md §13). The requests themselves (verify,
+/// churn, snapshot) are the Session's, shared with susc; the Engine adds
+/// the session lock, parameter decoding, governor arming and dispatch.
 ///
 /// Concurrency model: connections are accepted on the main thread and
 /// handed to a ThreadPool; each request then takes the Engine's session
@@ -24,16 +26,13 @@
 #ifndef SUS_DAEMON_DAEMON_H
 #define SUS_DAEMON_DAEMON_H
 
-#include "core/Snapshot.h"
-#include "core/Verifier.h"
+#include "core/Session.h"
 #include "daemon/Protocol.h"
 #include "support/Sync.h"
 #include "support/TenantBudget.h"
-#include "syntax/FileParser.h"
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -88,16 +87,9 @@ private:
   Response stats(const Request &R) SUS_REQUIRES(M);
 
   /// Arms the per-request governor (tenant budget min request override)
-  /// on the resident verifier; the returned guard disarms it. Returns
-  /// false (exit-2 response in \p Resp) on malformed numeric parameters.
+  /// on the resident verifier. Returns false (exit-2 response in \p Resp)
+  /// on malformed numeric parameters.
   bool armGovernor(const Request &R, Response &Resp) SUS_REQUIRES(M);
-
-  /// Verifies one client into \p OS; the shared worker behind verify()
-  /// and warmAll(). Updates \p AllOk / \p AnyInconclusive.
-  void verifyClient(Symbol Name, const hist::Expr *Client,
-                    const std::string &OnlyPlan, bool Enumerate,
-                    std::ostream &OS, bool &AllOk, bool &AnyInconclusive)
-      SUS_REQUIRES(M);
 
   EngineOptions Opts;
   std::atomic<bool> Shutdown{false};
@@ -105,12 +97,7 @@ private:
   /// Session lock: the HistContext (and everything interned in it) is
   /// single-threaded, so one request at a time touches the engine.
   Mutex M;
-  std::string Source SUS_GUARDED_BY(M);
-  std::string FileName SUS_GUARDED_BY(M);
-  hist::HistContext Ctx SUS_GUARDED_BY(M);
-  std::optional<syntax::SusFile> File SUS_GUARDED_BY(M);
-  std::shared_ptr<core::VerifierCache> Cache SUS_GUARDED_BY(M);
-  std::unique_ptr<core::Verifier> V SUS_GUARDED_BY(M);
+  core::Session S SUS_GUARDED_BY(M);
 };
 
 struct ServeOptions {

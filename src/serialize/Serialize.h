@@ -50,7 +50,7 @@ constexpr uint32_t FormatVersion = 2;
 /// The 8-byte magic prefix of every snapshot.
 constexpr char Magic[8] = {'S', 'U', 'S', 'S', 'N', 'A', 'P', '\0'};
 
-/// Section tags of the v1 container. Tags are part of the format: a
+/// Section tags (unchanged since v1). Tags are part of the format: a
 /// reader encountering any other tag fails (strictness contract above).
 enum class SectionTag : uint32_t {
   Strings = 1,     ///< Snapshot-local string table.

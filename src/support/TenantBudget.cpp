@@ -2,8 +2,9 @@
 
 #include "support/TenantBudget.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include "support/ParseCount.h"
+
+#include <algorithm>
 #include <vector>
 
 using namespace sus;
@@ -16,27 +17,48 @@ TenantBudget TenantBudget::min(const TenantBudget &Other) const {
   return Out;
 }
 
+uint64_t *TenantBudget::field(std::string_view Name) {
+  if (Name == FieldNames[0])
+    return &DeadlineMs;
+  if (Name == FieldNames[1])
+    return &MaxProductStates;
+  if (Name == FieldNames[2])
+    return &MaxSubsetStates;
+  return nullptr;
+}
+
+std::shared_ptr<ResourceGovernor> TenantBudget::governor() const {
+  if (unlimited())
+    return nullptr;
+  auto Gov = std::make_shared<ResourceGovernor>();
+  if (MaxProductStates != NoLimit)
+    Gov->setLimit(ResourceKind::ProductStates, MaxProductStates);
+  if (MaxSubsetStates != NoLimit)
+    Gov->setLimit(ResourceKind::SubsetStates, MaxSubsetStates);
+  if (DeadlineMs != NoLimit)
+    Gov->setDeadlineAfterMillis(DeadlineMs);
+  return Gov;
+}
+
 namespace {
 
-/// Parses one budget field: empty = NoLimit, else digits only (the same
-/// discipline as the susc count flags — no signs, no silent wrapping).
+/// Parses one budget field: empty = NoLimit, else a digits-only count.
 bool parseField(const std::string &Field, uint64_t &Out, std::string &Err) {
   if (Field.empty()) {
     Out = TenantBudget::NoLimit;
     return true;
   }
-  if (Field.find_first_not_of("0123456789") != std::string::npos) {
+  switch (parseCount(Field, Out)) {
+  case CountParse::Ok:
+    return true;
+  case CountParse::NotDigits:
     Err = "budget field '" + Field + "' is not a non-negative integer";
     return false;
-  }
-  errno = 0;
-  unsigned long long N = std::strtoull(Field.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
+  case CountParse::OutOfRange:
     Err = "budget field '" + Field + "' is out of range";
     return false;
   }
-  Out = N;
-  return true;
+  return false;
 }
 
 } // namespace
@@ -94,15 +116,5 @@ const TenantBudget &TenantBudgetTable::lookup(const std::string &Tenant) const {
 std::shared_ptr<ResourceGovernor>
 TenantBudgetTable::governorFor(const std::string &Tenant,
                                const TenantBudget &Override) const {
-  TenantBudget B = lookup(Tenant).min(Override);
-  if (B.unlimited())
-    return nullptr;
-  auto Gov = std::make_shared<ResourceGovernor>();
-  if (B.MaxProductStates != TenantBudget::NoLimit)
-    Gov->setLimit(ResourceKind::ProductStates, B.MaxProductStates);
-  if (B.MaxSubsetStates != TenantBudget::NoLimit)
-    Gov->setLimit(ResourceKind::SubsetStates, B.MaxSubsetStates);
-  if (B.DeadlineMs != TenantBudget::NoLimit)
-    Gov->setDeadlineAfterMillis(B.DeadlineMs);
-  return Gov;
+  return lookup(Tenant).min(Override).governor();
 }

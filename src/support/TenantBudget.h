@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace sus {
 
@@ -40,6 +41,19 @@ struct TenantBudget {
 
   /// Field-wise minimum (NoLimit = identity).
   TenantBudget min(const TenantBudget &Other) const;
+
+  /// The fields by their susd request-parameter names; susc spells the
+  /// same names as flags (--deadline-ms, ...).
+  static constexpr const char *FieldNames[] = {
+      "deadline_ms", "max_product_states", "max_subset_states"};
+
+  /// The field named \p Name (one of FieldNames), or null.
+  uint64_t *field(std::string_view Name);
+
+  /// A governor enforcing this budget, its deadline armed now. Null when
+  /// unlimited (the ungoverned fast path). Every governor susc and susd
+  /// arm is built here.
+  std::shared_ptr<ResourceGovernor> governor() const;
 };
 
 /// The tenant → budget policy table, built from --tenant specs at daemon

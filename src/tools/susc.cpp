@@ -25,8 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Lint.h"
-#include "core/Repair.h"
-#include "core/Verifier.h"
+#include "core/Session.h"
 #include "daemon/Protocol.h"
 #include "daemon/Socket.h"
 #include "fuzz/Differential.h"
@@ -38,28 +37,22 @@
 #include "net/Explorer.h"
 #include "net/Interpreter.h"
 #include "support/Metrics.h"
-#include "support/ResourceGovernor.h"
+#include "support/ParseCount.h"
+#include "support/TenantBudget.h"
 #include "support/Trace.h"
-#include "syntax/FileParser.h"
 #include "validity/CostAnalysis.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 using namespace sus;
 
 namespace {
 
-struct CliOptions {
-  /// "Flag absent" sentinel for the resource limits below.
-  static constexpr uint64_t NoLimit = ~uint64_t(0);
-
+/// The options every file-taking mode (verify, lint, plan) shares.
+struct CommonOptions {
   /// --help/-h was seen: the caller prints usage and exits 0. Kept as a
   /// flag (instead of exiting inside the parser) so no library-level
   /// code calls std::exit — which is also what concurrency-mt-unsafe
@@ -67,11 +60,17 @@ struct CliOptions {
   bool Help = false;
 
   std::string InputPath;
+  std::string TraceOut;   ///< Chrome trace_event JSON output path.
+  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
+};
+
+struct CliOptions : CommonOptions {
+  /// "Flag absent" sentinel for --max-states.
+  static constexpr uint64_t NoLimit = ~uint64_t(0);
+
   std::string OnlyPlan;
   std::string DotLts;
   std::string BisimA, BisimB;
-  std::string TraceOut;   ///< Chrome trace_event JSON output path.
-  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
   bool Run = false;
   bool FusedMonitor = false; ///< --monitor fused
   bool Trace = false;
@@ -80,9 +79,7 @@ struct CliOptions {
   bool Cost = false;
   bool Explore = false;
   unsigned Jobs = 1;
-  uint64_t DeadlineMs = NoLimit;        ///< --deadline-ms
-  uint64_t MaxProductStates = NoLimit;  ///< --max-product-states
-  uint64_t MaxSubsetStates = NoLimit;   ///< --max-subset-states
+  TenantBudget Budget; ///< --deadline-ms / --max-*-states
   uint64_t MaxExploreStates = NoLimit;  ///< --max-states (--explore cap)
   DiagFormat Format = DiagFormat::Text;
 };
@@ -178,17 +175,16 @@ bool takeValue(int Argc, char **Argv, int &I, const std::string &Flag,
 
 /// Parses the --jobs operand: digits only, in [1, MaxJobs]. Rejects 0 (the
 /// old "0 = one per hardware thread" shorthand was indistinguishable from a
-/// typo) and negative values (which strtoul would silently wrap).
+/// typo) and negative values.
 bool parseJobsValue(const std::string &Value, unsigned &Jobs) {
-  if (Value.empty() || Value.find_first_not_of("0123456789") != std::string::npos) {
+  uint64_t N = 0;
+  CountParse R = parseCount(Value, N);
+  if (R == CountParse::NotDigits) {
     std::cerr << "susc: --jobs expects a positive integer, got '" << Value
               << "'\n";
     return false;
   }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-  if (errno == ERANGE || N > MaxJobs) {
+  if (R == CountParse::OutOfRange || N > MaxJobs) {
     std::cerr << "susc: --jobs value '" << Value << "' is out of range (max "
               << MaxJobs << ")\n";
     return false;
@@ -201,21 +197,18 @@ bool parseJobsValue(const std::string &Value, unsigned &Jobs) {
   return true;
 }
 
-/// Parses a non-negative integer operand of \p Flag (digits only, like
-/// parseJobsValue; rejects the sign prefixes strtoull would silently
-/// accept). \p MinValue guards flags where 0 is meaningless.
+/// Parses a non-negative integer operand of \p Flag. \p MinValue guards
+/// flags where 0 is meaningless.
 bool parseCountValue(const std::string &Flag, const std::string &Value,
                      uint64_t MinValue, uint64_t &Out) {
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
+  uint64_t N = 0;
+  CountParse R = parseCount(Value, N);
+  if (R == CountParse::NotDigits) {
     std::cerr << "susc: " << Flag << " expects a non-negative integer, got '"
               << Value << "'\n";
     return false;
   }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(Value.c_str(), &End, 10);
-  if (errno == ERANGE) {
+  if (R == CountParse::OutOfRange) {
     std::cerr << "susc: " << Flag << " value '" << Value
               << "' is out of range\n";
     return false;
@@ -227,6 +220,33 @@ bool parseCountValue(const std::string &Flag, const std::string &Value,
   }
   Out = N;
   return true;
+}
+
+/// Consumes a resource-budget flag (--deadline-ms, --max-product-states,
+/// --max-subset-states: the TenantBudget field names as flags) into
+/// \p Budget. std::nullopt when \p Arg is no budget flag, else whether
+/// its value parsed.
+std::optional<bool> takeBudgetFlag(int Argc, char **Argv, int &I,
+                                   const std::string &Arg,
+                                   TenantBudget &Budget) {
+  if (Arg.rfind("--", 0) != 0)
+    return std::nullopt;
+  std::string Key = Arg.substr(2);
+  std::replace(Key.begin(), Key.end(), '-', '_');
+  uint64_t *Field = Budget.field(Key);
+  if (!Field)
+    return std::nullopt;
+  std::string Value;
+  return takeValue(Argc, Argv, I, Arg, Value) &&
+         parseCountValue(Arg, Value, /*MinValue=*/0, *Field);
+}
+
+/// Reads the input file; false after a "cannot open" message.
+bool readInput(const std::string &Path, std::string &Source) {
+  if (core::readFile(Path, Source))
+    return true;
+  std::cerr << "susc: cannot open '" << Path << "'\n";
+  return false;
 }
 
 /// Parses --diag-format=F; returns false (with a message) on a bad value.
@@ -245,43 +265,21 @@ bool parseDiagFormat(const std::string &Arg, DiagFormat &Format) {
   return false;
 }
 
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
+/// The argument loop of the file-taking modes, from Argv[First]. \p Flag
+/// parses the mode's own flags: it returns std::nullopt for an argument
+/// it does not know, else whether the argument (and any value it
+/// consumed through its index) parsed. The shared flags, the input path
+/// and the errors are handled here; \p Usage is printed on an unknown
+/// option or a missing input. \p InputOptional is read after the loop
+/// (lint's --list-passes needs no input).
+template <typename FlagFn>
+bool parseCli(int Argc, char **Argv, int First, CommonOptions &Opts,
+              void (*Usage)(std::ostream &), const bool &InputOptional,
+              FlagFn Flag) {
+  for (int I = First; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--plan") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.OnlyPlan))
-        return false;
-    } else if (Arg == "--dot-lts") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.DotLts))
-        return false;
-    } else if (Arg == "--bisim") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.BisimA) ||
-          !takeValue(Argc, Argv, I, Arg, Opts.BisimB))
-        return false;
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseJobsValue(Value, Opts.Jobs))
-        return false;
-    } else if (Arg == "--deadline-ms") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.DeadlineMs))
-        return false;
-    } else if (Arg == "--max-product-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxProductStates))
-        return false;
-    } else if (Arg == "--max-subset-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxSubsetStates))
-        return false;
-    } else if (Arg == "--max-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/1, Opts.MaxExploreStates))
+    if (std::optional<bool> Ok = Flag(I, Arg)) {
+      if (!*Ok)
         return false;
     } else if (Arg == "--trace-out") {
       if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
@@ -289,40 +287,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--metrics-out") {
       if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
         return false;
-    } else if (Arg == "--cost") {
-      Opts.Cost = true;
-    } else if (Arg == "--explore") {
-      Opts.Explore = true;
-    } else if (Arg == "--run") {
-      Opts.Run = true;
-    } else if (Arg == "--monitor") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value))
-        return false;
-      if (Value == "fused") {
-        Opts.FusedMonitor = true;
-      } else if (Value == "probe") {
-        Opts.FusedMonitor = false;
-      } else {
-        std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
-                  << Value << "'\n";
-        return false;
-      }
-    } else if (Arg == "--trace") {
-      Opts.Trace = true;
-    } else if (Arg == "--dot-policies") {
-      Opts.DotPolicies = true;
-    } else if (Arg == "--no-enumerate") {
-      Opts.Enumerate = false;
-    } else if (Arg.rfind("--diag-format=", 0) == 0) {
-      if (!parseDiagFormat(Arg, Opts.Format))
-        return false;
     } else if (Arg == "--help" || Arg == "-h") {
       Opts.Help = true;
       return true;
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printUsage(std::cerr);
+      Usage(std::cerr);
       return false;
     } else if (Opts.InputPath.empty()) {
       Opts.InputPath = Arg;
@@ -331,54 +301,89 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
-  if (Opts.InputPath.empty()) {
-    printUsage(std::cerr);
+  if (Opts.InputPath.empty() && !InputOptional) {
+    Usage(std::cerr);
     return false;
   }
   return true;
 }
 
+bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  return parseCli(
+      Argc, Argv, 1, Opts, printUsage, false,
+      [&](int &I, const std::string &Arg) -> std::optional<bool> {
+        std::string Value;
+        auto Take = [&](std::string &Out) {
+          return takeValue(Argc, Argv, I, Arg, Out);
+        };
+        if (Arg == "--plan")
+          return Take(Opts.OnlyPlan);
+        if (Arg == "--dot-lts")
+          return Take(Opts.DotLts);
+        if (Arg == "--bisim")
+          return Take(Opts.BisimA) && Take(Opts.BisimB);
+        if (Arg == "--jobs")
+          return Take(Value) && parseJobsValue(Value, Opts.Jobs);
+        if (Arg == "--max-states")
+          return Take(Value) && parseCountValue(Arg, Value, /*MinValue=*/1,
+                                                Opts.MaxExploreStates);
+        if (Arg == "--monitor") {
+          if (!Take(Value))
+            return false;
+          if (Value != "fused" && Value != "probe") {
+            std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
+                      << Value << "'\n";
+            return false;
+          }
+          Opts.FusedMonitor = Value == "fused";
+          return true;
+        }
+        if (Arg.rfind("--diag-format=", 0) == 0)
+          return parseDiagFormat(Arg, Opts.Format);
+        for (auto [Name, Switch] :
+             {std::pair{"--cost", &Opts.Cost}, {"--explore", &Opts.Explore},
+              {"--run", &Opts.Run}, {"--trace", &Opts.Trace},
+              {"--dot-policies", &Opts.DotPolicies}})
+          if (Arg == Name) {
+            *Switch = true;
+            return true;
+          }
+        if (Arg == "--no-enumerate") {
+          Opts.Enumerate = false;
+          return true;
+        }
+        return takeBudgetFlag(Argc, Argv, I, Arg, Opts.Budget);
+      });
+}
+
 int runTool(const CliOptions &Opts) {
   // Arm the governor first thing, so --deadline-ms covers the whole run
   // (parsing included), not just the verification loops.
-  std::shared_ptr<ResourceGovernor> Governor;
-  if (Opts.DeadlineMs != CliOptions::NoLimit ||
-      Opts.MaxProductStates != CliOptions::NoLimit ||
-      Opts.MaxSubsetStates != CliOptions::NoLimit) {
-    Governor = std::make_shared<ResourceGovernor>();
-    if (Opts.MaxProductStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::ProductStates, Opts.MaxProductStates);
-    if (Opts.MaxSubsetStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::SubsetStates, Opts.MaxSubsetStates);
-    if (Opts.DeadlineMs != CliOptions::NoLimit)
-      Governor->setDeadlineAfterMillis(Opts.DeadlineMs);
-  }
+  std::shared_ptr<ResourceGovernor> Governor = Opts.Budget.governor();
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
+  std::string Source;
+  if (!readInput(Opts.InputPath, Source))
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
+  core::VerifierOptions VOpts;
+  VOpts.Jobs = Opts.Jobs;
+  VOpts.Governor = Governor;
+  core::Session S;
   DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags);
+  bool Parsed = S.open(std::move(Source), Opts.InputPath, VOpts, Diags);
   Diags.print(std::cerr, Opts.Format);
-  if (!File)
+  if (!Parsed)
     return 2;
+  hist::HistContext &Ctx = S.ctx();
+  const syntax::SusFile &File = S.file();
 
   // Resolve a declared behaviour by name (services first, then clients).
   auto FindBehavior = [&](const std::string &Name) -> const hist::Expr * {
-    Symbol S = Ctx.interner().lookup(Name);
-    if (!S.isValid())
+    Symbol Sym = Ctx.interner().lookup(Name);
+    if (!Sym.isValid())
       return nullptr;
-    if (const hist::Expr *E = File->Repo.find(S))
+    if (const hist::Expr *E = File.Repo.find(Sym))
       return E;
-    return File->findClient(S);
+    return File.findClient(Sym);
   };
 
   if (!Opts.DotLts.empty()) {
@@ -409,9 +414,9 @@ int runTool(const CliOptions &Opts) {
   if (Opts.Explore) {
     // Assemble the network from each client's first declared plan.
     std::vector<net::NetworkComponent> Components;
-    for (const auto &[Name, Client] : File->Clients) {
+    for (const auto &[Name, Client] : File.Clients) {
       const syntax::PlanDecl *Found = nullptr;
-      for (const syntax::PlanDecl &Decl : File->Plans)
+      for (const syntax::PlanDecl &Decl : File.Plans)
         if (Decl.Client == Name) {
           Found = &Decl;
           break;
@@ -427,7 +432,7 @@ int runTool(const CliOptions &Opts) {
     if (Opts.MaxExploreStates != CliOptions::NoLimit)
       EOpts.MaxStates = static_cast<size_t>(Opts.MaxExploreStates);
     net::ExplorationResult R =
-        net::exploreNetwork(Ctx, File->Repo, Components, EOpts);
+        net::exploreNetwork(Ctx, File.Repo, Components, EOpts);
     std::cout << "explored " << R.States << " network states"
               << (R.Exhaustive ? "" : " (truncated)") << "\n";
     std::cout << "all components can complete: "
@@ -458,9 +463,9 @@ int runTool(const CliOptions &Opts) {
       else
         std::cout << "unbounded (a costly loop is reachable)\n";
     };
-    for (const auto &[Loc, Service] : File->Repo.services())
+    for (const auto &[Loc, Service] : File.Repo.services())
       Show(Loc, Service);
-    for (const auto &[Name, Client] : File->Clients)
+    for (const auto &[Name, Client] : File.Clients)
       Show(Name, Client);
     return 0;
   }
@@ -468,94 +473,25 @@ int runTool(const CliOptions &Opts) {
   if (Opts.DotPolicies) {
     // There is no registry iteration API by design (policies are looked
     // up by name); print the ones referenced by clients instead.
-    for (const auto &[Name, Client] : File->Clients) {
+    for (const auto &[Name, Client] : File.Clients) {
       (void)Name;
       for (const plan::RequestSite &Site : plan::extractRequests(Client)) {
         if (Site.policy().isTrivial())
           continue;
         if (const policy::UsageAutomaton *A =
-                File->Registry.find(Site.policy().Name))
+                File.Registry.find(Site.policy().Name))
           A->printDot(Ctx.interner(), std::cout);
       }
     }
   }
 
-  core::VerifierOptions VOpts;
-  VOpts.Jobs = Opts.Jobs;
-  VOpts.Governor = Governor;
-  core::Verifier Verifier(Ctx, File->Repo, File->Registry, VOpts);
-  bool AllClientsOk = true;
-  bool AnyInconclusive = false;
-
-  for (const auto &[Name, Client] : File->Clients) {
-    std::string ClientName(Ctx.interner().text(Name));
-    std::cout << "== client " << ClientName << " ==\n";
-
-    std::optional<plan::Plan> FirstValid;
-
-    // Declared plans first.
-    for (const syntax::PlanDecl &Decl : File->Plans) {
-      if (Decl.Client != Name)
-        continue;
-      std::string PlanName(Ctx.interner().text(Decl.Name));
-      if (!Opts.OnlyPlan.empty() && PlanName != Opts.OnlyPlan)
-        continue;
-      core::PlanVerdict Verdict =
-          Verifier.checkPlan(Client, Name, Decl.Pi);
-      std::cout << "plan " << PlanName << " "
-                << Decl.Pi.str(Ctx.interner()) << ": ";
-      if (Verdict.inconclusive()) {
-        std::optional<ResourceExhausted> E = Verdict.exhaustedReason();
-        std::cout << "Inconclusive(resource: "
-                  << (E ? resourceKindName(E->Which) : "unknown") << ")\n";
-        AnyInconclusive = true;
-        continue;
-      }
-      std::cout << (Verdict.isValid() ? "VALID" : "invalid") << "\n";
-      for (const core::RequestCheck &C : Verdict.RequestChecks)
-        if (!C.Compliant && !C.Exhausted) {
-          std::cout << "  request " << C.Request << ": not compliant";
-          if (C.Witness)
-            std::cout << " (" << C.Witness->str(Ctx) << ")";
-          std::cout << "\n";
-        }
-      if (!Verdict.Security.Valid &&
-          Verdict.Security.Failure !=
-              validity::PlanFailureKind::None &&
-          Verdict.Security.Failure !=
-              validity::PlanFailureKind::ResourceExhausted) {
-        std::cout << "  security: failed";
-        if (Verdict.Security.Policy)
-          std::cout << " (policy "
-                    << Verdict.Security.Policy->str(Ctx.interner()) << ")";
-        if (!Verdict.Security.Trace.empty()) {
-          std::cout << " via";
-          for (const std::string &L : Verdict.Security.Trace)
-            std::cout << " " << L;
-        }
-        std::cout << "\n";
-      }
-      if (Verdict.isValid() && !FirstValid)
-        FirstValid = Decl.Pi;
-    }
-
-    // Enumerated candidates.
-    if (Opts.Enumerate && Opts.OnlyPlan.empty()) {
-      core::VerificationReport Report = Verifier.verifyClient(Client, Name);
-      core::printReport(Report, Ctx, std::cout);
-      if (Report.anyInconclusive())
-        AnyInconclusive = true;
-      if (!FirstValid) {
-        std::vector<plan::Plan> Valid = Report.validPlans();
-        if (!Valid.empty())
-          FirstValid = Valid.front();
-      }
-    }
-
-    if (!FirstValid) {
-      AllClientsOk = false;
+  core::ExitTally Tally;
+  for (const auto &[Name, Client] : File.Clients) {
+    core::ClientOutcome Outcome =
+        S.verifyClient(Name, Client, Opts.OnlyPlan, Opts.Enumerate, std::cout);
+    Tally.add(Outcome.FirstValid.has_value(), Outcome.Inconclusive);
+    if (!Outcome.FirstValid)
       continue;
-    }
 
     if (Opts.Run) {
       net::InterpreterOptions IOpts;
@@ -566,18 +502,18 @@ int runTool(const CliOptions &Opts) {
       std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused;
       if (Opts.FusedMonitor) {
         std::vector<const hist::Expr *> Behaviors{Client};
-        for (plan::Loc L : File->Repo.locations())
-          Behaviors.push_back(File->Repo.find(L));
+        for (plan::Loc L : File.Repo.locations())
+          Behaviors.push_back(File.Repo.find(L));
         monitor::FuseOptions FO;
         FO.Gov = Governor.get();
-        Fused = Verifier.cache()->fusedMonitors().fuse(
-            File->Registry, Ctx.interner(),
+        Fused = S.verifier().cache()->fusedMonitors().fuse(
+            File.Registry, Ctx.interner(),
             monitor::collectPolicyRefs(Behaviors),
             policy::eventUniverse(Behaviors), FO);
         IOpts.FusedMonitor = Fused.get();
       }
-      net::Interpreter Interp(Ctx, File->Repo, File->Registry,
-                              {{Name, Client, *FirstValid}}, IOpts);
+      net::Interpreter Interp(Ctx, File.Repo, File.Registry,
+                              {{Name, Client, *Outcome.FirstValid}}, IOpts);
       net::RunStats Stats = Interp.run(/*Seed=*/1);
       std::cout << "run: " << Stats.StepsTaken << " steps, "
                 << (Stats.AllCompleted ? "completed" : "stuck")
@@ -588,70 +524,39 @@ int runTool(const CliOptions &Opts) {
           std::cout << "  " << Line << "\n";
     }
   }
-
-  // Inconclusive outranks "no valid plan": a missing plan under a tripped
-  // budget is not a refutation, and conflating the two would let CI treat
-  // an under-provisioned run as a real verification failure.
-  if (AnyInconclusive)
-    return 3;
-  return AllClientsOk ? 0 : 1;
+  return Tally.code();
 }
 
 //===----------------------------------------------------------------------===//
 // susc lint
 //===----------------------------------------------------------------------===//
 
-struct LintCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
-  std::string InputPath;
+struct LintCliOptions : CommonOptions {
   analysis::LintOptions Lint;
   DiagFormat Format = DiagFormat::Text;
-  std::string TraceOut;   ///< Chrome trace_event JSON output path.
-  std::string MetricsOut; ///< sus-metrics-v1 JSON output path.
   bool ListPasses = false;
 };
 
 bool parseLintArgs(int Argc, char **Argv, LintCliOptions &Opts) {
   // Argv[1] is the "lint" subcommand itself.
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--trace-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
-        return false;
-    } else if (Arg == "--metrics-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
-        return false;
-    } else if (Arg.rfind("--diag-format=", 0) == 0) {
-      if (!parseDiagFormat(Arg, Opts.Format))
-        return false;
-    } else if (Arg == "-Werror") {
-      Opts.Lint.WarningsAsErrors = true;
-    } else if (Arg.rfind("-Werror=", 0) == 0) {
-      Opts.Lint.ErrorIds.insert(Arg.substr(std::string("-Werror=").size()));
-    } else if (Arg.rfind("--disable=", 0) == 0) {
-      Opts.Lint.DisabledIds.insert(
-          Arg.substr(std::string("--disable=").size()));
-    } else if (Arg == "--list-passes") {
-      Opts.ListPasses = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printLintUsage(std::cerr);
-      return false;
-    } else if (Opts.InputPath.empty()) {
-      Opts.InputPath = Arg;
-    } else {
-      std::cerr << "susc: multiple input files\n";
-      return false;
-    }
-  }
-  if (Opts.InputPath.empty() && !Opts.ListPasses) {
-    printLintUsage(std::cerr);
-    return false;
-  }
-  return true;
+  return parseCli(
+      Argc, Argv, 2, Opts, printLintUsage, Opts.ListPasses,
+      [&](int &, const std::string &Arg) -> std::optional<bool> {
+        if (Arg.rfind("--diag-format=", 0) == 0)
+          return parseDiagFormat(Arg, Opts.Format);
+        if (Arg == "-Werror")
+          Opts.Lint.WarningsAsErrors = true;
+        else if (Arg.rfind("-Werror=", 0) == 0)
+          Opts.Lint.ErrorIds.insert(Arg.substr(std::string("-Werror=").size()));
+        else if (Arg.rfind("--disable=", 0) == 0)
+          Opts.Lint.DisabledIds.insert(
+              Arg.substr(std::string("--disable=").size()));
+        else if (Arg == "--list-passes")
+          Opts.ListPasses = true;
+        else
+          return std::nullopt;
+        return true;
+      });
 }
 
 int runLint(const LintCliOptions &Opts) {
@@ -662,25 +567,18 @@ int runLint(const LintCliOptions &Opts) {
     return 0;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
+  std::string Source;
+  if (!readInput(Opts.InputPath, Source))
     return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
+  core::Session S;
   DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags, Opts.InputPath);
-  if (!File) {
+  if (!S.open(std::move(Source), Opts.InputPath, {}, Diags)) {
     Diags.print(std::cout, Opts.Format);
     return 2;
   }
 
-  analysis::LintContext LC(Ctx, *File, Opts.InputPath, Opts.Lint, Diags);
+  analysis::LintContext LC(S.ctx(), S.file(), Opts.InputPath, Opts.Lint,
+                          Diags);
   unsigned Findings = analysis::runLintPasses(LC);
   Diags.print(std::cout, Opts.Format);
   if (Opts.Format == DiagFormat::Text)
@@ -692,148 +590,60 @@ int runLint(const LintCliOptions &Opts) {
 // susc plan
 //===----------------------------------------------------------------------===//
 
-struct PlanCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
-  std::string InputPath;
-  std::string TraceOut;
-  std::string MetricsOut;
+struct PlanCliOptions : CommonOptions {
   bool UseIndex = true;
   unsigned Jobs = 1;
   uint64_t ChurnRounds = 0;
   uint64_t Seed = 1;
-  uint64_t DeadlineMs = CliOptions::NoLimit;
-  uint64_t MaxProductStates = CliOptions::NoLimit;
-  uint64_t MaxSubsetStates = CliOptions::NoLimit;
+  TenantBudget Budget;
 };
 
 bool parsePlanArgs(int Argc, char **Argv, PlanCliOptions &Opts) {
   // Argv[1] is the "plan" subcommand itself.
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--index") {
-      Opts.UseIndex = true;
-    } else if (Arg == "--no-index") {
-      Opts.UseIndex = false;
-    } else if (Arg == "--churn") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/1, Opts.ChurnRounds))
-        return false;
-    } else if (Arg == "--seed") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.Seed))
-        return false;
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseJobsValue(Value, Opts.Jobs))
-        return false;
-    } else if (Arg == "--deadline-ms") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.DeadlineMs))
-        return false;
-    } else if (Arg == "--max-product-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxProductStates))
-        return false;
-    } else if (Arg == "--max-subset-states") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseCountValue(Arg, Value, /*MinValue=*/0, Opts.MaxSubsetStates))
-        return false;
-    } else if (Arg == "--trace-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.TraceOut))
-        return false;
-    } else if (Arg == "--metrics-out") {
-      if (!takeValue(Argc, Argv, I, Arg, Opts.MetricsOut))
-        return false;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::cerr << "susc: unknown option '" << Arg << "'\n";
-      printPlanUsage(std::cerr);
-      return false;
-    } else if (Opts.InputPath.empty()) {
-      Opts.InputPath = Arg;
-    } else {
-      std::cerr << "susc: multiple input files\n";
-      return false;
-    }
-  }
-  if (Opts.InputPath.empty()) {
-    printPlanUsage(std::cerr);
-    return false;
-  }
-  return true;
-}
-
-/// A percentile over recorded repair latencies (rounded-down index, the
-/// same convention as the benchmarks).
-int64_t percentileUs(std::vector<int64_t> Sorted, size_t Pct) {
-  if (Sorted.empty())
-    return 0;
-  std::sort(Sorted.begin(), Sorted.end());
-  return Sorted[std::min(Sorted.size() - 1, Sorted.size() * Pct / 100)];
+  return parseCli(
+      Argc, Argv, 2, Opts, printPlanUsage, false,
+      [&](int &I, const std::string &Arg) -> std::optional<bool> {
+        std::string Value;
+        auto Take = [&] { return takeValue(Argc, Argv, I, Arg, Value); };
+        if (Arg == "--index" || Arg == "--no-index") {
+          Opts.UseIndex = Arg == "--index";
+          return true;
+        }
+        if (Arg == "--churn")
+          return Take() && parseCountValue(Arg, Value, /*MinValue=*/1,
+                                           Opts.ChurnRounds);
+        if (Arg == "--seed")
+          return Take() &&
+                 parseCountValue(Arg, Value, /*MinValue=*/0, Opts.Seed);
+        if (Arg == "--jobs")
+          return Take() && parseJobsValue(Value, Opts.Jobs);
+        return takeBudgetFlag(Argc, Argv, I, Arg, Opts.Budget);
+      });
 }
 
 int runPlan(const PlanCliOptions &Opts) {
-  std::shared_ptr<ResourceGovernor> Governor;
-  if (Opts.DeadlineMs != CliOptions::NoLimit ||
-      Opts.MaxProductStates != CliOptions::NoLimit ||
-      Opts.MaxSubsetStates != CliOptions::NoLimit) {
-    Governor = std::make_shared<ResourceGovernor>();
-    if (Opts.MaxProductStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::ProductStates, Opts.MaxProductStates);
-    if (Opts.MaxSubsetStates != CliOptions::NoLimit)
-      Governor->setLimit(ResourceKind::SubsetStates, Opts.MaxSubsetStates);
-    if (Opts.DeadlineMs != CliOptions::NoLimit)
-      Governor->setDeadlineAfterMillis(Opts.DeadlineMs);
-  }
-
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::cerr << "susc: cannot open '" << Opts.InputPath << "'\n";
-    return 2;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  hist::HistContext Ctx;
-  DiagnosticEngine Diags;
-  std::optional<syntax::SusFile> File =
-      syntax::parseSusFile(Ctx, Source, Diags, Opts.InputPath);
-  Diags.print(std::cerr, DiagFormat::Text);
-  if (!File)
-    return 2;
-
   core::VerifierOptions VOpts;
   VOpts.Jobs = Opts.Jobs;
-  VOpts.Governor = Governor;
+  VOpts.Governor = Opts.Budget.governor(); // Armed before the parse.
   VOpts.UseIndex = Opts.UseIndex;
-  core::Verifier Verifier(Ctx, File->Repo, File->Registry, VOpts);
+  std::string Source;
+  if (!readInput(Opts.InputPath, Source))
+    return 2;
+  core::Session S;
+  DiagnosticEngine Diags;
+  bool Parsed = S.open(std::move(Source), Opts.InputPath, VOpts, Diags);
+  Diags.print(std::cerr, DiagFormat::Text);
+  if (!Parsed)
+    return 2;
+  core::Verifier &Verifier = S.verifier();
 
-  bool AllClientsOk = true;
-  bool AnyInconclusive = false;
+  core::ExitTally Tally;
+  uint64_t Rng = Opts.Seed; // One churn LCG across all clients.
+  for (const auto &[Name, Client] : S.file().Clients) {
+    std::cout << "== client " << S.ctx().interner().text(Name) << " ==\n";
 
-  // Deterministic churn picks: a tiny LCG (constants from Numerical
-  // Recipes) so replays are reproducible across runs and platforms.
-  uint64_t Rng = Opts.Seed;
-  auto NextRand = [&Rng]() {
-    Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return Rng >> 33;
-  };
-
-  for (const auto &[Name, Client] : File->Clients) {
-    std::string ClientName(Ctx.interner().text(Name));
-    std::cout << "== client " << ClientName << " ==\n";
-
-    core::RepairSession Session(Verifier, Client, Name);
-    const core::VerificationReport &Baseline = Session.verify();
+    core::RepairSession Repair(Verifier, Client, Name);
+    const core::VerificationReport &Baseline = Repair.verify();
     std::cout << "candidate plans: " << Baseline.CandidateCount
               << " (bindings tried: " << Baseline.BindingsTried << ")";
     if (Baseline.Truncated)
@@ -854,69 +664,20 @@ int runPlan(const PlanCliOptions &Opts) {
                 << IStats.FirstStepRejects << " first-step\n";
     }
 
+    bool Completed = true;
     if (Opts.ChurnRounds > 0) {
-      std::vector<plan::Loc> Locs = File->Repo.locations();
-      if (Locs.empty()) {
+      if (S.file().Repo.size() == 0) {
         std::cerr << "susc: --churn needs a non-empty repository\n";
         return 2;
       }
-      size_t Kept = 0, Dropped = 0, Reverified = 0, Repairs = 0;
-      std::vector<int64_t> LatenciesUs;
-      bool Tripped = false;
-      for (uint64_t Round = 0; Round < Opts.ChurnRounds && !Tripped;
-           ++Round) {
-        plan::Loc L = Locs[NextRand() % Locs.size()];
-        const hist::Expr *Service = File->Repo.find(L);
-        unsigned Capacity = File->Repo.capacity(L);
-        // One round = remove + re-publish: the repository ends the round
-        // unchanged, and both delta directions get exercised.
-        for (int Phase = 0; Phase < 2; ++Phase) {
-          plan::RepositoryDelta Delta;
-          Delta.Changes.push_back(
-              Phase == 0
-                  ? plan::applyRemove(File->Repo, L)
-                  : plan::applyPublish(File->Repo, L, Service, Capacity));
-          auto Start = std::chrono::steady_clock::now();
-          Outcome<core::RepairStats> Repair = Session.applyDelta(Delta);
-          auto End = std::chrono::steady_clock::now();
-          LatenciesUs.push_back(
-              std::chrono::duration_cast<std::chrono::microseconds>(End -
-                                                                    Start)
-                  .count());
-          ++Repairs;
-          if (!Repair.ok()) {
-            std::cout << "churn: round " << Round
-                      << " Inconclusive(resource: "
-                      << resourceKindName(Repair.exhausted().Which) << ")\n";
-            AnyInconclusive = true;
-            Tripped = true;
-            break;
-          }
-          Kept += Repair.value().PlansKept;
-          Dropped += Repair.value().PlansDropped;
-          Reverified += Repair.value().PlansReverified;
-        }
-      }
-      std::cout << "churn: " << Repairs << " repairs over "
-                << Opts.ChurnRounds << " round(s), plans kept " << Kept
-                << ", dropped " << Dropped << ", reverified " << Reverified
-                << "\n";
-      std::cout << "repair latency: p50 " << percentileUs(LatenciesUs, 50)
-                << " us, p99 " << percentileUs(LatenciesUs, 99) << " us\n";
-      std::cout << "valid plans after churn: "
-                << Session.report().validPlans().size() << "\n";
+      Completed = S.replayChurn(Repair, Opts.ChurnRounds, Rng, std::cout);
     }
 
-    const core::VerificationReport &Final = Session.report();
-    if (Final.anyInconclusive())
-      AnyInconclusive = true;
-    if (Final.validPlans().empty())
-      AllClientsOk = false;
+    const core::VerificationReport &Final = Repair.report();
+    Tally.add(!Final.validPlans().empty(),
+              !Completed || Final.anyInconclusive());
   }
-
-  if (AnyInconclusive)
-    return 3;
-  return AllClientsOk ? 0 : 1;
+  return Tally.code();
 }
 
 //===----------------------------------------------------------------------===//
@@ -924,7 +685,7 @@ int runPlan(const PlanCliOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 struct FuzzCliOptions {
-  bool Help = false; ///< --help/-h: print usage, exit 0 (see CliOptions).
+  bool Help = false; ///< --help/-h: print usage, exit 0 (see CommonOptions).
   uint64_t Seeds = 100;
   uint64_t BaseSeed = 0;
   bool SeedSet = false; ///< --seed was given explicitly.
@@ -1086,19 +847,17 @@ int runFuzz(const FuzzCliOptions &Opts) {
 /// Turns the tracer/registry on ahead of the tool run when the matching
 /// output flag was given. With both flags absent this is a no-op and every
 /// instrumentation point in the pipeline stays a single atomic load.
-void enableObservability(const std::string &TraceOut,
-                         const std::string &MetricsOut) {
-  if (!TraceOut.empty())
+void enableObservability(const CommonOptions &Opts) {
+  if (!Opts.TraceOut.empty())
     trace::enable();
-  if (!MetricsOut.empty())
+  if (!Opts.MetricsOut.empty())
     metrics::enable();
 }
 
 /// Writes the trace/metrics files after the tool ran. Returns false (with a
 /// diagnostic) if an output file cannot be written; the caller folds that
 /// into exit code 2 unless the run itself already failed harder.
-bool writeObservability(const std::string &TraceOut,
-                        const std::string &MetricsOut) {
+bool writeObservability(const CommonOptions &Opts) {
   bool Ok = true;
   auto WriteTo = [&Ok](const std::string &Path, auto &&Emit) {
     std::ofstream Out(Path);
@@ -1113,11 +872,31 @@ bool writeObservability(const std::string &TraceOut,
       Ok = false;
     }
   };
-  if (!TraceOut.empty())
-    WriteTo(TraceOut, [](std::ostream &OS) { trace::writeChromeTrace(OS); });
-  if (!MetricsOut.empty())
-    WriteTo(MetricsOut, [](std::ostream &OS) { metrics::writeJson(OS); });
+  if (!Opts.TraceOut.empty())
+    WriteTo(Opts.TraceOut,
+            [](std::ostream &OS) { trace::writeChromeTrace(OS); });
+  if (!Opts.MetricsOut.empty())
+    WriteTo(Opts.MetricsOut, [](std::ostream &OS) { metrics::writeJson(OS); });
   return Ok;
+}
+
+/// Runs one file-taking mode: parse, --help, then \p Run between the
+/// observability set-up and write-out.
+template <typename Options>
+int runMode(int Argc, char **Argv, bool (*Parse)(int, char **, Options &),
+            void (*Usage)(std::ostream &), int (*Run)(const Options &)) {
+  Options Opts;
+  if (!Parse(Argc, Argv, Opts))
+    return 2;
+  if (Opts.Help) {
+    Usage(std::cout);
+    return 0;
+  }
+  enableObservability(Opts);
+  int Code = Run(Opts);
+  if (!writeObservability(Opts) && Code == 0)
+    Code = 2;
+  return Code;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1209,34 +988,10 @@ bool looksLikeSubcommand(const std::string &Arg) {
 int main(int Argc, char **Argv) {
   if (Argc > 1 && std::string(Argv[1]) == "--connect")
     return runConnect(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "plan") {
-    PlanCliOptions Opts;
-    if (!parsePlanArgs(Argc, Argv, Opts))
-      return 2;
-    if (Opts.Help) {
-      printPlanUsage(std::cout);
-      return 0;
-    }
-    enableObservability(Opts.TraceOut, Opts.MetricsOut);
-    int Code = runPlan(Opts);
-    if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-      Code = 2;
-    return Code;
-  }
-  if (Argc > 1 && std::string(Argv[1]) == "lint") {
-    LintCliOptions Opts;
-    if (!parseLintArgs(Argc, Argv, Opts))
-      return 2;
-    if (Opts.Help) {
-      printLintUsage(std::cout);
-      return 0;
-    }
-    enableObservability(Opts.TraceOut, Opts.MetricsOut);
-    int Code = runLint(Opts);
-    if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-      Code = 2;
-    return Code;
-  }
+  if (Argc > 1 && std::string(Argv[1]) == "plan")
+    return runMode(Argc, Argv, parsePlanArgs, printPlanUsage, runPlan);
+  if (Argc > 1 && std::string(Argv[1]) == "lint")
+    return runMode(Argc, Argv, parseLintArgs, printLintUsage, runLint);
   if (Argc > 1 && std::string(Argv[1]) == "fuzz") {
     FuzzCliOptions Opts;
     if (!parseFuzzArgs(Argc, Argv, Opts))
@@ -1253,16 +1008,5 @@ int main(int Argc, char **Argv) {
                  "pass a .sus file to verify)\n";
     return 2;
   }
-  CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 2;
-  if (Opts.Help) {
-    printUsage(std::cout);
-    return 0;
-  }
-  enableObservability(Opts.TraceOut, Opts.MetricsOut);
-  int Code = runTool(Opts);
-  if (!writeObservability(Opts.TraceOut, Opts.MetricsOut) && Code == 0)
-    Code = 2;
-  return Code;
+  return runMode(Argc, Argv, parseArgs, printUsage, runTool);
 }

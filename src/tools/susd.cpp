@@ -23,12 +23,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
+#include "support/ParseCount.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,15 +84,14 @@ bool takeValue(int Argc, char **Argv, int &I, const std::string &Flag,
 
 bool parseUnsigned(const std::string &Flag, const std::string &Value,
                    unsigned long Max, unsigned &Out) {
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
+  uint64_t N = 0;
+  CountParse R = parseCount(Value, N);
+  if (R == CountParse::NotDigits) {
     std::cerr << "susd: " << Flag << " expects a positive integer, got '"
               << Value << "'\n";
     return false;
   }
-  errno = 0;
-  unsigned long N = std::strtoul(Value.c_str(), nullptr, 10);
-  if (errno == ERANGE || N > Max || N == 0) {
+  if (R == CountParse::OutOfRange || N > Max || N == 0) {
     std::cerr << "susd: " << Flag << " value '" << Value
               << "' is out of range (1.." << Max << ")\n";
     return false;
@@ -156,16 +152,6 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
   return true;
 }
 
-bool readFile(const std::string &Path, std::string &Out, bool Binary) {
-  std::ifstream In(Path, Binary ? std::ios::binary : std::ios::in);
-  if (!In)
-    return false;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -189,7 +175,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::string Source;
-  if (!readFile(Opts.InputPath, Source, /*Binary=*/false)) {
+  if (!core::readFile(Opts.InputPath, Source)) {
     std::cerr << "susd: cannot open '" << Opts.InputPath << "'\n";
     return 2;
   }
@@ -204,7 +190,7 @@ int main(int Argc, char **Argv) {
 
   if (!Opts.SnapshotIn.empty()) {
     std::string Bytes;
-    if (!readFile(Opts.SnapshotIn, Bytes, /*Binary=*/true)) {
+    if (!core::readFile(Opts.SnapshotIn, Bytes)) {
       std::cerr << "susd: cannot open snapshot '" << Opts.SnapshotIn
                 << "'\n";
       return 2;
@@ -228,15 +214,12 @@ int main(int Argc, char **Argv) {
 
   if (!Opts.SnapshotOut.empty()) {
     core::SnapshotStats Stats;
-    std::string Bytes = Engine->saveSnapshotBytes(&Stats);
-    std::ofstream Out(Opts.SnapshotOut, std::ios::binary | std::ios::trunc);
-    if (!Out ||
-        !Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()))) {
+    if (!core::writeFileAtomic(Opts.SnapshotOut,
+                               Engine->saveSnapshotBytes(&Stats), Err)) {
       std::cerr << "susd: cannot write snapshot '" << Opts.SnapshotOut
-                << "'\n";
+                << "': " << Err << "\n";
       return 2;
     }
-    Out.close();
     std::cerr << "susd: snapshot saved (" << Stats.Bytes << " bytes)\n";
   }
 

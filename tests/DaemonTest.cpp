@@ -6,8 +6,9 @@
 /// line cap and malformed frames are clean errors), the per-tenant
 /// budget table (spec parsing, min-combination, governor arming), and
 /// the Engine itself driven in-process through the same handle() path a
-/// connection uses — verify/lint/churn verdicts, snapshot save/load,
-/// per-request deadlines and the shutdown handshake.
+/// connection uses — verify/lint/churn verdicts, snapshot save/load and
+/// the atomic snapshot file writer, per-request deadlines, malformed
+/// count parameters and the shutdown handshake.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 using namespace sus;
 using namespace sus::daemon;
@@ -270,6 +274,75 @@ TEST(Engine, ShutdownVerbFlipsTheFlag) {
   Response R = E->handle(req("shutdown"));
   EXPECT_EQ(R.Exit, 0);
   EXPECT_TRUE(E->shutdownRequested());
+}
+
+TEST(Engine, MalformedCountParametersAreUsageErrors) {
+  auto E = makeEngine();
+  Request Churn = req("churn");
+  Churn.Params["rounds"] = "1x";
+  Response RChurn = E->handle(Churn);
+  EXPECT_EQ(RChurn.Exit, 2);
+  EXPECT_NE(RChurn.Body.find("'rounds'"), std::string::npos) << RChurn.Body;
+
+  Request Verify = req("verify");
+  Verify.Params["deadline_ms"] = "-1";
+  Response RVerify = E->handle(Verify);
+  EXPECT_EQ(RVerify.Exit, 2);
+  EXPECT_NE(RVerify.Body.find("'deadline_ms'"), std::string::npos)
+      << RVerify.Body;
+}
+
+/// A fresh empty directory, removed with its contents at scope exit.
+struct ScratchDir {
+  std::filesystem::path Path;
+
+  ScratchDir() {
+    std::string Template = testing::TempDir() + "sus_daemon_test_XXXXXX";
+    EXPECT_NE(::mkdtemp(Template.data()), nullptr);
+    Path = Template;
+  }
+  ~ScratchDir() { std::filesystem::remove_all(Path); }
+
+  std::vector<std::string> entries() const {
+    std::vector<std::string> Names;
+    for (const auto &Entry : std::filesystem::directory_iterator(Path))
+      Names.push_back(Entry.path().filename().string());
+    return Names;
+  }
+};
+
+TEST(Engine, SnapshotSavedTwiceLeavesOneLoadableFile) {
+  auto E = makeEngine();
+  std::ostringstream Sink;
+  E->warmAll(Sink);
+  ScratchDir Dir;
+  Request Snap = req("snapshot");
+  Snap.Params["file"] = (Dir.Path / "cache.snap").string();
+  Response First = E->handle(Snap);
+  ASSERT_EQ(First.Exit, 0) << First.Body;
+  Response Second = E->handle(Snap);
+  ASSERT_EQ(Second.Exit, 0) << Second.Body;
+  // No temp file survives the rename.
+  EXPECT_EQ(Dir.entries(), std::vector<std::string>{"cache.snap"});
+
+  std::ifstream In(Dir.Path / "cache.snap", std::ios::binary);
+  std::stringstream Bytes;
+  Bytes << In.rdbuf();
+  auto Fresh = makeEngine();
+  std::string Err;
+  EXPECT_TRUE(Fresh->loadSnapshotBytes(Bytes.str(), Err)) << Err;
+}
+
+TEST(Engine, SnapshotIntoAMissingDirectoryCreatesNothing) {
+  auto E = makeEngine();
+  ScratchDir Dir;
+  Request Snap = req("snapshot");
+  Snap.Params["file"] = (Dir.Path / "missing" / "cache.snap").string();
+  Response R = E->handle(Snap);
+  EXPECT_EQ(R.Exit, 2);
+  EXPECT_NE(R.Body.find("cannot write snapshot"), std::string::npos)
+      << R.Body;
+  EXPECT_TRUE(Dir.entries().empty());
 }
 
 } // namespace

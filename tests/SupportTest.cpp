@@ -6,6 +6,7 @@
 #include "support/DotWriter.h"
 #include "support/HashUtil.h"
 #include "support/Metrics.h"
+#include "support/ParseCount.h"
 #include "support/StringInterner.h"
 #include "support/Trace.h"
 #include "support/Value.h"
@@ -465,6 +466,38 @@ TEST_F(MetricsTest, WriteJsonEmitsTheV1Shape) {
   EXPECT_NE(Json.find("\"test.json.gauge\": -4"), std::string::npos);
   EXPECT_NE(Json.find("\"test.json.hist\""), std::string::npos);
   EXPECT_NE(Json.find("\"buckets\""), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// parseCount
+//===----------------------------------------------------------------------===//
+
+TEST(ParseCountTest, AcceptsDigitsOnlyWithinUint64) {
+  struct Row {
+    const char *Text;
+    CountParse Want;
+    uint64_t Value; ///< Expected value when Want is Ok.
+  };
+  const Row Table[] = {
+      {"", CountParse::NotDigits, 0},
+      {"-1", CountParse::NotDigits, 0},
+      {"+1", CountParse::NotDigits, 0},
+      {"1x", CountParse::NotDigits, 0},
+      {"0", CountParse::Ok, 0},
+      {"256", CountParse::Ok, 256},
+      {"257", CountParse::Ok, 257},
+      {"18446744073709551616", CountParse::OutOfRange, 0},
+  };
+  for (const Row &R : Table) {
+    uint64_t Out = 12345;
+    EXPECT_EQ(parseCount(R.Text, Out), R.Want) << "'" << R.Text << "'";
+    // The output is written only on success.
+    EXPECT_EQ(Out, R.Want == CountParse::Ok ? R.Value : 12345u)
+        << "'" << R.Text << "'";
+  }
+  uint64_t Max = 0;
+  EXPECT_EQ(parseCount("18446744073709551615", Max), CountParse::Ok);
+  EXPECT_EQ(Max, ~uint64_t(0));
 }
 
 } // namespace
