@@ -214,9 +214,10 @@ RepoWorkload &repoWorkload(unsigned NumServices) {
 
 /// Steady-state client verification throughput over a warm verifier:
 /// range(0) = repository size, range(1) = UseIndex. Both sides share the
-/// workload and memoize compliance identically; the measured difference
-/// is candidate selection — O(answer) bucket lookups vs an O(repository)
-/// scan per request site. Reported as plans-verified/sec.
+/// workload, the compliance pre-screens and the compliance memo; the
+/// measured difference is candidate selection — O(answer) bucket lookups
+/// screened once per body vs an O(repository) scan screening each
+/// binding from memoized summaries. Reported as plans-verified/sec.
 void BM_RepositoryVerify(benchmark::State &State) {
   RepoWorkload &W = repoWorkload(static_cast<unsigned>(State.range(0)));
   core::VerifierOptions Opts;

@@ -17,6 +17,7 @@
 #include "analysis/Lint.h"
 
 #include "contract/Compliance.h"
+#include "contract/Prescreen.h"
 #include "contract/Project.h"
 #include "contract/ReadySets.h"
 #include "plan/RequestExtract.h"
@@ -59,8 +60,21 @@ public:
 
     // Compliance depends only on the two behaviours; memoize across
     // request sites that share a body (hash-consing makes this common).
+    // The pre-screens run first on per-expression summaries: a Reject is
+    // a sound refutation, so most pairs never build a product.
+    std::map<const hist::Expr *, contract::ContractSummary> Summaries;
+    auto Summary =
+        [&](const hist::Expr *E) -> const contract::ContractSummary & {
+      auto It = Summaries.find(E);
+      if (It == Summaries.end())
+        It = Summaries.emplace(E, contract::summarizeContract(Ctx, E)).first;
+      return It->second;
+    };
     std::map<std::pair<const hist::Expr *, const hist::Expr *>, bool> Memo;
     auto Compliant = [&](const hist::Expr *Body, const hist::Expr *Service) {
+      if (contract::prescreenCompliance(Summary(Body), Summary(Service)) !=
+          contract::PrescreenVerdict::Pass)
+        return false;
       auto Key = std::make_pair(Body, Service);
       auto It = Memo.find(Key);
       if (It != Memo.end())

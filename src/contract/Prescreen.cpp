@@ -47,10 +47,8 @@ void collectAlphabet(const Expr *E, std::set<CommAction> &Out,
 
 } // namespace
 
-ContractSummary sus::contract::summarizeContract(HistContext &Ctx,
-                                                 const Expr *E) {
+ContractSummary sus::contract::summarizeProjection(const Expr *Contract) {
   ContractSummary Summary;
-  const Expr *Contract = project(Ctx, E);
   if (!isContract(Contract))
     return Summary; // Screenable stays false: "anything goes".
   Summary.Screenable = true;
@@ -65,6 +63,11 @@ ContractSummary sus::contract::summarizeContract(HistContext &Ctx,
       Summary.IndexKey = S;
   }
   return Summary;
+}
+
+ContractSummary sus::contract::summarizeContract(HistContext &Ctx,
+                                                 const Expr *E) {
+  return summarizeProjection(project(Ctx, E));
 }
 
 PrescreenVerdict

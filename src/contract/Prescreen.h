@@ -22,7 +22,8 @@
 /// A ContractSummary caches everything both screens need (initial ready
 /// sets, syntactic alphabet, nullability) so repeated screening of the
 /// same contract is set intersections only — this is what ServiceIndex
-/// memoizes per published service and per request body.
+/// memoizes per published service and per request body, and what
+/// core::VerifierCache memoizes per expression for the scan's filter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +64,10 @@ struct ContractSummary {
   /// indexed candidate lookup.
   ReadySet IndexKey;
 };
+
+/// Summarizes an already-computed projection \p Contract (the result of
+/// project(); callers that memoize projections pass theirs here).
+ContractSummary summarizeProjection(const hist::Expr *Contract);
 
 /// Summarizes the *projection* of \p E (projection computed here via
 /// project(); pass a request body or a published service verbatim).

@@ -27,6 +27,12 @@ public:
   }
 
 private:
+  /// Rebuilds a node only when a child's projection changed it. The
+  /// factories are hash-consing normalizers whose outputs are their own
+  /// fixpoints, so re-applying one to a node's unchanged children would
+  /// return that very node: skipping the call is exact, and a service
+  /// already in the contract fragment projects to itself without a
+  /// single factory lookup.
   const Expr *compute(const Expr *E) {
     switch (E->kind()) {
     case ExprKind::Empty:
@@ -40,19 +46,28 @@ private:
       return E;
     case ExprKind::Mu: {
       const auto *M = cast<MuExpr>(E);
-      return Ctx.mu(M->var(), visit(M->body()));
+      const Expr *Body = visit(M->body());
+      return Body == M->body() ? E : Ctx.mu(M->var(), Body);
     }
     case ExprKind::Seq: {
       const auto *S = cast<SeqExpr>(E);
-      return Ctx.seq(visit(S->head()), visit(S->tail()));
+      const Expr *Head = visit(S->head());
+      const Expr *Tail = visit(S->tail());
+      return Head == S->head() && Tail == S->tail() ? E
+                                                    : Ctx.seq(Head, Tail);
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {
       const auto *C = cast<ChoiceExpr>(E);
       std::vector<ChoiceBranch> Branches;
       Branches.reserve(C->numBranches());
-      for (const ChoiceBranch &B : C->branches())
+      bool Changed = false;
+      for (const ChoiceBranch &B : C->branches()) {
         Branches.push_back({B.Guard, visit(B.Body)});
+        Changed = Changed || Branches.back().Body != B.Body;
+      }
+      if (!Changed)
+        return E;
       return E->kind() == ExprKind::ExtChoice
                  ? Ctx.extChoice(std::move(Branches))
                  : Ctx.intChoice(std::move(Branches));

@@ -77,17 +77,8 @@ Outcome<RepairStats> RepairSession::applyDelta(
   // Re-run bind/undo search, emitting only plans that bind a touched
   // location — the kept set is exactly the complete plans that don't, so
   // kept ∪ emitted is the full post-churn plan set.
-  const VerifierOptions &VOpts = V.options();
-  plan::EnumeratorOptions EOpts;
-  EOpts.MaxPlans = VOpts.MaxPlans;
-  EOpts.Governor = VOpts.Governor.get();
-  EOpts.Index = V.index();
+  plan::EnumeratorOptions EOpts = V.enumeratorOptions();
   EOpts.MustMention = &Touched;
-  if (VOpts.PruneWithCompliance)
-    EOpts.Filter = [this](const plan::RequestSite &Site, plan::Loc,
-                          const hist::Expr *Service) {
-      return V.bindingCompliant(Site.body(), Service);
-    };
   plan::EnumerationResult Enumeration =
       plan::enumeratePlans(Client, V.repository(), EOpts);
   Span.count("affected", static_cast<int64_t>(Enumeration.Plans.size()));

@@ -61,6 +61,16 @@ unsigned Verifier::effectiveJobs() const {
 
 bool Verifier::bindingCompliant(const hist::Expr *RequestBody,
                                 const hist::Expr *Service) {
+  // Screens refute only pairs the product would refute too, so a Reject
+  // prunes conclusively whether or not a governor is armed.
+  if (Cache->prescreen(Ctx, RequestBody, Service) !=
+      contract::PrescreenVerdict::Pass)
+    return false;
+  return productCompliant(RequestBody, Service);
+}
+
+bool Verifier::productCompliant(const hist::Expr *RequestBody,
+                                const hist::Expr *Service) {
   contract::ComplianceResult R =
       Cache->compliance(Ctx, RequestBody, Service, gov());
   // An exhausted product refutes nothing: keep the binding, so the
@@ -320,23 +330,32 @@ Verifier::checkPlans(const hist::Expr *Client, plan::Loc ClientLoc,
   return Verdicts;
 }
 
+plan::EnumeratorOptions Verifier::enumeratorOptions() {
+  plan::EnumeratorOptions EOpts;
+  EOpts.MaxPlans = Options.MaxPlans;
+  EOpts.Governor = gov();
+  EOpts.Index = index();
+  if (!Options.PruneWithCompliance)
+    return EOpts;
+  // Index candidates already passed the screens inside the index, so
+  // only the scan screens per binding: the indexed path keeps no summary
+  // lookup per candidate.
+  EOpts.Filter = [this, Scan = EOpts.Index == nullptr](
+                     const plan::RequestSite &Site, plan::Loc,
+                     const hist::Expr *Service) {
+    return Scan ? bindingCompliant(Site.body(), Service)
+                : productCompliant(Site.body(), Service);
+  };
+  return EOpts;
+}
+
 VerificationReport Verifier::verifyClient(const hist::Expr *Client,
                                           plan::Loc ClientLoc) {
   trace::Span ClientSpan("client.verify", "verifier");
   VerificationReport Report;
 
-  plan::EnumeratorOptions EOpts;
-  EOpts.MaxPlans = Options.MaxPlans;
-  EOpts.Governor = gov();
-  EOpts.Index = index();
-  if (Options.PruneWithCompliance)
-    EOpts.Filter = [this](const plan::RequestSite &Site, plan::Loc,
-                          const hist::Expr *Service) {
-      return bindingCompliant(Site.body(), Service);
-    };
-
   plan::EnumerationResult Enumeration =
-      plan::enumeratePlans(Client, Repo, EOpts);
+      plan::enumeratePlans(Client, Repo, enumeratorOptions());
   Report.CandidateCount = Enumeration.Plans.size();
   Report.BindingsTried = Enumeration.BindingsTried;
   Report.Truncated = Enumeration.Truncated;

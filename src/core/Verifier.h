@@ -136,6 +136,11 @@ struct VerificationReport {
 struct VerifierOptions {
   /// Prune plan enumeration with per-binding compliance pre-checks
   /// (sound: a non-compliant binding can never be part of a valid plan).
+  /// A scanned binding is first run through the pre-screens of
+  /// contract/Prescreen.h over summaries memoized in the VerifierCache;
+  /// only the pairs they pass pay for the memoized product. Indexed
+  /// candidates passed the same screens inside the index, so they go
+  /// straight to the product.
   bool PruneWithCompliance = true;
   size_t MaxPlans = 1 << 14;
   size_t MaxStatesPerPlan = 1 << 18;
@@ -150,8 +155,9 @@ struct VerifierOptions {
   /// the index's pre-screens reject exactly (a subset of) what the
   /// compliance filter rejects, so indexed runs emit the identical plan
   /// set; without the filter the scan would emit non-compliant plans the
-  /// index skips, which would change reports. Off (the default) keeps
-  /// every existing output byte-identical.
+  /// index skips, which would change reports. Both paths run the same
+  /// screens, so they differ only in the bindings they try (the report's
+  /// "bindings tried" line); off (the default) keeps the scan's count.
   bool UseIndex = false;
 
   /// Optional resource governor threaded through every kernel this
@@ -239,12 +245,22 @@ public:
     Options.Governor = std::move(Governor);
   }
 
-  /// Memoized H1 ⊢ H2 between a request body and a service. Under an
-  /// armed governor this also returns true when the check was cut short:
-  /// only a *conclusive* refutation may prune a binding. Trips are never
-  /// memoized.
+  /// Memoized H1 ⊢ H2 between a request body and a service, screened
+  /// first: a pre-screen Reject is a conclusive refutation (even under an
+  /// armed governor) and builds no product. Otherwise the memoized
+  /// product decides; under an armed governor it also returns true when
+  /// the product was cut short: only a *conclusive* refutation may prune
+  /// a binding. Trips are never memoized.
   bool bindingCompliant(const hist::Expr *RequestBody,
                         const hist::Expr *Service);
+
+  /// The enumerator options every search of this verifier runs with
+  /// (full verification and repair alike): plan limit, governor, the
+  /// candidate index when effective, and with PruneWithCompliance the
+  /// compliance filter — screened per binding on a scan, product-only
+  /// on index candidates (already screened). The filter refers to this
+  /// verifier, which must outlive the enumeration.
+  plan::EnumeratorOptions enumeratorOptions();
 
   /// Session cache counters (shared with every co-owner of the cache).
   VerifierStats stats() const { return Cache->stats(); }
@@ -295,6 +311,10 @@ private:
 
   /// Effective worker count (resolves Jobs == 0).
   unsigned effectiveJobs() const;
+
+  /// bindingCompliant without the screens: the memoized product alone.
+  bool productCompliant(const hist::Expr *RequestBody,
+                        const hist::Expr *Service);
 
   /// The session governor, or null when ungoverned.
   const ResourceGovernor *gov() const { return Options.Governor.get(); }

@@ -38,6 +38,19 @@ HitMissCounters &validityCounters() {
   return C;
 }
 
+/// The scan's screen rejects count where the index's do: the counters
+/// name the screen that fired, not the path that ran it.
+void countReject(contract::PrescreenVerdict V) {
+  static metrics::Counter &Alphabet =
+      metrics::counter("plan.prescreen.alphabet_rejects");
+  static metrics::Counter &FirstStep =
+      metrics::counter("plan.prescreen.first_step_rejects");
+  if (V == contract::PrescreenVerdict::AlphabetReject)
+    Alphabet.add(1);
+  else if (V == contract::PrescreenVerdict::FirstStepReject)
+    FirstStep.add(1);
+}
+
 } // namespace
 
 const hist::Expr *VerifierCache::projectionLocked(hist::HistContext &Ctx,
@@ -59,6 +72,32 @@ const hist::Expr *VerifierCache::projection(hist::HistContext &Ctx,
                                             const hist::Expr *E) {
   MutexLock Lock(M);
   return projectionLocked(Ctx, E);
+}
+
+const contract::ContractSummary &
+VerifierCache::summaryLocked(hist::HistContext &Ctx, const hist::Expr *E) {
+  auto It = Summaries.find(E);
+  if (It != Summaries.end())
+    return It->second;
+  return Summaries
+      .emplace(E, contract::summarizeProjection(projectionLocked(Ctx, E)))
+      .first->second;
+}
+
+contract::PrescreenVerdict
+VerifierCache::prescreen(hist::HistContext &Ctx,
+                         const hist::Expr *RequestBody,
+                         const hist::Expr *Service) {
+  MutexLock Lock(M);
+  contract::PrescreenVerdict V = contract::prescreenCompliance(
+      summaryLocked(Ctx, RequestBody), summaryLocked(Ctx, Service));
+  countReject(V);
+  return V;
+}
+
+bool VerifierCache::hasSummary(const hist::Expr *E) const {
+  MutexLock Lock(M);
+  return Summaries.count(E) != 0;
 }
 
 contract::ComplianceResult
@@ -154,6 +193,7 @@ VerifierCache::invalidate(const plan::RepositoryDelta &Delta,
     }
   for (const hist::Expr *Old : Retired) {
     Evicted.ProjectionEvicted += Projections.erase(Old);
+    Evicted.SummaryEvicted += Summaries.erase(Old);
   }
 
   static metrics::Counter &ValidityEvictions =

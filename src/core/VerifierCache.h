@@ -6,6 +6,9 @@
 /// it appears in — so the cache memoizes, keyed on hash-consed Expr*:
 ///
 ///  - projections H! (the §4 erasure computed before every product),
+///  - pre-screen summaries (contract/Prescreen.h) of those projections,
+///    so the scan's filter screens each binding with set intersections
+///    and never projects an expression twice,
 ///  - full ComplianceResults including witnesses (not just the boolean
 ///    the pruning filter keeps),
 ///  - per-(client, plan-signature) static-validity results.
@@ -22,6 +25,7 @@
 #define SUS_CORE_VERIFIERCACHE_H
 
 #include "contract/Compliance.h"
+#include "contract/Prescreen.h"
 #include "monitor/Fused.h"
 #include "plan/Plan.h"
 #include "plan/RepositoryDelta.h"
@@ -29,6 +33,7 @@
 #include "validity/StaticValidity.h"
 
 #include <map>
+#include <unordered_map>
 
 namespace sus {
 namespace core {
@@ -37,7 +42,8 @@ namespace core {
 struct VerifierStats {
   size_t ComplianceLookups = 0; ///< compliance() calls.
   size_t ComplianceHits = 0;    ///< ... answered from the memo.
-  size_t ProjectionLookups = 0; ///< H! requests (two per compliance miss).
+  size_t ProjectionLookups = 0; ///< H! requests (two per compliance miss,
+                                ///< one per summary built).
   size_t ProjectionHits = 0;    ///< ... answered from the memo.
   size_t ValidityLookups = 0;   ///< findValidity() calls.
   size_t ValidityHits = 0;      ///< ... answered from the memo.
@@ -65,6 +71,18 @@ public:
                                         const hist::Expr *Service,
                                         const ResourceGovernor *Gov = nullptr);
 
+  /// The compliance pre-screens on (request body, service), run over
+  /// summaries memoized per expression (each built at most once per
+  /// session from the memoized projection). A Reject is a sound
+  /// refutation — the full check would reject the pair too — and is
+  /// counted under plan.prescreen.*; nothing about the pair is memoized.
+  contract::PrescreenVerdict prescreen(hist::HistContext &Ctx,
+                                       const hist::Expr *RequestBody,
+                                       const hist::Expr *Service);
+
+  /// True when the pre-screen summary of \p E is memoized.
+  bool hasSummary(const hist::Expr *E) const;
+
   /// Looks up the static-validity verdict of (client, loc, plan) under a
   /// MaxStates bound; std::nullopt on a miss. Misses are *not* computed
   /// here: the verifier decides where (main thread or worker shard) the
@@ -89,6 +107,7 @@ public:
     size_t ValidityEvicted = 0;   ///< Plan verdicts mentioning a touched ℓ.
     size_t ComplianceEvicted = 0; ///< Verdicts against retired services.
     size_t ProjectionEvicted = 0; ///< Projections of retired services.
+    size_t SummaryEvicted = 0;    ///< Pre-screen summaries of the same.
   };
 
   /// Evicts exactly the entries a repository delta can make stale or
@@ -97,15 +116,16 @@ public:
   ///  - validity verdicts whose plan binds any touched location (their
   ///    key resolves locations through the repository, so the verdict no
   ///    longer describes what would be checked today);
-  ///  - compliance verdicts and projections whose *service side* is a
-  ///    retired expression — one that a change unpublished and that no
-  ///    surviving location still publishes (hash-consing can alias one
-  ///    expression across locations, so a retired pointer is garbage only
-  ///    once nobody publishes it; \p Current is the post-delta truth).
+  ///  - compliance verdicts, projections and summaries whose *service
+  ///    side* is a retired expression — one that a change unpublished and
+  ///    that no surviving location still publishes (hash-consing can alias
+  ///    one expression across locations, so a retired pointer is garbage
+  ///    only once nobody publishes it; \p Current is the post-delta
+  ///    truth).
   ///
   /// Entries keyed purely on hash-consed client-side exprs are never
   /// stale — churn can orphan them, not falsify them — so request-body
-  /// projections survive.
+  /// projections and summaries survive.
   EvictionStats invalidate(const plan::RepositoryDelta &Delta,
                            const plan::Repository &Current);
 
@@ -143,6 +163,8 @@ public:
 
   /// Copies out every memoized entry (for snapshotting). The cache never
   /// holds inconclusive results, so everything exported is conclusive.
+  /// Summaries are not exported: a loaded session rebuilds them from the
+  /// (exported) projections on first use.
   Entries exportEntries() const;
 
   /// Merges \p E into the memo tables without overwriting anything
@@ -172,6 +194,9 @@ private:
 
   const hist::Expr *projectionLocked(hist::HistContext &Ctx,
                                      const hist::Expr *E) SUS_REQUIRES(M);
+  const contract::ContractSummary &summaryLocked(hist::HistContext &Ctx,
+                                                 const hist::Expr *E)
+      SUS_REQUIRES(M);
 
   /// Leaf lock over the memo tables and stats. Held across a compliance
   /// product on a miss (the pre-warm serialization the parallel pipeline
@@ -182,6 +207,9 @@ private:
   VerifierStats Stats SUS_GUARDED_BY(M);
   std::map<const hist::Expr *, const hist::Expr *>
       Projections SUS_GUARDED_BY(M);
+  /// Unordered: never exported, so no iteration order to keep stable.
+  std::unordered_map<const hist::Expr *, contract::ContractSummary>
+      Summaries SUS_GUARDED_BY(M);
   std::map<std::pair<const hist::Expr *, const hist::Expr *>,
            contract::ComplianceResult>
       Compliances SUS_GUARDED_BY(M);

@@ -5,6 +5,7 @@
 #include "bpa/Bpa.h"
 #include "bpa/FromHist.h"
 #include "contract/Compliance.h"
+#include "contract/Prescreen.h"
 #include "contract/Project.h"
 #include "core/Snapshot.h"
 #include "core/Verifier.h"
@@ -54,7 +55,9 @@ std::vector<const hist::Expr *> allBehaviors(const syntax::SusFile &File) {
 
 /// Oracle 1: the product-automaton compliance checker (Thm. 1) and the
 /// literal Def. 4 ready-set procedure must return the same verdict for
-/// every request-body/service pair (Lemma 1 says they coincide).
+/// every request-body/service pair (Lemma 1 says they coincide), and the
+/// pre-screens the plan search prunes with may only reject a pair the
+/// ready-set procedure rejects too (they are necessary conditions).
 void complianceOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
                       std::vector<Divergence> &Out) {
   constexpr size_t MaxPairs = 128;
@@ -68,9 +71,23 @@ void complianceOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
         const hist::Expr *Service = File.Repo.find(L);
         contract::ComplianceResult Product =
             contract::checkServiceCompliance(Ctx, Site.body(), Service);
-        bool Direct = contract::checkComplianceDirect(
-            Ctx, contract::project(Ctx, Site.body()),
-            contract::project(Ctx, Service));
+        const hist::Expr *ClientContract = contract::project(Ctx, Site.body());
+        const hist::Expr *ServiceContract = contract::project(Ctx, Service);
+        bool Direct =
+            contract::checkComplianceDirect(Ctx, ClientContract,
+                                            ServiceContract);
+        if (Direct && contract::prescreenCompliance(
+                          contract::summarizeProjection(ClientContract),
+                          contract::summarizeProjection(ServiceContract)) !=
+                          contract::PrescreenVerdict::Pass) {
+          std::ostringstream OS;
+          OS << "request " << Site.id() << " of "
+             << Ctx.interner().text(ClientName) << " vs "
+             << Ctx.interner().text(L)
+             << ": pre-screen rejects a pair the ready-set procedure "
+                "accepts";
+          Out.push_back({"prescreen", OS.str()});
+        }
         if (Product.Exhausted)
           continue; // Ungoverned runs should never trip, but an
                     // inconclusive product verdict is not a divergence.

@@ -7,6 +7,8 @@
 ///   parse        the program must parse (the generator promises this);
 ///   compliance   product-automaton checker (Thm. 1) vs. the literal
 ///                Def. 4 ready-set procedure, per request/service pair;
+///   prescreen    a compliance pre-screen Reject must imply the ready-set
+///                procedure rejects the same pair;
 ///   bpa          hist::derive trace prefixes vs. the BPA translation's
 ///                (plus canPerform spot checks on sampled BPA traces);
 ///   monitor      fused-DFA session monitor vs. the legacy per-policy
@@ -49,8 +51,8 @@ struct FuzzOptions {
 
 /// One oracle disagreement (or unexpected parser outcome).
 struct Divergence {
-  std::string Check; ///< "parse", "compliance", "bpa", "monitor",
-                     ///< "snapshot", "chaos".
+  std::string Check; ///< "parse", "compliance", "prescreen", "bpa",
+                     ///< "monitor", "snapshot", "chaos".
   std::string Detail;
 };
 

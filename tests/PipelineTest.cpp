@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/HotelExample.h"
+#include "core/Session.h"
 #include "core/Verifier.h"
 #include "hist/Clone.h"
 #include "hist/Printer.h"
@@ -475,6 +476,35 @@ TEST_F(PipelineTest, NonCompliantWitnessSurvivesMemoization) {
       EXPECT_EQ(V.stats().complianceComputes(), Computes);
     }
   }
+}
+
+TEST(PipelineScanTest, HotelScanScreensBindingsBeforeTheProduct) {
+  // `susc FILE` on the paper's example scans: every binding is tried,
+  // but the pre-screens refute the hotel-for-broker and broker-for-hotel
+  // bindings before any product is built. Per client the scan screens
+  // out the same five pairs (both clients' request bodies hash-cons to
+  // one expression); the products left are the three pairs of the
+  // declared plans plus the two enumerated hotels they do not cover.
+  std::string Source;
+  ASSERT_TRUE(readFile(SUS_EXAMPLES_DIR "/hotel.sus", Source));
+  metrics::enable();
+  metrics::reset();
+  Session S;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(S.open(Source, "hotel.sus", VerifierOptions(), Diags));
+  std::ostringstream OS;
+  EXPECT_EQ(S.verifyAll("", /*Enumerate=*/true, OS), 0);
+
+  EXPECT_EQ(metrics::counter("plan.enumerator.bindings_tried").value(), 20u);
+  EXPECT_EQ(S.verifier().stats().complianceComputes(), 5u);
+  EXPECT_EQ(metrics::counter("compliance.checks").value(), 5u);
+  EXPECT_EQ(metrics::counter("plan.prescreen.alphabet_rejects").value() +
+                metrics::counter("plan.prescreen.first_step_rejects").value(),
+            10u);
+  EXPECT_NE(OS.str().find("candidate plans: 3 (bindings tried: 10)"),
+            std::string::npos);
+  metrics::disable();
+  metrics::reset();
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,14 +3,17 @@
 /// The ServiceIndex contract: candidates() returns a sorted superset of
 /// the compliant locations, the pre-screens never reject a pair the full
 /// Def. 4 check accepts, an indexed enumeration (under a compliance
-/// filter) emits bit-for-bit the plan set a repository scan emits, and an
-/// incrementally patched index answers like a freshly rebuilt one.
+/// filter) emits bit-for-bit the plan set a repository scan emits, the
+/// Verifier's screened scan reports bit-for-bit what an unscreened scan
+/// reports, and an incrementally patched index answers like a freshly
+/// rebuilt one.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "contract/Compliance.h"
 #include "contract/Prescreen.h"
 #include "core/HotelExample.h"
+#include "core/Verifier.h"
 #include "plan/PlanEnumerator.h"
 #include "plan/RepositoryDelta.h"
 #include "plan/RequestExtract.h"
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -268,6 +272,75 @@ TEST(PlanIndexDifferential, IndexedEnumerationMatchesScanOver100Seeds) {
     EXPECT_LE(IndexResult.BindingsTried, ScanResult.BindingsTried)
         << "seed " << Seed;
   }
+}
+
+TEST(PlanIndexDifferential, ScreenedScanMatchesUnscreenedScanOver100Seeds) {
+  size_t ScreenedOut = 0;
+  for (unsigned Seed = 0; Seed < 100; ++Seed) {
+    HistContext Ctx;
+    Lcg Rng{Seed * 0xBF58476D1CE4E5B9ULL + 3};
+    Repository Repo = randomRepository(Ctx, Rng, 8 + Seed % 5);
+    const Expr *Client = randomClient(Ctx, Rng, 1 + Seed % 3);
+    Loc ClientLoc = Ctx.symbol("client");
+    policy::PolicyRegistry Registry;
+
+    // Production: the Verifier's scan, screening every binding first.
+    core::Verifier Screened(Ctx, Repo, Registry);
+    core::VerificationReport Report = Screened.verifyClient(Client, ClientLoc);
+
+    // Oracle: the same scan through the unscreened product filter, its
+    // plans checked by a second verifier with a cache of its own.
+    ComplianceFilter Filter{Ctx, {}};
+    EnumeratorOptions Scan;
+    Scan.MaxPlans = core::VerifierOptions().MaxPlans;
+    Scan.Filter = std::ref(Filter);
+    EnumerationResult Unscreened = enumeratePlans(Client, Repo, Scan);
+    core::Verifier Checker(Ctx, Repo, Registry);
+    core::VerificationReport Oracle;
+    Oracle.CandidateCount = Unscreened.Plans.size();
+    Oracle.BindingsTried = Unscreened.BindingsTried;
+    Oracle.Truncated = Unscreened.Truncated;
+    Oracle.Verdicts = Checker.checkPlans(Client, ClientLoc, Unscreened.Plans);
+
+    std::vector<Plan> ScreenedPlans;
+    for (const core::PlanVerdict &V : Report.Verdicts)
+      ScreenedPlans.push_back(V.Pi);
+    EXPECT_EQ(ScreenedPlans, Unscreened.Plans) << "seed " << Seed;
+    EXPECT_EQ(Report.BindingsTried, Unscreened.BindingsTried)
+        << "seed " << Seed;
+    std::ostringstream A, B;
+    core::printReport(Report, Ctx, A);
+    core::printReport(Oracle, Ctx, B);
+    EXPECT_EQ(A.str(), B.str()) << "seed " << Seed;
+
+    size_t Computes = Screened.stats().complianceComputes();
+    EXPECT_LE(Computes, Filter.Memo.size()) << "seed " << Seed;
+    ScreenedOut += Filter.Memo.size() - std::min(Computes, Filter.Memo.size());
+  }
+  // Not vacuous: the screens saved products somewhere in the sweep.
+  EXPECT_GT(ScreenedOut, 0u);
+}
+
+TEST_F(ServiceIndexTest, IndexedVerifierScreensNothingTwice) {
+  // Index candidates passed the screens inside the index, so the indexed
+  // path's filter goes straight to the product: the VerifierCache builds
+  // no summary at all, while a scan summarizes every service it tries.
+  core::VerifierOptions Indexed;
+  Indexed.UseIndex = true;
+  core::Verifier IV(Ctx, Ex.Repo, Ex.Registry, Indexed);
+  core::Verifier SV(Ctx, Ex.Repo, Ex.Registry);
+  for (const auto &[Client, Loc] :
+       {std::make_pair(Ex.C1, Ex.LC1), std::make_pair(Ex.C2, Ex.LC2)}) {
+    core::VerificationReport I = IV.verifyClient(Client, Loc);
+    core::VerificationReport S = SV.verifyClient(Client, Loc);
+    EXPECT_EQ(I.validPlans(), S.validPlans());
+    EXPECT_LE(I.BindingsTried, S.BindingsTried);
+  }
+  for (const auto &[L, Service] : Ex.Repo.services()) {
+    EXPECT_FALSE(IV.cache()->hasSummary(Service));
+    EXPECT_TRUE(SV.cache()->hasSummary(Service));
+  }
+  EXPECT_EQ(IV.stats().complianceComputes(), SV.stats().complianceComputes());
 }
 
 TEST_F(ServiceIndexTest, IndexedHotelEnumerationMatchesScan) {

@@ -11,6 +11,7 @@
 #include "core/HotelExample.h"
 #include "core/Repair.h"
 #include "plan/RepositoryDelta.h"
+#include "plan/RequestExtract.h"
 
 #include <gtest/gtest.h>
 
@@ -72,6 +73,17 @@ TEST_F(RepairTest, EvictionTouchesExactlyTheStaleEntries) {
   size_t MentionS3 = plansMentioning(Baseline, {Ex.LS3});
   ASSERT_GT(MentionS3, 0u);
 
+  // The compliance verdicts keyed on S3 are the pairs the pruning filter
+  // paid a product for; the screens refute some pairs before that, so
+  // count what the cache actually holds rather than what was scanned.
+  size_t StaleCompliance = 0;
+  for (const VerifierCache::ComplianceEntry &E :
+       V.cache()->exportEntries().Compliances)
+    if (E.Service == Ex.S3)
+      ++StaleCompliance;
+  ASSERT_GE(StaleCompliance, 1u);
+  ASSERT_TRUE(V.cache()->hasSummary(Ex.S3));
+
   // Re-version s3 with S4's behaviour: the old S3 expression is retired
   // (nobody else publishes it).
   RepositoryDelta Delta;
@@ -80,12 +92,17 @@ TEST_F(RepairTest, EvictionTouchesExactlyTheStaleEntries) {
 
   // Validity: exactly the cached verdicts whose plan binds s3.
   EXPECT_EQ(Evicted.ValidityEvicted, MentionS3);
-  // Compliance: the pruning filter checked S3 against the bodies of
-  // request 1 and request 3 — two pairs, both keyed on the retired expr.
-  EXPECT_EQ(Evicted.ComplianceEvicted, 2u);
-  // Projection: S3's own projection; the request-body projections are
+  // Compliance: exactly the memoized verdicts against the retired expr.
+  EXPECT_EQ(Evicted.ComplianceEvicted, StaleCompliance);
+  // Projection and summary: S3's own; the request-body ones are
   // client-side and must survive.
   EXPECT_EQ(Evicted.ProjectionEvicted, 1u);
+  EXPECT_EQ(Evicted.SummaryEvicted, 1u);
+  EXPECT_FALSE(V.cache()->hasSummary(Ex.S3));
+  for (const Expr *Behaviour : {Ex.C1, Ex.Br})
+    for (const RequestSite &Site : extractRequests(Behaviour))
+      EXPECT_TRUE(V.cache()->hasSummary(Site.body()))
+          << "request " << Site.id();
 }
 
 TEST_F(RepairTest, AddingAServiceEvictsNothing) {
