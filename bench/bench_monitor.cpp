@@ -148,14 +148,8 @@ Workload &workload() {
 const monitor::FusedPolicyAutomaton &fused() {
   static monitor::FusedPolicyAutomaton F = [] {
     Workload &W = workload();
-    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-        W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
-    if (!Out.ok()) {
-      std::fprintf(stderr, "bench_monitor: fusion refused: %s\n",
-                   Out.exhausted().str().c_str());
-      std::abort();
-    }
-    return Out.takeValue();
+    return monitor::fusePolicies(W.Registry, W.Ctx.interner(), W.Refs,
+                                 W.Universe);
   }();
   return F;
 }
@@ -240,10 +234,10 @@ void BM_Fusion(benchmark::State &State) {
   Workload &W = workload();
   size_t PartStates = 0;
   for (auto _ : State) {
-    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
+    monitor::FusedPolicyAutomaton F = monitor::fusePolicies(
         W.Registry, W.Ctx.interner(), W.Refs, W.Universe);
     PartStates = 0;
-    for (const automata::Dfa &Part : Out.value().Parts)
+    for (const automata::Dfa &Part : F.Parts)
       PartStates += Part.numStates();
     benchmark::DoNotOptimize(PartStates);
   }

@@ -79,14 +79,6 @@ std::string core::saveSnapshot(const hist::HistContext &Ctx,
     ++S.IndexEntries;
   }
 
-  Writer FusdW;
-  auto Fused = Cache.fusedMonitors().snapshot();
-  FusdW.putU32(static_cast<uint32_t>(Fused.size()));
-  for (const auto &F : Fused) {
-    encodeFused(FusdW, Strings, *F);
-    ++S.FusedMonitors;
-  }
-
   // Order matters: ExprEncoder::payload() registers the symbols its
   // records mention, so the Exprs payload must be rendered before the
   // Strings payload is captured (the container still stores Strings
@@ -102,7 +94,6 @@ std::string core::saveSnapshot(const hist::HistContext &Ctx,
   Container.addSection(SectionTag::Compliances, CompW.take());
   Container.addSection(SectionTag::Validities, ValdW.take());
   Container.addSection(SectionTag::Index, IndxW.take());
-  Container.addSection(SectionTag::Fused, FusdW.take());
 
   std::string Bytes = Container.finish();
   S.Bytes = Bytes.size();
@@ -314,30 +305,8 @@ SnapshotLoadResult core::loadSnapshot(std::string_view Bytes,
     Out.Stats.IndexEntries = Out.IndexEntries.size();
   }
 
-  std::vector<monitor::FusedPolicyAutomaton> Fused;
-  if (auto Sec = Container.section(SectionTag::Fused)) {
-    Reader R(*Sec);
-    uint32_t Count = R.getU32();
-    if (!R.checkCount(Count, 16, "fused monitor"))
-      return fail("fused section: " + R.error());
-    for (uint32_t I = 0; I < Count && !R.failed(); ++I) {
-      monitor::FusedPolicyAutomaton F = decodeFused(R, Strings);
-      if (R.failed())
-        break;
-      Fused.push_back(std::move(F));
-    }
-    if (!sectionDone(R, "fused", Out.Error)) {
-      Out.IndexEntries.clear();
-      return Out;
-    }
-    Out.Stats.FusedMonitors = Fused.size();
-  }
-
   // Every section validated: absorb. Live entries win over the snapshot.
   Cache.absorb(Staged);
-  for (monitor::FusedPolicyAutomaton &F : Fused)
-    Cache.fusedMonitors().restore(
-        std::make_shared<const monitor::FusedPolicyAutomaton>(std::move(F)));
 
   Out.Ok = true;
   Out.Stats.Bytes = Bytes.size();

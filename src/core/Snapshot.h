@@ -4,8 +4,8 @@
 /// Whole-session snapshot save/load on top of the serialize/ layer: one
 /// blob captures the repository signature, the VerifierCache memo tables
 /// (projections, compliance verdicts with witnesses, static-validity
-/// verdicts), the ServiceIndex summaries and the fused monitor DFAs, so
-/// a restarted susd resumes with a warm cache (DESIGN.md §13).
+/// verdicts) and the ServiceIndex summaries, so a restarted susd resumes
+/// with a warm cache (DESIGN.md §13).
 ///
 /// Loading is *all-or-nothing*: every section is decoded and validated
 /// into staging first, and only a fully valid snapshot is absorbed into
@@ -46,12 +46,11 @@ struct SnapshotStats {
   size_t Compliances = 0;
   size_t Validities = 0;
   size_t IndexEntries = 0;
-  size_t FusedMonitors = 0;
   size_t Bytes = 0;
 };
 
 /// Serializes the session: repository signature, cache memo tables, the
-/// index summaries (when \p Index is non-null) and the fused monitors.
+/// index summaries (when \p Index is non-null).
 std::string saveSnapshot(const hist::HistContext &Ctx,
                          const plan::Repository &Repo,
                          const VerifierCache &Cache,

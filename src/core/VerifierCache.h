@@ -26,7 +26,6 @@
 
 #include "contract/Compliance.h"
 #include "contract/Prescreen.h"
-#include "monitor/Fused.h"
 #include "plan/Plan.h"
 #include "plan/RepositoryDelta.h"
 #include "support/Sync.h"
@@ -129,12 +128,6 @@ public:
   EvictionStats invalidate(const plan::RepositoryDelta &Delta,
                            const plan::Repository &Current);
 
-  /// Fused runtime-monitor DFAs keyed by policy-set fingerprint, shared
-  /// by every session this cache serves (monitor::FusedCache is itself
-  /// thread-safe, so no VerifierCache lock is involved).
-  monitor::FusedCache &fusedMonitors() { return FusedMonitors; }
-  const monitor::FusedCache &fusedMonitors() const { return FusedMonitors; }
-
   /// One memoized compliance verdict, keys flattened for serialization.
   struct ComplianceEntry {
     const hist::Expr *RequestBody = nullptr;
@@ -201,8 +194,7 @@ private:
   /// Leaf lock over the memo tables and stats. Held across a compliance
   /// product on a miss (the pre-warm serialization the parallel pipeline
   /// relies on), but never while calling back into user code, and no
-  /// other lock is ever taken under it (FusedMonitors synchronizes
-  /// itself and is deliberately outside M's scope).
+  /// other lock is ever taken under it.
   mutable Mutex M;
   VerifierStats Stats SUS_GUARDED_BY(M);
   std::map<const hist::Expr *, const hist::Expr *>
@@ -215,7 +207,6 @@ private:
       Compliances SUS_GUARDED_BY(M);
   std::map<ValidityKey, validity::StaticValidityResult>
       Validities SUS_GUARDED_BY(M);
-  monitor::FusedCache FusedMonitors;
 };
 
 } // namespace core

@@ -212,8 +212,7 @@ Response Engine::snapshot(const Request &R) {
   OS << "snapshot: " << Stats.Bytes << " bytes to '" << Path << "' ("
      << Stats.Projections << " projections, " << Stats.Compliances
      << " compliances, " << Stats.Validities << " validities, "
-     << Stats.IndexEntries << " index entries, " << Stats.FusedMonitors
-     << " fused monitors)\n";
+     << Stats.IndexEntries << " index entries)\n";
   return replyWith(OS);
 }
 
@@ -226,9 +225,6 @@ Response Engine::stats(const Request &R) {
      << " hits, projection " << C.ProjectionHits << "/" << C.ProjectionLookups
      << " hits, validity " << C.ValidityHits << "/" << C.ValidityLookups
      << " hits\n";
-  monitor::FusedCache::Stats F = V.cache()->fusedMonitors().stats();
-  OS << "fused: " << F.Fusions << " fusions, " << F.Hits << "/" << F.Lookups
-     << " hits, " << F.Refusals << " refusals\n";
   if (const plan::ServiceIndex *Index = V.index()) {
     plan::IndexStats IStats = Index->stats();
     OS << "index: " << Index->size() << " services, " << IStats.Lookups

@@ -4,11 +4,7 @@
 
 #include "core/Verifier.h"
 #include "core/VerifierCache.h"
-#include "monitor/Fused.h"
-#include "monitor/SessionMonitor.h"
 #include "plan/RequestExtract.h"
-#include "policy/Compile.h"
-#include "policy/Validity.h"
 #include "support/ResourceGovernor.h"
 
 #include <chrono>
@@ -132,63 +128,6 @@ void soakClient(hist::HistContext &Ctx, const syntax::SusFile &File,
                       " changed after tripped runs shared the cache"});
 }
 
-/// A fusion refused under a tripped governor must not be recorded; the
-/// next ungoverned fuse through the same cache must compute it fresh and
-/// agree with the legacy probe.
-void soakFusedCache(hist::HistContext &Ctx, const syntax::SusFile &File,
-                    std::mt19937_64 &Rng, std::vector<Divergence> &Out) {
-  std::vector<const hist::Expr *> Behaviors;
-  for (plan::Loc L : File.Repo.locations())
-    Behaviors.push_back(File.Repo.find(L));
-  for (const auto &[N, E] : File.Clients)
-    Behaviors.push_back(E);
-  std::vector<hist::PolicyRef> Refs = monitor::collectPolicyRefs(Behaviors);
-  std::vector<hist::Event> Universe = policy::eventUniverse(Behaviors);
-  if (Refs.empty() || Universe.empty())
-    return;
-
-  monitor::FusedCache Cache;
-  ResourceGovernor Tripped;
-  Tripped.setDeadlineAfterMillis(0);
-  monitor::FuseOptions TrippedOpts;
-  TrippedOpts.Gov = &Tripped;
-  auto Refused =
-      Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe, TrippedOpts);
-  if (Refused != nullptr) {
-    Out.push_back({"chaos", "fusion succeeded under an already-expired "
-                            "deadline governor"});
-    return;
-  }
-  if (Cache.stats().Fusions != 0) {
-    Out.push_back({"chaos", "refused fusion was recorded in the FusedCache"});
-    return;
-  }
-
-  auto Full = Cache.fuse(File.Registry, Ctx.interner(), Refs, Universe);
-  if (!Full)
-    return; // Ungoverned refusal = genuine capacity limit, not pollution.
-  if (Cache.stats().Fusions != 1) {
-    Out.push_back(
-        {"chaos", "ungoverned fuse after a refusal did not compute fresh"});
-    return;
-  }
-
-  // The post-refusal fusion must still agree with the legacy probe.
-  monitor::SessionMonitor Monitor(*Full);
-  policy::ValidityChecker Legacy(File.Registry, Ctx.interner());
-  for (unsigned I = 0; I < 16; ++I) {
-    hist::Label L =
-        hist::Label::event(Universe[Rng() % Universe.size()]);
-    Legacy.append(L);
-    Monitor.advance(L);
-    if (Legacy.isValid() != !Monitor.isViolated()) {
-      Out.push_back({"chaos", "post-refusal fused DFA disagrees with the "
-                              "legacy probe"});
-      return;
-    }
-  }
-}
-
 } // namespace
 
 void sus::fuzz::chaosSoak(hist::HistContext &Ctx, const syntax::SusFile &File,
@@ -197,5 +136,4 @@ void sus::fuzz::chaosSoak(hist::HistContext &Ctx, const syntax::SusFile &File,
   std::mt19937_64 Rng(Seed * 0xbf58476d1ce4e5b9ull + 7);
   for (const auto &[Name, Client] : File.Clients)
     soakClient(Ctx, File, Name, Client, Rng, Rounds, Out);
-  soakFusedCache(Ctx, File, Rng, Out);
 }

@@ -12,8 +12,7 @@
 ///      same plan. A tripped run may know less, never something wrong.
 ///   2. No cache pollution: after any number of tripped runs, a clean
 ///      verifier sharing the same cache reproduces the ungoverned report
-///      element-wise; and a fusion refused under a tripped governor is
-///      never recorded in the FusedCache.
+///      element-wise.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -186,9 +186,9 @@ void bpaOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   }
 }
 
-/// Oracle 3: the fused-DFA session monitor and the legacy per-policy
-/// validity probe must agree on every label of a random trace — both on
-/// the would-admit probes and on the committed verdicts.
+/// Oracle 3: the fused-DFA session monitor and the ValidityChecker oracle
+/// must agree on every label of a random trace — both on the would-admit
+/// probes and on the committed verdicts.
 void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
                    uint64_t Seed, unsigned TraceLen,
                    std::vector<Divergence> &Out) {
@@ -198,8 +198,7 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   if (Refs.empty() || Universe.empty())
     return;
 
-  // Ungoverned fusion never refuses.
-  Outcome<monitor::FusedPolicyAutomaton> Fused =
+  monitor::FusedPolicyAutomaton Fused =
       monitor::fusePolicies(File.Registry, Ctx.interner(), Refs, Universe);
 
   // Pool of framing refs to open/close mid-trace: every collected ref,
@@ -212,7 +211,7 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   OpenPool.push_back(hist::PolicyRef());
 
   std::mt19937_64 Rng(Seed * 0x9e3779b97f4a7c15ull + 1);
-  monitor::SessionMonitor Monitor(Fused.value());
+  monitor::SessionMonitor Monitor(Fused);
   policy::ValidityChecker Legacy(File.Registry, Ctx.interner());
 
   for (unsigned I = 0; I < TraceLen; ++I) {
@@ -257,6 +256,46 @@ void monitorOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
         {"monitor", "chunked probe disagreement on a 6-label lookahead"});
 }
 
+/// Oracle 4: the Interpreter's monitor. Each client runs alone under a
+/// random plan that binds every request site of the file to a random
+/// published service or to one location nothing is published at, so runs
+/// both block on policies and stop at plan gaps. Every client is run with
+/// the monitor on and off, in a random choice mode.
+void interpreterOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
+                       uint64_t Seed, unsigned MaxSteps,
+                       std::vector<Divergence> &Out) {
+  std::vector<plan::Loc> Targets = File.Repo.locations();
+  Targets.push_back(Ctx.symbol("unpublished_service"));
+  std::vector<plan::RequestSite> Sites;
+  for (const hist::Expr *E : allBehaviors(File)) {
+    std::vector<plan::RequestSite> Found = plan::extractRequests(E);
+    Sites.insert(Sites.end(), Found.begin(), Found.end());
+  }
+
+  std::mt19937_64 Rng(Seed * 0x94d049bb133111ebull + 3);
+  for (const auto &[Name, Client] : File.Clients) {
+    plan::Plan Pi;
+    for (const plan::RequestSite &Site : Sites)
+      Pi.rebind(Site.id(), Targets[Rng() % Targets.size()]);
+    net::InterpreterOptions Opts;
+    Opts.CommittedInternalChoice = Rng() % 2 == 0;
+    for (bool Monitor : {true, false}) {
+      Opts.MonitorEnabled = Monitor;
+      net::Interpreter Interp(Ctx, File.Repo, File.Registry,
+                              {{Name, Client, Pi}}, Opts);
+      std::string Diff = checkInterpreterMonitor(
+          Interp, File.Registry, Ctx.interner(), Rng(), MaxSteps);
+      if (!Diff.empty()) {
+        Out.push_back({"interpreter",
+                       "client " + std::string(Ctx.interner().text(Name)) +
+                           " under " + Pi.str(Ctx.interner()) + " (monitor " +
+                           (Monitor ? "on" : "off") + "): " + Diff});
+        return;
+      }
+    }
+  }
+}
+
 /// Verifies every client through a dedicated verifier over \p Cache and
 /// renders the full report stream. Byte equality of this string across a
 /// snapshot round trip is the warm-restart contract (DESIGN.md §13).
@@ -270,7 +309,7 @@ std::string verifyAllInto(hist::HistContext &Ctx, const syntax::SusFile &File,
   return OS.str();
 }
 
-/// Oracle 4: persistence. A snapshot cut after a cold verification must
+/// Oracle 5: persistence. A snapshot cut after a cold verification must
 /// reload into a *fresh* context (simulating a restarted process) and the
 /// warm verifier must reproduce the cold verdict stream byte for byte.
 /// Then a seeded corruption battery — single-bit flips and truncations of
@@ -285,12 +324,6 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   auto ColdCache = std::make_shared<core::VerifierCache>();
   core::Verifier Cold(Ctx, File.Repo, File.Registry, VOpts, ColdCache);
   std::string ColdText = verifyAllInto(Ctx, File, Cold);
-  // A fused monitor puts the fused section (per-policy DFAs) under the
-  // round trip and the corruption battery.
-  std::vector<const hist::Expr *> Behaviors = allBehaviors(File);
-  ColdCache->fusedMonitors().fuse(File.Registry, Ctx.interner(),
-                                  monitor::collectPolicyRefs(Behaviors),
-                                  policy::eventUniverse(Behaviors));
   std::string Bytes =
       core::saveSnapshot(Ctx, File.Repo, *ColdCache, Cold.index());
   if (Bytes.empty()) {
@@ -381,11 +414,51 @@ bool sus::fuzz::checkSource(const std::string &Source, uint64_t Seed,
   complianceOracle(*Ctx, *File, Out);
   bpaOracle(*Ctx, *File, Opts.BpaTraceDepth, Out);
   monitorOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
+  interpreterOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
   if (Opts.Snapshot)
     snapshotOracle(*Ctx, *File, Source, Seed, Opts, Out);
   if (Opts.Chaos)
     chaosSoak(*Ctx, *File, Seed, Opts.ChaosRounds, Out);
   return true;
+}
+
+std::string sus::fuzz::checkInterpreterMonitor(
+    net::Interpreter &Interp, const policy::PolicyRegistry &Registry,
+    const StringInterner &Interner, uint64_t Seed, unsigned MaxSteps) {
+  bool Monitor = Interp.options().MonitorEnabled;
+  std::vector<policy::ValidityChecker> Oracles;
+  Oracles.reserve(Interp.numComponents());
+  for (size_t C = 0; C < Interp.numComponents(); ++C)
+    Oracles.emplace_back(Registry, Interner);
+
+  std::mt19937_64 Rng(Seed);
+  for (unsigned N = 0; N < MaxSteps; ++N) {
+    std::vector<net::Step> All = Interp.steps();
+    std::vector<const net::Step *> Applicable;
+    for (const net::Step &S : All) {
+      bool Blocked = Monitor && !Oracles[S.Component].wouldRemainValidAll(
+                                    S.HistoryAppend);
+      if (S.Blocked != Blocked)
+        return "step " + std::to_string(N) + " '" + S.Desc + "' is " +
+               (S.Blocked ? "blocked" : "admitted") +
+               " by the monitor, the oracle says the opposite";
+      if (!S.PlanGap && !S.CapacityBlocked && !(Monitor && S.Blocked))
+        Applicable.push_back(&S);
+    }
+    if (Applicable.empty())
+      break;
+    const net::Step &S = *Applicable[Rng() % Applicable.size()];
+    if (!Interp.apply(S))
+      return "applicable step '" + S.Desc + "' failed to apply";
+    for (const hist::Label &L : S.HistoryAppend)
+      Oracles[S.Component].append(L);
+  }
+  for (size_t C = 0; C < Interp.numComponents(); ++C)
+    if (Interp.isViolated(C) != !Oracles[C].isValid())
+      return "component " + std::to_string(C) + " is " +
+             (Interp.isViolated(C) ? "violated" : "valid") +
+             ", the oracle says the opposite of its final history";
+  return "";
 }
 
 SeedReport sus::fuzz::runSeed(uint64_t Seed, const FuzzOptions &Opts) {

@@ -11,8 +11,11 @@
 ///                procedure rejects the same pair;
 ///   bpa          hist::derive trace prefixes vs. the BPA translation's
 ///                (plus canPerform spot checks on sampled BPA traces);
-///   monitor      fused-DFA session monitor vs. the legacy per-policy
-///                validity probe, label by label over a random trace;
+///   monitor      fused-DFA session monitor vs. the ValidityChecker
+///                oracle, label by label over a random trace;
+///   interpreter  the Interpreter's monitor vs. the ValidityChecker
+///                oracle, step by step over a random run per client
+///                under a random plan (blocking and plan gaps included);
 ///   snapshot     a cache snapshot cut after a cold verification must
 ///                reload into a fresh context and reproduce the exact
 ///                verdict stream — and seeded bit-flips / truncations
@@ -29,6 +32,7 @@
 #define SUS_FUZZ_DIFFERENTIAL_H
 
 #include "fuzz/Generator.h"
+#include "net/Interpreter.h"
 
 #include <functional>
 #include <string>
@@ -41,7 +45,8 @@ namespace fuzz {
 struct FuzzOptions {
   GeneratorOptions Gen;
   unsigned BpaTraceDepth = 4;   ///< Trace-prefix comparison depth.
-  unsigned MonitorTraceLen = 48; ///< Labels fed to the monitor pair.
+  unsigned MonitorTraceLen = 48; ///< Labels fed to the monitor pair,
+                                 ///< and steps per interpreter run.
   bool Chaos = true;            ///< Run the governor chaos soak too.
   unsigned ChaosRounds = 2;     ///< Governed rounds per client.
   bool Snapshot = true;         ///< Run the snapshot round-trip oracle.
@@ -52,7 +57,7 @@ struct FuzzOptions {
 /// One oracle disagreement (or unexpected parser outcome).
 struct Divergence {
   std::string Check; ///< "parse", "compliance", "prescreen", "bpa",
-                     ///< "monitor", "snapshot", "chaos".
+                     ///< "monitor", "interpreter", "snapshot", "chaos".
   std::string Detail;
 };
 
@@ -72,6 +77,18 @@ struct SeedReport {
 /// Returns false when the program did not even parse.
 bool checkSource(const std::string &Source, uint64_t Seed,
                  const FuzzOptions &Opts, std::vector<Divergence> &Out);
+
+/// Drives \p Interp with a random scheduler seeded by \p Seed for up to
+/// \p MaxSteps applied steps and checks its monitor against one
+/// ValidityChecker per component fed the same history. At every state
+/// each offered step's Blocked must equal !wouldRemainValidAll(its
+/// history labels) while the monitor is on (and be false while it is
+/// off); at the end isViolated must equal the checker's verdict. Returns
+/// the first disagreement, or an empty string.
+std::string checkInterpreterMonitor(net::Interpreter &Interp,
+                                    const policy::PolicyRegistry &Registry,
+                                    const StringInterner &Interner,
+                                    uint64_t Seed, unsigned MaxSteps);
 
 /// Generates the program for \p Seed, runs the oracles, and minimizes on
 /// failure.

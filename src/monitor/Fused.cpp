@@ -27,11 +27,6 @@ int FusedPolicyAutomaton::policyBit(const PolicyRef &Ref) const {
   return static_cast<int>(It - Policies.begin());
 }
 
-bool FusedPolicyAutomaton::isUnknown(const PolicyRef &Ref) const {
-  return std::binary_search(UnknownPolicies.begin(), UnknownPolicies.end(),
-                            Ref);
-}
-
 void sus::monitor::canonicalizePolicySet(std::vector<PolicyRef> &Refs,
                                          std::vector<Event> &Universe) {
   Refs.erase(std::remove_if(Refs.begin(), Refs.end(),
@@ -313,24 +308,20 @@ void FusedPolicyAutomaton::finalize(uint64_t MaxStates) {
 // Fusion and the cache
 //===----------------------------------------------------------------------===//
 
-Outcome<FusedPolicyAutomaton>
+FusedPolicyAutomaton
 sus::monitor::fusePolicies(const policy::PolicyRegistry &Registry,
                            const StringInterner &Interner,
                            std::vector<PolicyRef> Refs,
-                           std::vector<Event> Universe,
-                           const FuseOptions &Opts) {
+                           std::vector<Event> Universe, uint64_t MaxStates) {
   trace::Span Span("monitor.fuse", "monitor");
   canonicalizePolicySet(Refs, Universe);
-  if (Opts.Gov)
-    if (auto E = Opts.Gov->poll())
-      return *E;
 
   FusedPolicyAutomaton F;
   F.Universe = std::move(Universe);
   F.Fingerprint = policySetFingerprint(Refs, F.Universe);
 
   // Resolve each reference; uninstantiable ones need no automaton (their
-  // frame-open is a violation by construction, matching the legacy path).
+  // frame-open is a violation by construction, as in ValidityChecker).
   // compilePolicy is total over the dense codes 0..|Universe|-1 and
   // minimize preserves totality (it completes over the effective alphabet
   // first), so the product never sees a missing transition.
@@ -346,16 +337,10 @@ sus::monitor::fusePolicies(const policy::PolicyRegistry &Registry,
         automata::minimize(policy::compilePolicy(*Inst, F.Universe).Automaton);
     SUS_AUDIT_AUTOMATON(Part);
     PartStates += Part.numStates();
-    if (Opts.Gov) {
-      if (auto E = Opts.Gov->charge(ResourceKind::ProductStates, PartStates))
-        return *E;
-      if (auto E = Opts.Gov->poll())
-        return *E;
-    }
     F.Policies.push_back(Ref);
     F.Parts.push_back(std::move(Part));
   }
-  F.finalize(Opts.MaxStates);
+  F.finalize(MaxStates);
 
   if (metrics::enabled())
     metrics::counter("monitor.fusions").add();
@@ -391,7 +376,7 @@ bool fusedFrom(const FusedPolicyAutomaton &F, const std::vector<PolicyRef> &Refs
 std::shared_ptr<const FusedPolicyAutomaton>
 FusedCache::fuse(const policy::PolicyRegistry &Registry,
                  const StringInterner &Interner, std::vector<PolicyRef> Refs,
-                 std::vector<Event> Universe, const FuseOptions &Opts) {
+                 std::vector<Event> Universe, uint64_t MaxStates) {
   canonicalizePolicySet(Refs, Universe);
   uint64_t Fp = policySetFingerprint(Refs, Universe);
   {
@@ -407,17 +392,8 @@ FusedCache::fuse(const policy::PolicyRegistry &Registry,
   }
   // Fuse outside the lock: a racing duplicate fusion is cheaper than
   // serializing every session open behind one compilation.
-  Outcome<FusedPolicyAutomaton> Fused =
-      fusePolicies(Registry, Interner, Refs, Universe, Opts);
-  if (!Fused) {
-    MutexLock Lock(M);
-    ++S.Refusals;
-    if (metrics::enabled())
-      metrics::counter("monitor.fusion_fallbacks").add();
-    return nullptr;
-  }
-  auto Shared =
-      std::make_shared<const FusedPolicyAutomaton>(Fused.takeValue());
+  auto Shared = std::make_shared<const FusedPolicyAutomaton>(
+      fusePolicies(Registry, Interner, Refs, Universe, MaxStates));
   MutexLock Lock(M);
   ++S.Fusions;
   auto [It, Inserted] = Entries.emplace(Fp, Shared);
@@ -440,12 +416,4 @@ FusedCache::snapshot() const {
   for (const auto &[Fp, Fused] : Entries)
     Out.push_back(Fused);
   return Out;
-}
-
-void FusedCache::restore(
-    std::shared_ptr<const FusedPolicyAutomaton> Fused) {
-  if (!Fused)
-    return;
-  MutexLock Lock(M);
-  Entries.emplace(Fused->Fingerprint, std::move(Fused));
 }

@@ -16,19 +16,16 @@
 /// Soundness contract: offending states of usage automata are absorbing,
 /// so per-policy acceptance is prefix-sticky and survives language-
 /// preserving minimization. The fused monitor is exact — it blocks a
-/// label iff the legacy ValidityChecker probe would (MonitorDiffTest
-/// proves this bit-for-bit) — *provided the universe is closed*: every
-/// event the session can fire must be in the fusion universe, because an
-/// unseen event could match wildcard or guard edges. Callers that cannot
-/// guarantee closure must not enable the fused path (net::Interpreter
-/// validates closure up front and falls back to the legacy probe).
+/// label iff the ValidityChecker oracle would (MonitorDiffTest proves
+/// this bit-for-bit) — *provided the universe is closed*: every event the
+/// session can fire must be in the fusion universe, because an unseen
+/// event could match wildcard or guard edges. net::Interpreter closes it
+/// by construction: it fuses over the event universe of its own clients
+/// and every published service.
 ///
-/// Memory is capped, verdicts are not: once the memo holds
-/// FuseOptions::MaxStates states, a session that needs a new one steps
-/// the per-policy DFAs directly (SessionMonitor's past-cap path). Only a
-/// ResourceGovernor (deadline, cancellation, ProductStates budget on the
-/// per-policy compilation) can refuse a fusion; callers then fall back to
-/// the legacy probe.
+/// Fusion always succeeds. Memory is capped, verdicts are not: once the
+/// memo holds MaxStates states, a session that needs a new one steps the
+/// per-policy DFAs directly (SessionMonitor's past-cap path).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +36,6 @@
 #include "hist/Action.h"
 #include "hist/Expr.h"
 #include "policy/UsageAutomaton.h"
-#include "support/ResourceGovernor.h"
 #include "support/Sync.h"
 
 #include <atomic>
@@ -52,18 +48,10 @@
 namespace sus {
 namespace monitor {
 
-/// Knobs for one fusion.
-struct FuseOptions {
-  /// Governs the per-policy compilation (ProductStates budget charged
-  /// with the summed part states, deadline, cancellation). Null =
-  /// ungoverned: fusion then never refuses.
-  const ResourceGovernor *Gov = nullptr;
-
-  /// Memory cap of the product memo, in materialized states (at least
-  /// the start state is always kept). Past it sessions step the
-  /// per-policy DFAs directly; verdicts are unaffected.
-  uint64_t MaxStates = 1u << 20;
-};
+/// Default memory cap of a product memo, in materialized states (at
+/// least the start state is always kept). Past it sessions step the
+/// per-policy DFAs directly; verdicts are unaffected.
+constexpr uint64_t DefaultMaxFusedStates = 1u << 20;
 
 /// One materialized product state. Everything but the successor row is
 /// written before the state is published and immutable afterwards; each
@@ -120,7 +108,7 @@ struct FusedPolicyAutomaton {
 
   /// Per fused policy, its minimized DFA over the universe (total; a
   /// state accepts iff the policy is offending there). Parts[i] decides
-  /// Policies[i]. This, not the memo, is what a snapshot stores.
+  /// Policies[i].
   std::vector<automata::Dfa> Parts;
 
   /// The fused non-trivial, instantiable policies (sorted, distinct);
@@ -153,14 +141,6 @@ struct FusedPolicyAutomaton {
   /// Mask bit of \p Ref, or -1 when not fused.
   int policyBit(const hist::PolicyRef &Ref) const;
 
-  /// True when \p Ref was referenced but uninstantiable.
-  bool isUnknown(const hist::PolicyRef &Ref) const;
-
-  /// True when \p Ref is decidable here: fused, or known-uninstantiable.
-  bool covers(const hist::PolicyRef &Ref) const {
-    return Ref.isTrivial() || policyBit(Ref) >= 0 || isUnknown(Ref);
-  }
-
   /// Offending-mask words per state: ceil(|Policies| / 64), at least 1.
   size_t maskWords() const {
     return Policies.size() <= 64 ? 1 : (Policies.size() + 63) / 64;
@@ -180,9 +160,9 @@ struct FusedPolicyAutomaton {
   /// a miss; null when that would exceed the memo cap.
   const FusedState *successor(const FusedState *From, uint32_t Idx) const;
 
-  /// Rebuilds EventIndex from Universe and starts an empty memo over
-  /// Parts capped at \p MaxStates. fusePolicies and the snapshot decoder
-  /// call it once the fields above are final.
+  /// Builds EventIndex from Universe and starts an empty memo over Parts
+  /// capped at \p MaxStates. fusePolicies calls it once the fields above
+  /// are final.
   void finalize(uint64_t MaxStates);
 
   /// Built by finalize; exposed for hot paths that pre-translate.
@@ -199,8 +179,8 @@ void canonicalizePolicySet(std::vector<hist::PolicyRef> &Refs,
                            std::vector<hist::Event> &Universe);
 
 /// Order-independent fingerprint of a *canonicalized* policy set plus
-/// universe (the VerifierCache key for fused DFAs). Collisions are
-/// possible; FusedCache compares the actual set on every hit.
+/// universe (the FusedCache key). Collisions are possible; FusedCache
+/// compares the actual set on every hit.
 uint64_t policySetFingerprint(const std::vector<hist::PolicyRef> &Refs,
                               const std::vector<hist::Event> &Universe);
 
@@ -213,51 +193,42 @@ std::vector<hist::PolicyRef>
 collectPolicyRefs(const std::vector<const hist::Expr *> &Exprs);
 
 /// Fuses \p Refs over \p Universe (both canonicalized internally): compiles
-/// and minimizes every policy and starts an empty product memo. Returns
-/// ResourceExhausted only when Opts.Gov trips — callers fall back to the
-/// legacy probe path; ungoverned fusion always succeeds.
-Outcome<FusedPolicyAutomaton>
-fusePolicies(const policy::PolicyRegistry &Registry,
-             const StringInterner &Interner,
-             std::vector<hist::PolicyRef> Refs,
-             std::vector<hist::Event> Universe,
-             const FuseOptions &Opts = FuseOptions());
+/// and minimizes every policy and starts an empty product memo capped at
+/// \p MaxStates. Always succeeds.
+FusedPolicyAutomaton fusePolicies(const policy::PolicyRegistry &Registry,
+                                  const StringInterner &Interner,
+                                  std::vector<hist::PolicyRef> Refs,
+                                  std::vector<hist::Event> Universe,
+                                  uint64_t MaxStates = DefaultMaxFusedStates);
 
 /// Thread-safe fingerprint-keyed cache of fused DFAs, shared across
-/// sessions with the same active policy set (core::VerifierCache owns one
-/// per verification session). Exhausted fusions are never cached, so a
-/// later run with a larger budget recomputes.
+/// sessions with the same active policy set (MonitorEngine sessions, and
+/// the engines that share one cache).
 class FusedCache {
 public:
   /// Canonicalizes, then returns the cached fusion or fuses and records
-  /// it. A cached entry is returned only when its policy set and universe
-  /// equal the request's; a fingerprint collision fuses without caching.
-  /// Null when the governor refused fusion — not cached.
+  /// it; never null. A cached entry is returned only when its policy set
+  /// and universe equal the request's; a fingerprint collision fuses
+  /// without caching. A hit keeps the cap it was fused with.
   std::shared_ptr<const FusedPolicyAutomaton>
   fuse(const policy::PolicyRegistry &Registry, const StringInterner &Interner,
        std::vector<hist::PolicyRef> Refs, std::vector<hist::Event> Universe,
-       const FuseOptions &Opts = FuseOptions());
+       uint64_t MaxStates = DefaultMaxFusedStates);
 
   struct Stats {
-    size_t Lookups = 0;  ///< fuse() calls.
-    size_t Hits = 0;     ///< ... answered from the cache.
-    size_t Fusions = 0;  ///< Automata actually fused.
-    size_t Refusals = 0; ///< Fusions refused by the governor.
+    size_t Lookups = 0; ///< fuse() calls.
+    size_t Hits = 0;    ///< ... answered from the cache.
+    size_t Fusions = 0; ///< Automata actually fused.
   };
   Stats stats() const;
 
-  /// Every cached fusion, in fingerprint order (for snapshotting).
+  /// Every cached fusion, in fingerprint order.
   std::vector<std::shared_ptr<const FusedPolicyAutomaton>> snapshot() const;
-
-  /// Re-inserts a deserialized fusion under its fingerprint; an existing
-  /// entry (fused live in this process) wins.
-  void restore(std::shared_ptr<const FusedPolicyAutomaton> Fused);
 
 private:
   /// Leaf lock over the table and stats. fuse() deliberately *releases*
-  /// M while compiling the policies (which may recurse into governed
-  /// kernels), then re-locks to insert — losing a duplicate-fusion race
-  /// is cheaper than serializing every fusion.
+  /// M while compiling the policies, then re-locks to insert — losing a
+  /// duplicate-fusion race is cheaper than serializing every fusion.
   mutable Mutex M;
   mutable Stats S SUS_GUARDED_BY(M);
   std::map<uint64_t, std::shared_ptr<const FusedPolicyAutomaton>>

@@ -44,11 +44,9 @@ MonitorEngine::SessionId
 MonitorEngine::openSession(std::vector<hist::PolicyRef> Refs,
                            std::vector<hist::Event> Universe) {
   FusedCache &Cache = Opts.Cache ? *Opts.Cache : PrivateCache;
-  FuseOptions FO;
-  FO.MaxStates = Opts.MaxFusedStates;
   std::shared_ptr<const FusedPolicyAutomaton> Dfa =
-      Cache.fuse(Registry, Interner, std::move(Refs), std::move(Universe), FO);
-  assert(Dfa && "ungoverned fusion never refuses");
+      Cache.fuse(Registry, Interner, std::move(Refs), std::move(Universe),
+                 Opts.MaxFusedStates);
   Sessions.push_back({Dfa, SessionMonitor(*Dfa)});
   ++S.Sessions;
   ++S.FusedSessions;

@@ -2,10 +2,11 @@
 ///
 /// \file
 /// Runs many concurrent sessions against fused policy DFAs, sharded over
-/// the work-stealing ThreadPool. Every session runs a SessionMonitor: the
-/// fused product is built lazily and shared through the FusedCache, so no
-/// policy-set width or product size is refused (past the memo cap a
-/// session steps its per-policy DFAs directly, with the same verdicts).
+/// the work-stealing ThreadPool. Every session runs a SessionMonitor over
+/// a fusion shared through the FusedCache. Fusion never fails: no
+/// policy-set width or product size is refused, and past the memo cap a
+/// session steps its per-policy DFAs directly, with the same verdicts.
+/// net::Interpreter runs the same SessionMonitor, one per component.
 ///
 /// Batched ingestion (`ingest`) partitions a label batch by
 /// `session % shards`: each shard task consumes its sessions' labels in
@@ -42,13 +43,13 @@ public:
     /// 1 keeps everything on the calling thread (no pool is spawned).
     unsigned Workers = 1;
 
-    /// Optional shared fused-DFA cache (e.g. core::VerifierCache's);
-    /// null = fuse privately per distinct fingerprint.
+    /// Optional fused-DFA cache shared with other engines; null = fuse
+    /// privately per distinct fingerprint.
     FusedCache *Cache = nullptr;
 
     /// Memo cap (materialized product states) of the automata this
     /// engine fuses; a cache hit keeps the cap it was fused with.
-    uint64_t MaxFusedStates = 1u << 20;
+    uint64_t MaxFusedStates = DefaultMaxFusedStates;
   };
 
   using SessionId = uint32_t;
@@ -97,7 +98,7 @@ public:
 
   struct Stats {
     uint64_t Sessions = 0;        ///< openSession calls.
-    uint64_t FusedSessions = 0;   ///< ... fused (all: fusion never refuses).
+    uint64_t FusedSessions = 0;   ///< ... fused (all of them).
     uint64_t Events = 0;          ///< Labels processed (advance + ingest).
     uint64_t Blocked = 0;         ///< ... that reported a violation.
     uint64_t UnknownEvents = 0;   ///< Out-of-universe events admitted.

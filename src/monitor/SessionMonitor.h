@@ -72,10 +72,10 @@ public:
     case hist::LabelKind::Event: {
       uint32_t Idx = F->eventIndexOf(L.asEvent());
       // The fused path requires a closed universe (see Fused.h); callers
-      // validate closure before enabling it. An out-of-universe event is
-      // genuinely undecidable (wildcard/guard edges might match), so the
-      // defensive release behaviour is to admit it — blocking could be a
-      // wrong verdict, which the monitor must never give.
+      // fuse over every event their sessions can fire. An out-of-universe
+      // event is genuinely undecidable (wildcard/guard edges might match),
+      // so the defensive release behaviour is to admit it — blocking
+      // could be a wrong verdict, which the monitor must never give.
       assert(Idx != FusedPolicyAutomaton::NoEvent &&
              "event outside the fused universe");
       return Idx == FusedPolicyAutomaton::NoEvent || admitsEventIndex(Idx);

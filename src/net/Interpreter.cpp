@@ -53,48 +53,27 @@ splitMultiOutputHead(HistContext &Ctx, const Expr *E, unsigned Fuel = 8) {
   return std::nullopt;
 }
 
-/// Soundness gate for the fused fast path: the fused universe must contain
-/// every event any behaviour in the network can fire (an out-of-universe
-/// event could match wildcard/guard edges the DFA never saw), and every
-/// referenced policy must be fused or known-uninstantiable. Any gap means
-/// the legacy probe must be used — wholesale, so the two paths never mix.
-static bool fusedCoversNetwork(const monitor::FusedPolicyAutomaton &F,
-                               const plan::Repository &Repo,
-                               const std::vector<NetworkComponent> &Comps) {
-  std::vector<const Expr *> Behaviors;
-  for (const NetworkComponent &C : Comps)
-    Behaviors.push_back(C.Client);
-  for (plan::Loc L : Repo.locations())
-    Behaviors.push_back(Repo.find(L));
-  for (const hist::Event &Ev : policy::eventUniverse(Behaviors))
-    if (F.eventIndexOf(Ev) == monitor::FusedPolicyAutomaton::NoEvent)
-      return false;
-  for (const PolicyRef &Ref : monitor::collectPolicyRefs(Behaviors))
-    if (!F.covers(Ref))
-      return false;
-  return true;
-}
-
 } // namespace
 
 Interpreter::Interpreter(HistContext &Ctx, const plan::Repository &Repo,
                          const policy::PolicyRegistry &Registry,
                          std::vector<NetworkComponent> Comps, Options Opts)
-    : Ctx(Ctx), Repo(Repo), Registry(Registry), Opts(Opts),
-      Components(std::move(Comps)) {
-  if (this->Opts.FusedMonitor && this->Opts.MonitorEnabled) {
-    UseFused =
-        fusedCoversNetwork(*this->Opts.FusedMonitor, Repo, Components);
-    if (!UseFused && metrics::enabled())
-      metrics::counter("monitor.coverage_fallbacks").add();
-  }
+    : Ctx(Ctx), Repo(Repo), Opts(Opts), Components(std::move(Comps)) {
+  // Every event any client or published service can fire is in the
+  // universe, so no reachable step leaves it.
+  std::vector<const Expr *> Behaviors;
+  for (const NetworkComponent &C : Components)
+    Behaviors.push_back(C.Client);
+  for (plan::Loc L : Repo.locations())
+    Behaviors.push_back(Repo.find(L));
+  Fused = std::make_unique<const monitor::FusedPolicyAutomaton>(
+      monitor::fusePolicies(Registry, Ctx.interner(),
+                            monitor::collectPolicyRefs(Behaviors),
+                            policy::eventUniverse(Behaviors)));
   for (const NetworkComponent &C : Components) {
     Trees.push_back(Session::leaf(C.Location, C.Client));
     Histories.emplace_back();
-    Checkers.emplace_back(Registry, Ctx.interner(), nullptr);
-    if (UseFused)
-      FusedMonitors.emplace_back(*this->Opts.FusedMonitor);
-    Violated.push_back(false);
+    Monitors.emplace_back(*Fused);
   }
 }
 
@@ -263,12 +242,7 @@ std::vector<Step> Interpreter::steps() {
     for (Step &S : Out) {
       if (S.PlanGap || S.HistoryAppend.empty())
         continue;
-      // Fused: one DFA walk per label. Legacy: an append/rollback probe
-      // against the component's own checker — no O(history) copy.
-      S.Blocked =
-          UseFused
-              ? !FusedMonitors[S.Component].wouldAdmitAll(S.HistoryAppend)
-              : !Checkers[S.Component].wouldRemainValidAll(S.HistoryAppend);
+      S.Blocked = !Monitors[S.Component].wouldAdmitAll(S.HistoryAppend);
     }
   }
   return Out;
@@ -326,10 +300,7 @@ bool Interpreter::apply(const Step &S) {
 
   for (const Label &L : S.HistoryAppend) {
     Histories[S.Component].append(L);
-    bool StillValid = UseFused ? FusedMonitors[S.Component].advance(L)
-                               : Checkers[S.Component].append(L);
-    if (!StillValid)
-      Violated[S.Component] = true;
+    Monitors[S.Component].advance(L);
   }
   TraceLog.push_back(S.Desc);
   return true;
@@ -375,7 +346,7 @@ RunStats Interpreter::run(uint64_t Seed, size_t MaxSteps) {
 
   Stats.AllCompleted = true;
   for (size_t C = 0; C < Components.size(); ++C) {
-    if (Violated[C])
+    if (isViolated(C))
       ++Stats.Violations;
     if (!isDone(C)) {
       Stats.AllCompleted = false;

@@ -13,6 +13,13 @@
 /// anything — which is precisely why it can be switched off (§5); the
 /// bench bench_network quantifies the saved work.
 ///
+/// The monitor is the fused one (monitor/SessionMonitor.h): the
+/// constructor fuses the policies of every client and published service
+/// over their whole event universe, so the universe is closed by
+/// construction and each component's validity probe is a DFA walk. The
+/// fusion runs even with the monitor off, because violations are still
+/// tracked (isViolated, RunStats::Violations).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUS_NET_INTERPRETER_H
@@ -22,7 +29,7 @@
 #include "monitor/SessionMonitor.h"
 #include "net/Session.h"
 #include "plan/Plan.h"
-#include "policy/Validity.h"
+#include "policy/History.h"
 
 #include <map>
 #include <memory>
@@ -109,17 +116,6 @@ struct InterpreterOptions {
   /// Commit step before synchronizing — the mode under which the Del
   /// message of §2 actually wedges the session.
   bool CommittedInternalChoice = false;
-
-  /// Optional fused-DFA monitor (see monitor/Fused.h): when set and
-  /// MonitorEnabled, each component's per-step validity probe becomes one
-  /// DFA walk instead of re-running every PolicyMonitor. The interpreter
-  /// validates coverage up front — every event any client or published
-  /// service can fire must be inside the fused universe, and every policy
-  /// they reference must be fused — and silently falls back to the legacy
-  /// probe on any gap ("monitor.coverage_fallbacks"), so enabling this can
-  /// change performance but never verdicts. The caller keeps the fused
-  /// automaton alive for the interpreter's lifetime.
-  const monitor::FusedPolicyAutomaton *FusedMonitor = nullptr;
 };
 
 /// The executable network.
@@ -151,7 +147,7 @@ public:
 
   /// True if the component history has become invalid (possible only with
   /// the monitor off).
-  bool isViolated(size_t I) const { return Violated[I]; }
+  bool isViolated(size_t I) const { return Monitors[I].isViolated(); }
 
   /// Renders the full configuration, one component per line, Fig. 3-style:
   /// "eta, [l: H, ...]".
@@ -161,10 +157,6 @@ public:
   const std::vector<std::string> &trace() const { return TraceLog; }
 
   const Options &options() const { return Opts; }
-
-  /// True when monitor probes run on the fused DFA (Options::FusedMonitor
-  /// set, monitoring on, and coverage validation passed).
-  bool fusedMonitorActive() const { return UseFused; }
 
   /// Sessions currently served by the service at ℓ (capacity accounting).
   unsigned sessionsInUse(plan::Loc Location) const {
@@ -180,17 +172,16 @@ private:
 
   hist::HistContext &Ctx;
   const plan::Repository &Repo;
-  const policy::PolicyRegistry &Registry;
   Options Opts;
 
   std::vector<NetworkComponent> Components;
   std::vector<std::unique_ptr<Session>> Trees;
   std::vector<policy::History> Histories;
-  std::vector<policy::ValidityChecker> Checkers;
-  /// One fused cursor per component; populated only when UseFused.
-  std::vector<monitor::SessionMonitor> FusedMonitors;
-  bool UseFused = false;
-  std::vector<bool> Violated;
+  /// The network's policies fused over its closed event universe; owned
+  /// through a pointer so the monitors' references survive a move.
+  std::unique_ptr<const monitor::FusedPolicyAutomaton> Fused;
+  /// One cursor per component.
+  std::vector<monitor::SessionMonitor> Monitors;
   std::vector<std::string> TraceLog;
   std::map<plan::Loc, unsigned> InUse;
 };

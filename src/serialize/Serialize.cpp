@@ -152,7 +152,7 @@ namespace {
 
 bool knownTag(uint32_t Tag) {
   return Tag >= static_cast<uint32_t>(SectionTag::Strings) &&
-         Tag <= static_cast<uint32_t>(SectionTag::Fused);
+         Tag <= static_cast<uint32_t>(SectionTag::Index);
 }
 
 } // namespace

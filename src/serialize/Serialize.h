@@ -45,13 +45,14 @@ namespace sus {
 namespace serialize {
 
 /// Bumped on any incompatible layout change; loaders reject mismatches.
-constexpr uint32_t FormatVersion = 2;
+constexpr uint32_t FormatVersion = 3;
 
 /// The 8-byte magic prefix of every snapshot.
 constexpr char Magic[8] = {'S', 'U', 'S', 'S', 'N', 'A', 'P', '\0'};
 
-/// Section tags (unchanged since v1). Tags are part of the format: a
-/// reader encountering any other tag fails (strictness contract above).
+/// Section tags. Tags are part of the format: a reader encountering any
+/// other tag fails (strictness contract above). Tag 8 held the fused
+/// monitor DFAs up to v2; it stays retired.
 enum class SectionTag : uint32_t {
   Strings = 1,     ///< Snapshot-local string table.
   Exprs = 2,       ///< Hash-consed expression pool.
@@ -60,7 +61,6 @@ enum class SectionTag : uint32_t {
   Compliances = 5, ///< VerifierCache compliance verdicts + witnesses.
   Validities = 6,  ///< VerifierCache static-validity verdicts.
   Index = 7,       ///< ServiceIndex per-service contract summaries.
-  Fused = 8,       ///< Fused monitor DFAs.
 };
 
 /// FNV-1a 64-bit over \p Bytes (the per-section checksum).

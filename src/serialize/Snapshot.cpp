@@ -221,20 +221,6 @@ void sus::serialize::encodeSummary(Writer &W, SymbolTable &Strings,
   encodeReadySet(W, Strings, Summary.IndexKey);
 }
 
-void sus::serialize::encodeDfa(Writer &W, const automata::Dfa &D) {
-  W.putU32(static_cast<uint32_t>(D.numStates()));
-  W.putU32(D.start());
-  for (automata::StateId S = 0; S < D.numStates(); ++S)
-    W.putU8(D.isAccepting(S) ? 1 : 0);
-  const std::vector<automata::SymbolCode> &Syms = D.alphabet();
-  W.putU32(static_cast<uint32_t>(Syms.size()));
-  for (automata::SymbolCode C : Syms)
-    W.putU32(C);
-  for (automata::StateId S = 0; S < D.numStates(); ++S)
-    for (uint32_t Idx = 0; Idx < Syms.size(); ++Idx)
-      W.putU32(D.stepIndex(S, Idx));
-}
-
 void sus::serialize::encodeCompliance(Writer &W, SymbolTable &Strings,
                                       ExprEncoder &Exprs,
                                       const contract::ComplianceResult &R) {
@@ -268,24 +254,6 @@ void sus::serialize::encodeValidity(Writer &W, SymbolTable &Strings,
     W.putString(Step);
   W.putU64(R.ExploredStates);
   W.putU8(R.HasStuckConfiguration ? 1 : 0);
-}
-
-void sus::serialize::encodeFused(Writer &W, SymbolTable &Strings,
-                                 const monitor::FusedPolicyAutomaton &F) {
-  W.putU32(static_cast<uint32_t>(F.Policies.size()));
-  for (const PolicyRef &Ref : F.Policies)
-    encodePolicyRef(W, Strings, Ref);
-  W.putU32(static_cast<uint32_t>(F.UnknownPolicies.size()));
-  for (const PolicyRef &Ref : F.UnknownPolicies)
-    encodePolicyRef(W, Strings, Ref);
-  W.putU32(static_cast<uint32_t>(F.Universe.size()));
-  for (const Event &Ev : F.Universe)
-    encodeEvent(W, Strings, Ev);
-  // The per-policy DFAs, not the product memo: a restored automaton
-  // starts with an empty memo and regrows it on demand.
-  W.putU32(static_cast<uint32_t>(F.Parts.size()));
-  for (const automata::Dfa &Part : F.Parts)
-    encodeDfa(W, Part);
 }
 
 //===----------------------------------------------------------------------===//
@@ -563,67 +531,6 @@ contract::ContractSummary sus::serialize::decodeSummary(
   return S;
 }
 
-automata::Dfa sus::serialize::decodeDfa(Reader &R) {
-  automata::Dfa D;
-  uint32_t NumStates = R.getU32();
-  uint32_t Start = R.getU32();
-  if (!R.checkCount(NumStates, 1, "dfa state"))
-    return D;
-  if (NumStates == 0) {
-    R.fail("dfa with no states");
-    return D;
-  }
-  if (Start >= NumStates) {
-    R.fail("dfa start state out of range");
-    return D;
-  }
-  std::vector<bool> Accepting(NumStates);
-  for (uint32_t S = 0; S < NumStates && !R.failed(); ++S) {
-    uint8_t A = R.getU8();
-    if (A > 1) {
-      R.fail("corrupt dfa accepting flag");
-      return D;
-    }
-    Accepting[S] = A != 0;
-  }
-  uint32_t NumSyms = R.getU32();
-  if (!R.checkCount(NumSyms, 4, "dfa symbol"))
-    return D;
-  std::vector<automata::SymbolCode> Syms;
-  Syms.reserve(NumSyms);
-  for (uint32_t I = 0; I < NumSyms && !R.failed(); ++I) {
-    automata::SymbolCode C = R.getU32();
-    if (!Syms.empty() && C <= Syms.back()) {
-      R.fail("dfa alphabet not strictly ascending");
-      return D;
-    }
-    Syms.push_back(C);
-  }
-  uint64_t Cells = static_cast<uint64_t>(NumStates) * NumSyms;
-  if (!R.checkCount(Cells, 4, "dfa transition"))
-    return D;
-  if (R.failed())
-    return D;
-  for (uint32_t S = 0; S < NumStates; ++S)
-    D.addState(Accepting[S]);
-  D.reserveAlphabet(Syms);
-  D.setStart(Start);
-  for (uint32_t S = 0; S < NumStates; ++S)
-    for (uint32_t Idx = 0; Idx < NumSyms; ++Idx) {
-      automata::StateId T = R.getU32();
-      if (R.failed())
-        return D;
-      if (T == automata::Dfa::NoState)
-        continue;
-      if (T >= NumStates) {
-        R.fail("dfa transition target out of range");
-        return D;
-      }
-      D.setEdge(S, Syms[Idx], T);
-    }
-  return D;
-}
-
 contract::ComplianceResult sus::serialize::decodeCompliance(
     Reader &R, const SymbolDecoder &Strings, const ExprDecoder &Exprs) {
   contract::ComplianceResult Out;
@@ -693,101 +600,4 @@ validity::StaticValidityResult sus::serialize::decodeValidity(
   }
   Out.HasStuckConfiguration = HasStuck != 0;
   return Out;
-}
-
-monitor::FusedPolicyAutomaton sus::serialize::decodeFused(
-    Reader &R, const SymbolDecoder &Strings) {
-  monitor::FusedPolicyAutomaton F;
-  auto DecodeRefs = [&](const char *What) {
-    std::vector<PolicyRef> Refs;
-    uint32_t N = R.getU32();
-    if (!R.checkCount(N, 8, What))
-      return Refs;
-    Refs.reserve(N);
-    for (uint32_t I = 0; I < N && !R.failed(); ++I) {
-      PolicyRef Ref = decodePolicyRef(R, Strings);
-      if (Ref.isTrivial()) {
-        R.fail("fused monitor lists a trivial policy");
-        return Refs;
-      }
-      if (!Refs.empty() && !(Refs.back() < Ref)) {
-        R.fail("fused monitor policies not strictly sorted");
-        return Refs;
-      }
-      Refs.push_back(std::move(Ref));
-    }
-    return Refs;
-  };
-  F.Policies = DecodeRefs("fused policy");
-  if (R.failed())
-    return F;
-  F.UnknownPolicies = DecodeRefs("fused unknown policy");
-  if (R.failed())
-    return F;
-  uint32_t NUniverse = R.getU32();
-  if (!R.checkCount(NUniverse, 5, "fused universe event"))
-    return F;
-  F.Universe.reserve(NUniverse);
-  for (uint32_t I = 0; I < NUniverse && !R.failed(); ++I) {
-    Event Ev = decodeEvent(R, Strings);
-    if (R.failed())
-      return F;
-    if (!F.Universe.empty() && !(F.Universe.back() < Ev)) {
-      R.fail("fused monitor universe not strictly sorted");
-      return F;
-    }
-    F.Universe.push_back(Ev);
-  }
-  uint32_t NParts = R.getU32();
-  if (R.failed())
-    return F;
-  if (NParts != F.Policies.size()) {
-    R.fail("fused monitor part count does not match its policy count");
-    return F;
-  }
-
-  // Structural validation per part: symbol code i must be Universe[i]
-  // (dense codes make the compact alphabet index equal the code) and the
-  // transition function must be total — the product memo steps parts
-  // without checking.
-  F.Parts.reserve(NParts);
-  for (uint32_t P = 0; P < NParts; ++P) {
-    automata::Dfa D = decodeDfa(R);
-    if (R.failed())
-      return F;
-    if (D.numSymbols() != F.Universe.size()) {
-      R.fail("fused monitor part alphabet does not match its universe");
-      return F;
-    }
-    for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-      if (D.alphabet()[Idx] != Idx) {
-        R.fail("fused monitor part symbol codes are not dense");
-        return F;
-      }
-    for (automata::StateId S = 0; S < D.numStates(); ++S)
-      for (uint32_t Idx = 0; Idx < D.numSymbols(); ++Idx)
-        if (D.stepIndex(S, Idx) == automata::Dfa::NoState) {
-          R.fail("fused monitor part transition function is not total");
-          return F;
-        }
-    F.Parts.push_back(std::move(D));
-  }
-
-  // The fingerprint is keyed on the *canonical* request — the merged
-  // instantiable + unknown policy list — which fusePolicies computes
-  // before splitting the two. Both lists are sorted and (trivially,
-  // being strictly sorted per list and disjoint by construction)
-  // mergeable back into canonical form.
-  std::vector<PolicyRef> AllRefs;
-  AllRefs.reserve(F.Policies.size() + F.UnknownPolicies.size());
-  std::merge(F.Policies.begin(), F.Policies.end(), F.UnknownPolicies.begin(),
-             F.UnknownPolicies.end(), std::back_inserter(AllRefs));
-  for (size_t I = 1; I < AllRefs.size(); ++I)
-    if (!(AllRefs[I - 1] < AllRefs[I])) {
-      R.fail("fused monitor policy lists overlap");
-      return F;
-    }
-  F.Fingerprint = monitor::policySetFingerprint(AllRefs, F.Universe);
-  F.finalize(monitor::FuseOptions().MaxStates);
-  return F;
 }

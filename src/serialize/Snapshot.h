@@ -3,8 +3,8 @@
 /// \file
 /// Encoders and decoders for the domain values the persistent cache
 /// snapshot carries (DESIGN.md §13): interned strings, hash-consed
-/// history expressions, contract summaries, compliance and validity
-/// verdicts, DFAs and fused monitor automata.
+/// history expressions, contract summaries, and compliance and validity
+/// verdicts.
 ///
 /// Two design constraints shape everything here:
 ///
@@ -16,11 +16,10 @@
 ///    structurally equal expressions therefore decode to the same
 ///    pointer — the property every cache key relies on.
 ///
-///  - *Validate before constructing.* HistContext factories and the Dfa
-///    builder assert their preconditions (guard polarities, state
-///    ranges); a decoder fed corrupt bytes must fail cleanly instead.
-///    Every kind byte, child reference, polarity and state id is
-///    range-checked against the Reader *before* any factory call, so a
+///  - *Validate before constructing.* HistContext factories assert their
+///    preconditions (guard polarities); a decoder fed corrupt bytes must
+///    fail cleanly instead. Every kind byte, child reference and polarity
+///    is range-checked against the Reader *before* any factory call, so a
 ///    corrupt snapshot yields Reader::failed(), never UB.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,11 +27,9 @@
 #ifndef SUS_SERIALIZE_SNAPSHOT_H
 #define SUS_SERIALIZE_SNAPSHOT_H
 
-#include "automata/Nfa.h"
 #include "contract/Compliance.h"
 #include "contract/Prescreen.h"
 #include "hist/HistContext.h"
-#include "monitor/Fused.h"
 #include "serialize/Serialize.h"
 #include "validity/StaticValidity.h"
 
@@ -103,13 +100,10 @@ void encodeReadySet(Writer &W, SymbolTable &Strings,
                     const contract::ReadySet &S);
 void encodeSummary(Writer &W, SymbolTable &Strings,
                    const contract::ContractSummary &Summary);
-void encodeDfa(Writer &W, const automata::Dfa &D);
 void encodeCompliance(Writer &W, SymbolTable &Strings, ExprEncoder &Exprs,
                       const contract::ComplianceResult &R);
 void encodeValidity(Writer &W, SymbolTable &Strings,
                     const validity::StaticValidityResult &R);
-void encodeFused(Writer &W, SymbolTable &Strings,
-                 const monitor::FusedPolicyAutomaton &F);
 
 //===----------------------------------------------------------------------===//
 // Decoding
@@ -159,18 +153,11 @@ hist::PolicyRef decodePolicyRef(Reader &R, const SymbolDecoder &Strings);
 contract::ReadySet decodeReadySet(Reader &R, const SymbolDecoder &Strings);
 contract::ContractSummary decodeSummary(Reader &R,
                                         const SymbolDecoder &Strings);
-automata::Dfa decodeDfa(Reader &R);
 contract::ComplianceResult decodeCompliance(Reader &R,
                                             const SymbolDecoder &Strings,
                                             const ExprDecoder &Exprs);
 validity::StaticValidityResult decodeValidity(Reader &R,
                                               const SymbolDecoder &Strings);
-/// Rebuilds the fused automaton from its per-policy DFAs, with the derived
-/// EventIndex, the recomputed fingerprint and an empty product memo at
-/// the default cap; validates that there is one part per policy and that
-/// every part is dense over the universe and total.
-monitor::FusedPolicyAutomaton decodeFused(Reader &R,
-                                          const SymbolDecoder &Strings);
 
 } // namespace serialize
 } // namespace sus

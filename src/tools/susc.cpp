@@ -7,7 +7,8 @@
 ///
 ///   susc file.sus                verify everything
 ///   susc --plan pi1 file.sus    check one declared plan only
-///   susc --run file.sus          also execute the first valid plan
+///   susc --run file.sus          also execute the first valid plan under
+///                                the fused run-time monitor
 ///   susc --trace file.sus        print the execution trace with --run
 ///   susc --dot-policies file.sus print policy automata as Graphviz
 ///   susc lint file.sus           run the semantic lint passes
@@ -29,8 +30,6 @@
 #include "daemon/Protocol.h"
 #include "daemon/Socket.h"
 #include "fuzz/Differential.h"
-#include "monitor/Fused.h"
-#include "policy/Compile.h"
 #include "hist/Bisim.h"
 #include "hist/Printer.h"
 #include "hist/TransitionSystem.h"
@@ -72,7 +71,6 @@ struct CliOptions : CommonOptions {
   std::string DotLts;
   std::string BisimA, BisimB;
   bool Run = false;
-  bool FusedMonitor = false; ///< --monitor fused
   bool Trace = false;
   bool DotPolicies = false;
   bool Enumerate = true;
@@ -96,10 +94,7 @@ void printUsage(std::ostream &OS) {
         "       susc --connect SOCKET VERB [key=value]...\n"
         "  --plan NAME      check only the declared plan NAME\n"
         "  --run            execute the first valid plan of each client\n"
-        "  --monitor MODE   with --run, probe validity with 'probe' (the\n"
-        "                   per-policy monitors, default) or 'fused' (one\n"
-        "                   fused DFA per session; falls back to probe when\n"
-        "                   fusion is refused — verdicts never change)\n"
+        "                   under the fused run-time monitor\n"
         "  --trace          with --run, print every applied step\n"
         "  --dot-policies   print client policies as Graphviz\n"
         "  --dot-lts NAME   print the LTS of a declared behaviour\n"
@@ -327,17 +322,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         if (Arg == "--max-states")
           return Take(Value) && parseCountValue(Arg, Value, /*MinValue=*/1,
                                                 Opts.MaxExploreStates);
-        if (Arg == "--monitor") {
-          if (!Take(Value))
-            return false;
-          if (Value != "fused" && Value != "probe") {
-            std::cerr << "susc: --monitor expects 'fused' or 'probe', got '"
-                      << Value << "'\n";
-            return false;
-          }
-          Opts.FusedMonitor = Value == "fused";
-          return true;
-        }
         if (Arg.rfind("--diag-format=", 0) == 0)
           return parseDiagFormat(Arg, Opts.Format);
         for (auto [Name, Switch] :
@@ -494,26 +478,8 @@ int runTool(const CliOptions &Opts) {
       continue;
 
     if (Opts.Run) {
-      net::InterpreterOptions IOpts;
-      // --monitor fused: fuse the policies of everything this run can
-      // execute (shared via the verifier cache across clients). A refused
-      // fusion leaves IOpts.FusedMonitor null and the interpreter on the
-      // legacy probe — same verdicts either way.
-      std::shared_ptr<const monitor::FusedPolicyAutomaton> Fused;
-      if (Opts.FusedMonitor) {
-        std::vector<const hist::Expr *> Behaviors{Client};
-        for (plan::Loc L : File.Repo.locations())
-          Behaviors.push_back(File.Repo.find(L));
-        monitor::FuseOptions FO;
-        FO.Gov = Governor.get();
-        Fused = S.verifier().cache()->fusedMonitors().fuse(
-            File.Registry, Ctx.interner(),
-            monitor::collectPolicyRefs(Behaviors),
-            policy::eventUniverse(Behaviors), FO);
-        IOpts.FusedMonitor = Fused.get();
-      }
       net::Interpreter Interp(Ctx, File.Repo, File.Registry,
-                              {{Name, Client, *Outcome.FirstValid}}, IOpts);
+                              {{Name, Client, *Outcome.FirstValid}});
       net::RunStats Stats = Interp.run(/*Seed=*/1);
       std::cout << "run: " << Stats.StepsTaken << " steps, "
                 << (Stats.AllCompleted ? "completed" : "stuck")
@@ -710,7 +676,8 @@ void printFuzzUsage(std::ostream &OS) {
         "  --no-chaos       skip the governor chaos soak\n"
         "  --depth N / --alphabet N / --policies N / --services N /\n"
         "  --clients N / --width N   generator difficulty knobs\n"
-        "  --trace-len N    labels fed to the monitor pair (default 48)\n"
+        "  --trace-len N    labels fed to the monitor pair and steps per\n"
+        "                   interpreter run (default 48)\n"
         "exit codes: 0 every seed clean, 1 divergence or parser-battery\n"
         "            failure, 2 usage error\n";
 }

@@ -204,8 +204,7 @@ int main(int Argc, char **Argv) {
     }
     std::cerr << "susd: snapshot loaded (" << Stats.Compliances
               << " compliances, " << Stats.Validities << " validities, "
-              << Stats.IndexEntries << " index entries, "
-              << Stats.FusedMonitors << " fused monitors)\n";
+              << Stats.IndexEntries << " index entries)\n";
   }
 
   int WarmCode = 0;

@@ -7,24 +7,30 @@
 /// policy::ValidityChecker probe — per label, per multi-label probe, and
 /// through the MonitorEngine's sharded batch path — at policy-set widths
 /// of 33, 64 and 128, past the product memo's cap, over a cold memo shared
-/// by four shards, and through net::Interpreter end to end on the paper's
-/// hotel example. Seeds are fixed; nothing depends on wall-clock or the
-/// iteration order of unordered containers.
+/// by four shards, and step by step through net::Interpreter on the
+/// paper's hotel example and the marketplace example. Seeds are fixed;
+/// nothing depends on wall-clock or the iteration order of unordered
+/// containers.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/HotelExample.h"
+#include "core/Verifier.h"
+#include "fuzz/Differential.h"
 #include "monitor/Fused.h"
 #include "monitor/MonitorEngine.h"
 #include "monitor/SessionMonitor.h"
 #include "net/Interpreter.h"
 #include "policy/Compile.h"
 #include "policy/Validity.h"
-#include "support/ResourceGovernor.h"
+#include "support/HashUtil.h"
+#include "syntax/FileParser.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -223,17 +229,17 @@ TEST_P(MonitorDiffTest, FusedMatchesLegacyProbe) {
   std::unique_ptr<Scenario> SP = makeScenario(Seed);
   Scenario &S = *SP;
 
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
-  ASSERT_TRUE(Out.ok()) << Out.exhausted().str();
-  expectMatchesLegacy(S, Out.value(), Seed);
+  expectMatchesLegacy(S,
+                      monitor::fusePolicies(S.Registry, S.Ctx.interner(),
+                                            S.Refs, S.Universe),
+                      Seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(HundredSeeds, MonitorDiffTest,
                          ::testing::Range(0, 100));
 
 //===----------------------------------------------------------------------===//
-// Wide policy sets, the memo cap and the governor
+// Wide policy sets and the memo cap
 //===----------------------------------------------------------------------===//
 
 TEST_P(MonitorWidthTest, WideSetsFuseAndMatchLegacy) {
@@ -244,8 +250,6 @@ TEST_P(MonitorWidthTest, WideSetsFuseAndMatchLegacy) {
     monitor::FusedCache Cache;
     std::shared_ptr<const monitor::FusedPolicyAutomaton> F =
         Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
-    ASSERT_TRUE(F);
-    EXPECT_EQ(Cache.stats().Refusals, 0u);
     EXPECT_EQ(F->Policies.size(), Width);
     EXPECT_EQ(F->maskWords(), (Width + 63) / 64);
     expectMatchesLegacy(S, *F, Seed);
@@ -256,7 +260,6 @@ TEST_P(MonitorWidthTest, WideSetsFuseAndMatchLegacy) {
     monitor::MonitorEngine Engine(S.Registry, S.Ctx.interner(), EO);
     expectEngineMatchesLegacy(S, Engine, Seed);
     EXPECT_EQ(Cache.stats().Fusions, 1u);
-    EXPECT_EQ(Cache.stats().Refusals, 0u);
   }
 }
 
@@ -264,17 +267,13 @@ INSTANTIATE_TEST_SUITE_P(Widths, MonitorWidthTest,
                          ::testing::Values(33u, 64u, 128u));
 
 TEST(MonitorMemoCapTest, PastCapPathMatchesLegacy) {
-  monitor::FuseOptions FO;
-  FO.MaxStates = 2;
   unsigned PastCap = 0;
   for (uint64_t Seed = 0; Seed < 20; ++Seed) {
     std::unique_ptr<Scenario> SP =
         makeScenario(Seed, /*TraceLen=*/120, /*Width=*/Seed % 2 ? 72 : 0);
     Scenario &S = *SP;
-    Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-        S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
-    ASSERT_TRUE(Out.ok());
-    const monitor::FusedPolicyAutomaton &F = Out.value();
+    monitor::FusedPolicyAutomaton F = monitor::fusePolicies(
+        S.Registry, S.Ctx.interner(), S.Refs, S.Universe, /*MaxStates=*/2);
     expectMatchesLegacy(S, F, Seed);
     EXPECT_LE(F.numStates(), 2u);
 
@@ -293,64 +292,64 @@ TEST(MonitorMemoCapTest, PastCapPathMatchesLegacy) {
   EXPECT_GE(PastCap, 5u);
 }
 
-TEST(MonitorGovernorTest, ExpiredDeadlineRefusesAndIsNotCached) {
-  std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/7);
-  Scenario &S = *SP;
-
-  ResourceGovernor Gov;
-  Gov.setDeadlineAfterMillis(0);
-  monitor::FuseOptions FO;
-  FO.Gov = &Gov;
-
-  // The raw fusion must report exhaustion, never a wrong automaton...
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO);
-  ASSERT_FALSE(Out.ok());
-  EXPECT_EQ(Out.exhausted().Which, ResourceKind::Deadline);
-
-  // ...and the cache must refuse without recording, so the next
-  // ungoverned request fuses fresh.
-  monitor::FusedCache Cache;
-  EXPECT_EQ(Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe, FO),
-            nullptr);
-  EXPECT_EQ(Cache.stats().Refusals, 1u);
-  EXPECT_EQ(Cache.stats().Fusions, 0u);
-  EXPECT_NE(Cache.fuse(S.Registry, S.Ctx.interner(), S.Refs, S.Universe),
-            nullptr);
-  EXPECT_EQ(Cache.stats().Fusions, 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // FusedCache: a fingerprint collision never serves another set's monitor
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The V for which hashCombine(Seed, V) yields \p Target: hashCombine is
+/// invertible in its value argument.
+size_t uncombine(size_t Seed, size_t Target) {
+  return (Target ^ Seed) - 0x9e3779b97f4a7c15ULL - (Seed << 6) - (Seed >> 2);
+}
+
+} // namespace
+
 TEST(FusedCacheTest, FingerprintCollisionIsNotServed) {
   std::unique_ptr<Scenario> SP = makeScenario(/*Seed=*/3, 0, /*Width=*/6);
   Scenario &S = *SP;
-  std::vector<PolicyRef> Other(S.Refs.begin(), S.Refs.end() - 1);
+  std::vector<PolicyRef> Full = S.Refs;
   std::vector<Event> Universe = S.Universe;
-  monitor::canonicalizePolicySet(Other, Universe);
+  monitor::canonicalizePolicySet(Full, Universe);
+  uint64_t Target = monitor::policySetFingerprint(Full, Universe);
 
-  // An entry for the full set, forged to carry the smaller set's key.
-  Outcome<monitor::FusedPolicyAutomaton> Forged = monitor::fusePolicies(
-      S.Registry, S.Ctx.interner(), S.Refs, S.Universe);
-  ASSERT_TRUE(Forged.ok());
-  monitor::FusedPolicyAutomaton F = Forged.takeValue();
-  F.Fingerprint = monitor::policySetFingerprint(Other, Universe);
-  auto ForgedPtr = std::make_shared<const monitor::FusedPolicyAutomaton>(
-      std::move(F));
+  // A different request, one policy fewer and one event more, whose extra
+  // event is aimed at Full's fingerprint. Its name is interned last, so it
+  // sorts last and is mixed in last; its integer argument is solved back
+  // through Event::hash and Value::hash.
+  std::vector<PolicyRef> Other(Full.begin(), Full.end() - 1);
+  size_t Seed = hashAll(Other.size(), Universe.size() + 1);
+  for (const PolicyRef &R : Other)
+    hashCombine(Seed, R.hash());
+  for (const Event &Ev : Universe)
+    hashCombine(Seed, Ev.hash());
+  Symbol Name = S.Ctx.interner().intern("collider");
+  size_t ArgHash = uncombine(hashAll(Name.id()), uncombine(Seed, Target));
+  size_t Arg = uncombine(static_cast<size_t>(Value::Kind::Int), ArgHash);
+  std::vector<Event> OtherUniverse = Universe;
+  OtherUniverse.push_back({Name, Value::integer(static_cast<int64_t>(Arg))});
+  monitor::canonicalizePolicySet(Other, OtherUniverse);
+  ASSERT_EQ(OtherUniverse.back().Name, Name);
+  ASSERT_EQ(monitor::policySetFingerprint(Other, OtherUniverse), Target)
+      << "the forged collision no longer matches policySetFingerprint";
+
   monitor::FusedCache Cache;
-  Cache.restore(ForgedPtr);
-
+  std::shared_ptr<const monitor::FusedPolicyAutomaton> Resident =
+      Cache.fuse(S.Registry, S.Ctx.interner(), Full, Universe);
   for (int Round = 0; Round < 2; ++Round) {
     std::shared_ptr<const monitor::FusedPolicyAutomaton> Got =
-        Cache.fuse(S.Registry, S.Ctx.interner(), Other, S.Universe);
-    ASSERT_TRUE(Got);
-    EXPECT_NE(Got, ForgedPtr);
+        Cache.fuse(S.Registry, S.Ctx.interner(), Other, OtherUniverse);
+    EXPECT_NE(Got, Resident);
     EXPECT_EQ(Got->Policies, Other);
+    EXPECT_EQ(Got->Universe, OtherUniverse);
   }
   EXPECT_EQ(Cache.stats().Hits, 0u);
-  EXPECT_EQ(Cache.stats().Fusions, 2u);
+  EXPECT_EQ(Cache.stats().Fusions, 3u);
+  // The resident entry keeps its slot.
+  EXPECT_EQ(Cache.fuse(S.Registry, S.Ctx.interner(), Full, Universe),
+            Resident);
+  EXPECT_EQ(Cache.stats().Hits, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -468,48 +467,67 @@ TEST(MonitorEngineTest, CacheSharesFusionsAcrossSessions) {
 }
 
 //===----------------------------------------------------------------------===//
-// End to end: the Interpreter's fused runs replay the probe runs exactly
+// The Interpreter's monitor, step by step, against the ValidityChecker
 //===----------------------------------------------------------------------===//
 
-TEST(MonitorInterpreterTest, FusedRunsMatchProbeRuns) {
+TEST(MonitorInterpreterTest, StepsMatchValidityOracle) {
   hist::HistContext Ctx;
   core::HotelExample H = core::makeHotelExample(Ctx);
 
-  std::vector<const hist::Expr *> Behaviors{H.C1, H.C2};
-  for (plan::Loc L : H.Repo.locations())
-    Behaviors.push_back(H.Repo.find(L));
-  Outcome<monitor::FusedPolicyAutomaton> Out = monitor::fusePolicies(
-      H.Registry, Ctx.interner(), monitor::collectPolicyRefs(Behaviors),
-      policy::eventUniverse(Behaviors));
-  ASSERT_TRUE(Out.ok());
-  monitor::FusedPolicyAutomaton F = Out.takeValue();
-
   // pi1/pi2Valid complete cleanly; pi3 exercises angelic blocking (S3 is
-  // black-listed by C2's policy).
+  // black-listed by C2's policy); committed-choice mode wedges pi2 on Del.
   std::vector<std::vector<net::NetworkComponent>> Networks = {
       {{H.LC1, H.C1, H.pi1()}, {H.LC2, H.C2, H.pi2Valid()}},
       {{H.LC2, H.C2, H.pi3()}},
+      {{H.LC2, H.C2, H.pi2()}},
   };
-  for (const auto &Comps : Networks) {
-    for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-      net::Interpreter Probe(Ctx, H.Repo, H.Registry, Comps,
-                             net::InterpreterOptions{});
-      net::InterpreterOptions FO;
-      FO.FusedMonitor = &F;
-      net::Interpreter Fused(Ctx, H.Repo, H.Registry, Comps, FO);
-      ASSERT_TRUE(Fused.fusedMonitorActive());
+  bool SawViolation = false;
+  for (const auto &Comps : Networks)
+    for (bool Committed : {false, true})
+      for (bool Monitor : {true, false})
+        for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+          net::InterpreterOptions Opts;
+          Opts.MonitorEnabled = Monitor;
+          Opts.CommittedInternalChoice = Committed;
+          net::Interpreter I(Ctx, H.Repo, H.Registry, Comps, Opts);
+          EXPECT_EQ(fuzz::checkInterpreterMonitor(I, H.Registry,
+                                                  Ctx.interner(), Seed, 256),
+                    "")
+              << "seed " << Seed << (Monitor ? " monitored" : " unmonitored")
+              << (Committed ? ", committed choice" : "");
+          for (size_t C = 0; C < I.numComponents(); ++C)
+            SawViolation |= I.isViolated(C);
+        }
+  // pi3 unmonitored must actually violate, or the off-mode half is vacuous.
+  EXPECT_TRUE(SawViolation);
 
-      net::RunStats PS = Probe.run(Seed);
-      net::RunStats FS = Fused.run(Seed);
-      EXPECT_EQ(Probe.trace(), Fused.trace()) << "seed " << Seed;
-      EXPECT_EQ(PS.StepsTaken, FS.StepsTaken);
-      EXPECT_EQ(PS.BlockedAttempts, FS.BlockedAttempts);
-      EXPECT_EQ(PS.Violations, FS.Violations);
-      EXPECT_EQ(PS.AllCompleted, FS.AllCompleted);
-      EXPECT_EQ(PS.StuckComponents, FS.StuckComponents);
-      for (size_t C = 0; C < Comps.size(); ++C)
-        EXPECT_EQ(Probe.history(C).str(Ctx.interner()),
-                  Fused.history(C).str(Ctx.interner()));
-    }
+  // Marketplace: each client under its first valid plan.
+  std::ifstream In(SUS_EXAMPLES_DIR "/marketplace.sus");
+  std::stringstream Source;
+  Source << In.rdbuf();
+  hist::HistContext MCtx;
+  DiagnosticEngine Diags;
+  std::optional<syntax::SusFile> File =
+      syntax::parseSusFile(MCtx, Source.str(), Diags, "marketplace.sus");
+  ASSERT_TRUE(File);
+  core::Verifier V(MCtx, File->Repo, File->Registry);
+  for (const auto &[Name, Client] : File->Clients) {
+    core::VerificationReport Report = V.verifyClient(Client, Name);
+    const core::PlanVerdict *First = nullptr;
+    for (const core::PlanVerdict &Verdict : Report.Verdicts)
+      if (!First && Verdict.isValid())
+        First = &Verdict;
+    ASSERT_TRUE(First) << MCtx.interner().text(Name);
+    for (bool Monitor : {true, false})
+      for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+        net::InterpreterOptions Opts;
+        Opts.MonitorEnabled = Monitor;
+        net::Interpreter I(MCtx, File->Repo, File->Registry,
+                           {{Name, Client, First->Pi}}, Opts);
+        EXPECT_EQ(fuzz::checkInterpreterMonitor(I, File->Registry,
+                                                MCtx.interner(), Seed, 256),
+                  "")
+            << MCtx.interner().text(Name) << " seed " << Seed;
+      }
   }
 }

@@ -118,7 +118,7 @@ TEST(SectionContainer, RoundTripsAndReportsMissingSections) {
   ASSERT_TRUE(R.section(SectionTag::Strings).has_value());
   EXPECT_EQ(*R.section(SectionTag::Strings), "alpha");
   EXPECT_EQ(*R.section(SectionTag::Exprs), "beta-payload");
-  EXPECT_FALSE(R.section(SectionTag::Fused).has_value());
+  EXPECT_FALSE(R.section(SectionTag::Index).has_value());
 }
 
 TEST(SectionContainer, RejectsBadMagic) {
@@ -135,6 +135,17 @@ TEST(SectionContainer, RejectsWrongVersionNamingBothVersions) {
   SectionReader R(B);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.error().find("version"), std::string::npos) << R.error();
+}
+
+TEST(SectionContainer, RejectsVersionTwoSnapshots) {
+  // v2 files carried the fused-monitor section (tag 8); v3 dropped it, so
+  // they must fail on the version check, not on an unknown tag.
+  std::string B = twoSectionSnapshot();
+  B[8] = 2;
+  SectionReader R(B);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error(), "unsupported snapshot format version 2 (this build "
+                       "reads version 3)");
 }
 
 TEST(SectionContainer, RejectsEveryTruncation) {

@@ -14,8 +14,6 @@
 #include "core/Snapshot.h"
 #include "core/Verifier.h"
 #include "fuzz/Generator.h"
-#include "monitor/SessionMonitor.h"
-#include "policy/Compile.h"
 #include "support/Diagnostics.h"
 #include "syntax/FileParser.h"
 
@@ -82,27 +80,6 @@ struct Session {
     return R;
   }
 };
-
-/// A 64-policy monitor request over \p S's hotel repository: phi({s1},p,t)
-/// for p in 40..47 and t in 80..87, over every event the file can fire.
-std::pair<std::vector<hist::PolicyRef>, std::vector<hist::Event>>
-widePolicyRequest(Session &S) {
-  StringInterner &In = S.Ctx.interner();
-  std::vector<hist::PolicyRef> Refs;
-  Refs.reserve(64);
-  for (int64_t P = 40; P < 48; ++P)
-    for (int64_t T = 80; T < 88; ++T)
-      Refs.push_back({In.intern("phi"),
-                      {{Value::name(In.intern("s1"))},
-                       {Value::integer(P)},
-                       {Value::integer(T)}}});
-  std::vector<const hist::Expr *> Behaviors;
-  for (plan::Loc L : S.File->Repo.locations())
-    Behaviors.push_back(S.File->Repo.find(L));
-  for (const auto &[Name, Client] : S.File->Clients)
-    Behaviors.push_back(Client);
-  return {Refs, policy::eventUniverse(Behaviors)};
-}
 
 /// The cold-vs-warm equivalence check at the heart of the suite.
 void expectWarmRestartIdentical(const std::string &Source) {
@@ -197,56 +174,3 @@ TEST(SnapshotDiff, EmptyCacheSnapshotRoundTrips) {
 }
 
 } // namespace
-
-TEST(SnapshotDiff, WideFusedMonitorRoundTrips) {
-  std::string Source = readWholeFile(SUS_EXAMPLES_DIR "/hotel.sus");
-  Session Cold(Source);
-  auto [Refs, Universe] = widePolicyRequest(Cold);
-  std::shared_ptr<const monitor::FusedPolicyAutomaton> ColdF =
-      Cold.Cache->fusedMonitors().fuse(Cold.File->Registry,
-                                       Cold.Ctx.interner(), Refs, Universe);
-  ASSERT_TRUE(ColdF);
-  ASSERT_EQ(ColdF->Policies.size(), 64u);
-  std::string Bytes = Cold.snapshot();
-
-  Session Warm(Source);
-  core::SnapshotLoadResult R = Warm.load(Bytes);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Stats.FusedMonitors, 1u);
-  auto [WarmRefs, WarmUniverse] = widePolicyRequest(Warm);
-  std::shared_ptr<const monitor::FusedPolicyAutomaton> WarmF =
-      Warm.Cache->fusedMonitors().fuse(Warm.File->Registry,
-                                       Warm.Ctx.interner(), WarmRefs,
-                                       WarmUniverse);
-  ASSERT_TRUE(WarmF);
-  // Served from the snapshot, not re-fused.
-  EXPECT_EQ(Warm.Cache->fusedMonitors().stats().Hits, 1u);
-  EXPECT_EQ(Warm.Cache->fusedMonitors().stats().Fusions, 0u);
-
-  // The per-policy DFAs survive unchanged...
-  ASSERT_EQ(WarmF->Parts.size(), ColdF->Parts.size());
-  ASSERT_EQ(WarmF->Universe.size(), ColdF->Universe.size());
-  for (size_t P = 0; P < ColdF->Parts.size(); ++P) {
-    const automata::Dfa &A = ColdF->Parts[P], &B = WarmF->Parts[P];
-    ASSERT_EQ(A.numStates(), B.numStates());
-    EXPECT_EQ(A.start(), B.start());
-    for (automata::StateId St = 0; St < A.numStates(); ++St) {
-      EXPECT_EQ(A.isAccepting(St), B.isAccepting(St));
-      for (uint32_t Idx = 0; Idx < ColdF->Universe.size(); ++Idx)
-        EXPECT_EQ(A.stepIndex(St, Idx), B.stepIndex(St, Idx));
-    }
-  }
-  // ...and the restored monitor, starting from an empty memo, decides
-  // like the cold one with every frame open.
-  monitor::SessionMonitor C(*ColdF), W(*WarmF);
-  for (size_t I = 0; I < Refs.size(); ++I) {
-    EXPECT_EQ(C.advance(hist::Label::frameOpen(ColdF->Policies[I])),
-              W.advance(hist::Label::frameOpen(WarmF->Policies[I])));
-  }
-  for (size_t I = 0; I < ColdF->Universe.size(); ++I) {
-    hist::Label CL = hist::Label::event(ColdF->Universe[I]);
-    hist::Label WL = hist::Label::event(WarmF->Universe[I]);
-    EXPECT_EQ(C.wouldAdmit(CL), W.wouldAdmit(WL)) << I;
-    EXPECT_EQ(C.advance(CL), W.advance(WL)) << I;
-  }
-}

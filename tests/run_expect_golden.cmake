@@ -1,0 +1,21 @@
+# Golden-output guard for `susc --run --trace`: stdout and the exit code
+# must match the checked-in expectation byte for byte. The run output is
+# the Interpreter's schedule, so any change to the monitor's verdicts (a
+# step wrongly blocked or admitted) shows up here as a diff.
+#
+# Usage: cmake -DSUSC=<susc> -DINPUT=<file.sus> -DGOLDEN=<expected stdout>
+#              -DEXPECT_CODE=<exit code> -P run_expect_golden.cmake
+execute_process(
+  COMMAND ${SUSC} --run --trace ${INPUT}
+  OUTPUT_VARIABLE OUT
+  ERROR_VARIABLE ERR
+  RESULT_VARIABLE CODE)
+if(NOT CODE STREQUAL EXPECT_CODE)
+  message(FATAL_ERROR "expected exit code '${EXPECT_CODE}', got '${CODE}'\n"
+          "stderr:\n${ERR}")
+endif()
+file(READ ${GOLDEN} WANT)
+if(NOT OUT STREQUAL WANT)
+  message(FATAL_ERROR "stdout differs from ${GOLDEN}\n--- got:\n${OUT}\n"
+          "--- want:\n${WANT}")
+endif()
