@@ -154,6 +154,40 @@ TEST_F(ValidityTest, UnknownServiceLocationIsReported) {
   EXPECT_EQ(R.Failure, PlanFailureKind::UnknownService);
 }
 
+TEST_F(ValidityTest, ExplorationSizesAndTracesArePinned) {
+  // The checker's state count and shortest trace depend on the move order
+  // of the shared session semantics; these exact values pin it.
+  struct Case {
+    const Expr *Client;
+    plan::Loc ClientLoc;
+    plan::Plan Pi;
+    size_t States;
+    std::vector<std::string> Trace;
+  };
+  plan::Plan Unbound;
+  Unbound.bind(1, Ex.LBr);
+  plan::Plan Unknown;
+  Unknown.bind(1, Ctx.symbol("nowhere"));
+  std::vector<Case> Cases = {
+      {Ex.C1, Ex.LC1, Ex.pi1(), 13, {}},
+      {Ex.C2, Ex.LC2, Ex.pi2Valid(), 13, {}},
+      {Ex.C2, Ex.LC2, Ex.pi2(), 13, {}},
+      {Ex.C2, Ex.LC2, Ex.pi3(), 4,
+       {"open_2:phi({s1,s3},40,70)", "tau(Req!)", "open_3:@",
+        "alpha_sgn(s3)"}},
+      {Ex.C1, Ex.LC1, Unbound, 3,
+       {"open_1:phi(s1,45,100)", "tau(Req!)", "open_3:@"}},
+      {Ex.C1, Ex.LC1, Unknown, 1, {"open_1:phi(s1,45,100)"}},
+  };
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    const Case &C = Cases[I];
+    auto R = checkPlanValidity(Ctx, C.Client, C.ClientLoc, C.Pi, Ex.Repo,
+                               Ex.Registry);
+    EXPECT_EQ(R.ExploredStates, C.States) << "case " << I;
+    EXPECT_EQ(R.Trace, C.Trace) << "case " << I;
+  }
+}
+
 TEST_F(ValidityTest, UnknownPolicyIsReported) {
   PolicyRef Mystery;
   Mystery.Name = Ctx.symbol("mystery");

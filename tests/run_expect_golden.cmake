@@ -1,12 +1,14 @@
-# Golden-output guard for `susc --run --trace`: stdout and the exit code
-# must match the checked-in expectation byte for byte. The run output is
-# the Interpreter's schedule, so any change to the monitor's verdicts (a
-# step wrongly blocked or admitted) shows up here as a diff.
+# Golden-output guard for a susc invocation: stdout and the exit code must
+# match the checked-in expectation byte for byte. With `--run --trace` the
+# output is the Interpreter's schedule, so any change to the monitor's
+# verdicts (a step wrongly blocked or admitted) shows up here as a diff;
+# with `--explore` it is the Explorer's state count and verdicts.
 #
-# Usage: cmake -DSUSC=<susc> -DINPUT=<file.sus> -DGOLDEN=<expected stdout>
-#              -DEXPECT_CODE=<exit code> -P run_expect_golden.cmake
+# Usage: cmake -DSUSC=<susc> "-DARGS=<arg;arg;...>" -DINPUT=<file.sus>
+#              -DGOLDEN=<expected stdout> -DEXPECT_CODE=<exit code>
+#              -P run_expect_golden.cmake
 execute_process(
-  COMMAND ${SUSC} --run --trace ${INPUT}
+  COMMAND ${SUSC} ${ARGS} ${INPUT}
   OUTPUT_VARIABLE OUT
   ERROR_VARIABLE ERR
   RESULT_VARIABLE CODE)
