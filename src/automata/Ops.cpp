@@ -21,16 +21,6 @@ namespace {
 // Shared helpers
 //===----------------------------------------------------------------------===//
 
-/// Hash for bitset keys (state sets as packed words).
-struct WordsHash {
-  size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-    size_t Seed = V.size();
-    for (uint64_t X : V)
-      hashCombineValue(Seed, X);
-    return Seed;
-  }
-};
-
 /// Hash for packed (StateId, StateId) product keys.
 struct PairKeyHash {
   size_t operator()(uint64_t Key) const noexcept { return hashAll(Key); }

@@ -2,20 +2,10 @@
 
 #include "bpa/Bpa.h"
 
-#include "support/HashUtil.h"
-
 #include <cassert>
 
 using namespace sus;
 using namespace sus::bpa;
-
-size_t BpaContext::VecHash::operator()(
-    const std::vector<uint64_t> &V) const noexcept {
-  size_t Seed = V.size();
-  for (uint64_t X : V)
-    hashCombineValue(Seed, X);
-  return Seed;
-}
 
 const Term *BpaContext::nil() {
   std::vector<uint64_t> Key = {static_cast<uint64_t>(TermKind::Nil)};

@@ -21,6 +21,7 @@
 #include "hist/Action.h"
 #include "support/Arena.h"
 #include "support/Casting.h"
+#include "support/HashUtil.h"
 
 #include <map>
 #include <string>
@@ -164,12 +165,8 @@ private:
   template <typename T, typename... Args>
   const Term *make(std::vector<uint64_t> Key, Args &&...As);
 
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept;
-  };
-
   Arena Terms;
-  std::unordered_map<std::vector<uint64_t>, const Term *, VecHash> Unique;
+  std::unordered_map<std::vector<uint64_t>, const Term *, WordsHash> Unique;
   std::map<Symbol, const Term *> Defs;
   unsigned FreshCounter = 0;
 };

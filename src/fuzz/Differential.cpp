@@ -16,11 +16,13 @@
 #include "hist/TraceEquiv.h"
 #include "monitor/Fused.h"
 #include "monitor/SessionMonitor.h"
+#include "plan/PlanEnumerator.h"
 #include "plan/RequestExtract.h"
 #include "policy/Compile.h"
 #include "policy/Validity.h"
 #include "support/Diagnostics.h"
 #include "syntax/FileParser.h"
+#include "validity/StaticValidity.h"
 
 #include <memory>
 #include <random>
@@ -296,6 +298,62 @@ void interpreterOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   }
 }
 
+/// Oracle 5: the §5 theorem. A plan the static checker finds valid can run
+/// with the monitor switched off: for up to four enumerated candidate
+/// plans per client that checkPlanValidity accepts, an unmonitored,
+/// angelic run under a seeded scheduler must never record a violation and
+/// never be offered a plan gap.
+void securityOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
+                    uint64_t Seed, unsigned MaxSteps,
+                    std::vector<Divergence> &Out) {
+  constexpr size_t MaxValidPlans = 4;
+  std::mt19937_64 Rng(Seed * 0xbf58476d1ce4e5b9ull + 5);
+  for (const auto &[Name, Client] : File.Clients) {
+    plan::EnumerationResult Candidates =
+        plan::enumeratePlans(Client, File.Repo);
+    size_t Checked = 0;
+    for (const plan::Plan &Pi : Candidates.Plans) {
+      if (Checked == MaxValidPlans)
+        break;
+      if (!validity::checkPlanValidity(Ctx, Client, Name, Pi, File.Repo,
+                                       File.Registry))
+        continue;
+      ++Checked;
+      net::InterpreterOptions Opts;
+      Opts.MonitorEnabled = false;
+      net::Interpreter Interp(Ctx, File.Repo, File.Registry,
+                              {{Name, Client, Pi}}, Opts);
+      std::mt19937_64 Sched(Rng());
+      std::string Diff;
+      for (unsigned N = 0; N < MaxSteps && Diff.empty(); ++N) {
+        std::vector<net::Step> All = Interp.steps();
+        std::vector<const net::Step *> Applicable;
+        for (const net::Step &S : All) {
+          if (S.PlanGap)
+            Diff = "is offered the plan gap '" + S.Desc + "'";
+          else if (!S.CapacityBlocked)
+            Applicable.push_back(&S);
+        }
+        if (!Diff.empty() || Applicable.empty())
+          break;
+        const net::Step &S = *Applicable[Sched() % Applicable.size()];
+        Interp.apply(S);
+        if (Interp.isViolated(0))
+          Diff = "violates a policy at step " + std::to_string(N) + " '" +
+                 S.Desc + "'";
+      }
+      if (!Diff.empty()) {
+        Out.push_back({"security",
+                       "client " + std::string(Ctx.interner().text(Name)) +
+                           " under statically valid " +
+                           Pi.str(Ctx.interner()) + ": unmonitored run " +
+                           Diff});
+        return;
+      }
+    }
+  }
+}
+
 /// Verifies every client through a dedicated verifier over \p Cache and
 /// renders the full report stream. Byte equality of this string across a
 /// snapshot round trip is the warm-restart contract (DESIGN.md §13).
@@ -309,7 +367,7 @@ std::string verifyAllInto(hist::HistContext &Ctx, const syntax::SusFile &File,
   return OS.str();
 }
 
-/// Oracle 5: persistence. A snapshot cut after a cold verification must
+/// Oracle 6: persistence. A snapshot cut after a cold verification must
 /// reload into a *fresh* context (simulating a restarted process) and the
 /// warm verifier must reproduce the cold verdict stream byte for byte.
 /// Then a seeded corruption battery — single-bit flips and truncations of
@@ -415,6 +473,7 @@ bool sus::fuzz::checkSource(const std::string &Source, uint64_t Seed,
   bpaOracle(*Ctx, *File, Opts.BpaTraceDepth, Out);
   monitorOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
   interpreterOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
+  securityOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
   if (Opts.Snapshot)
     snapshotOracle(*Ctx, *File, Source, Seed, Opts, Out);
   if (Opts.Chaos)

@@ -16,6 +16,8 @@
 ///   interpreter  the Interpreter's monitor vs. the ValidityChecker
 ///                oracle, step by step over a random run per client
 ///                under a random plan (blocking and plan gaps included);
+///   security     the §5 theorem: a plan the static checker finds valid
+///                runs unmonitored without a violation or a plan gap;
 ///   snapshot     a cache snapshot cut after a cold verification must
 ///                reload into a fresh context and reproduce the exact
 ///                verdict stream — and seeded bit-flips / truncations
@@ -57,7 +59,8 @@ struct FuzzOptions {
 /// One oracle disagreement (or unexpected parser outcome).
 struct Divergence {
   std::string Check; ///< "parse", "compliance", "prescreen", "bpa",
-                     ///< "monitor", "interpreter", "snapshot", "chaos".
+                     ///< "monitor", "interpreter", "security",
+                     ///< "snapshot", "chaos".
   std::string Detail;
 };
 

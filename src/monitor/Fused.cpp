@@ -50,76 +50,12 @@ sus::monitor::policySetFingerprint(const std::vector<PolicyRef> &Refs,
   return static_cast<uint64_t>(Seed);
 }
 
-namespace {
-
-void collectRefs(const Expr *E, std::vector<PolicyRef> &Out) {
-  auto Add = [&Out](const PolicyRef &Ref) {
-    if (!Ref.isTrivial())
-      Out.push_back(Ref);
-  };
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Event:
-    return;
-  case ExprKind::CloseMark:
-    Add(cast<CloseMarkExpr>(E)->policy());
-    return;
-  case ExprKind::FrameOpen:
-    Add(cast<FrameOpenExpr>(E)->policy());
-    return;
-  case ExprKind::FrameClose:
-    Add(cast<FrameCloseExpr>(E)->policy());
-    return;
-  case ExprKind::Mu:
-    collectRefs(cast<MuExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collectRefs(S->head(), Out);
-    collectRefs(S->tail(), Out);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectRefs(B.Body, Out);
-    return;
-  case ExprKind::Request: {
-    const auto *R = cast<RequestExpr>(E);
-    Add(R->policy());
-    collectRefs(R->body(), Out);
-    return;
-  }
-  case ExprKind::Framing: {
-    const auto *F = cast<FramingExpr>(E);
-    Add(F->policy());
-    collectRefs(F->body(), Out);
-    return;
-  }
-  }
-}
-
-} // namespace
-
-std::vector<PolicyRef> sus::monitor::collectPolicyRefs(const Expr *Root) {
-  std::vector<PolicyRef> Out;
-  collectRefs(Root, Out);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
 std::vector<PolicyRef>
 sus::monitor::collectPolicyRefs(const std::vector<const Expr *> &Exprs) {
-  std::vector<PolicyRef> Out;
-  for (const Expr *E : Exprs)
-    collectRefs(E, Out);
+  std::vector<PolicyRef> Out = policy::policyRefs(Exprs);
   std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
 }
-
 
 //===----------------------------------------------------------------------===//
 // The product memo

@@ -184,11 +184,8 @@ void canonicalizePolicySet(std::vector<hist::PolicyRef> &Refs,
 uint64_t policySetFingerprint(const std::vector<hist::PolicyRef> &Refs,
                               const std::vector<hist::Event> &Universe);
 
-/// Every non-trivial policy reference occurring in \p Root (requests,
+/// Every non-trivial policy reference occurring in \p Exprs (requests,
 /// framings and residual frame markers), deduplicated and sorted.
-std::vector<hist::PolicyRef> collectPolicyRefs(const hist::Expr *Root);
-
-/// Union over several expressions.
 std::vector<hist::PolicyRef>
 collectPolicyRefs(const std::vector<const hist::Expr *> &Exprs);
 

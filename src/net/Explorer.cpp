@@ -2,8 +2,7 @@
 
 #include "net/Explorer.h"
 
-#include "hist/Derive.h"
-#include "support/Casting.h"
+#include "plan/Semantics.h"
 #include "support/HashUtil.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -19,65 +18,17 @@ using namespace sus::net;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Canonical (hash-consed) session trees
-//===----------------------------------------------------------------------===//
-
-struct CNode {
-  bool IsLeaf;
-  plan::Loc Location;
-  const Expr *Behavior = nullptr;
-  const CNode *Left = nullptr;
-  const CNode *Right = nullptr;
-};
-
-class CTreeFactory {
-public:
-  const CNode *leaf(plan::Loc L, const Expr *H) {
-    return intern({1, L.id(), reinterpret_cast<uint64_t>(H)},
-                  CNode{true, L, H, nullptr, nullptr});
-  }
-  const CNode *pair(const CNode *A, const CNode *B) {
-    return intern({2, reinterpret_cast<uint64_t>(A),
-                   reinterpret_cast<uint64_t>(B)},
-                  CNode{false, plan::Loc(), nullptr, A, B});
-  }
-
-private:
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
-
-  const CNode *intern(std::vector<uint64_t> Key, CNode Node) {
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
-    Storage.push_back(Node);
-    const CNode *P = &Storage.back();
-    Unique.emplace(std::move(Key), P);
-    return P;
-  }
-
-  std::deque<CNode> Storage;
-  std::unordered_map<std::vector<uint64_t>, const CNode *, VecHash> Unique;
-};
-
 /// A network configuration: one tree per component plus the slot usage of
 /// every capacity-bounded location.
 struct NetState {
-  std::vector<const CNode *> Trees;
+  std::vector<const plan::SessionTree *> Trees;
   std::map<plan::Loc, unsigned> InUse;
 };
 
 std::vector<uint64_t> encode(const NetState &S) {
   std::vector<uint64_t> Key;
   Key.reserve(S.Trees.size() + 2 * S.InUse.size() + 1);
-  for (const CNode *T : S.Trees)
+  for (const plan::SessionTree *T : S.Trees)
     Key.push_back(reinterpret_cast<uint64_t>(T));
   Key.push_back(~0ull);
   for (const auto &[L, N] : S.InUse) {
@@ -85,40 +36,6 @@ std::vector<uint64_t> encode(const NetState &S) {
     Key.push_back(N);
   }
   return Key;
-}
-
-/// One enabled move of one component.
-struct CMove {
-  const CNode *NewTree = nullptr;
-  plan::Loc OpensAt;   ///< Valid when IsOpen.
-  plan::Loc ClosesAt;  ///< Valid when IsClose (the discarded partner).
-  bool IsOpen = false;
-  bool IsClose = false;
-  std::string Desc;
-};
-
-/// Splits a leading multi-branch ⊕ (as in Interpreter's committed mode).
-std::optional<std::pair<const IntChoiceExpr *, const Expr *>>
-splitMultiOutputHead(HistContext &Ctx, const Expr *E, unsigned Fuel = 8) {
-  if (Fuel == 0)
-    return std::nullopt;
-  if (const auto *C = dyn_cast<IntChoiceExpr>(E))
-    return C->numBranches() > 1
-               ? std::make_optional(std::make_pair(C, Ctx.empty()))
-               : std::nullopt;
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    auto Head = splitMultiOutputHead(Ctx, S->head(), Fuel - 1);
-    if (!Head)
-      return std::nullopt;
-    return std::make_pair(Head->first, Ctx.seq(Head->second, S->tail()));
-  }
-  if (const auto *M = dyn_cast<MuExpr>(E)) {
-    const Expr *Unfolded = Ctx.unfold(M);
-    if (Unfolded == E)
-      return std::nullopt;
-    return splitMultiOutputHead(Ctx, Unfolded, Fuel - 1);
-  }
-  return std::nullopt;
 }
 
 class Explorer {
@@ -131,122 +48,27 @@ public:
   ExplorationResult run();
 
 private:
-  void movesOf(size_t Component, const CNode *Node, const NetState &S,
-               std::vector<CMove> &Out);
+  /// True if the move can fire in \p S: plan gaps never can, and an open
+  /// of a full capacity-bounded service waits.
+  bool enabled(const plan::Move &M, const NetState &S) const;
 
   HistContext &Ctx;
   const plan::Repository &Repo;
   const std::vector<NetworkComponent> &Components;
   const ExplorerOptions &Options;
-  CTreeFactory Trees;
+  plan::SessionTreeFactory Trees;
 };
 
-void Explorer::movesOf(size_t Component, const CNode *Node,
-                       const NetState &S, std::vector<CMove> &Out) {
-  const StringInterner &In = Ctx.interner();
-  if (Node->IsLeaf) {
-    if (Options.CommittedInternalChoice) {
-      if (auto Split = splitMultiOutputHead(Ctx, Node->Behavior)) {
-        for (const ChoiceBranch &B : Split->first->branches()) {
-          CMove M;
-          M.NewTree = Trees.leaf(
-              Node->Location,
-              Ctx.seq(Ctx.prefix(B.Guard, B.Body), Split->second));
-          M.Desc = "commit " + B.Guard.str(In);
-          Out.push_back(std::move(M));
-        }
-        return;
-      }
-    }
-    for (const Transition &T : derive(Ctx, Node->Behavior)) {
-      switch (T.L.kind()) {
-      case LabelKind::Event:
-      case LabelKind::FrameOpen:
-      case LabelKind::FrameClose: {
-        CMove M;
-        M.NewTree = Trees.leaf(Node->Location, T.Target);
-        M.Desc = T.L.str(In);
-        Out.push_back(std::move(M));
-        break;
-      }
-      case LabelKind::Open: {
-        std::optional<plan::Loc> L =
-            Components[Component].Pi.lookup(T.L.request());
-        if (!L)
-          break; // Plan gap: the open can never fire.
-        const Expr *Service = Repo.find(*L);
-        if (!Service)
-          break;
-        unsigned Cap = Repo.capacity(*L);
-        if (Cap != 0) {
-          auto It = S.InUse.find(*L);
-          if (It != S.InUse.end() && It->second >= Cap)
-            break; // Capacity wait: not enabled in this configuration.
-        }
-        CMove M;
-        M.NewTree = Trees.pair(Trees.leaf(Node->Location, T.Target),
-                               Trees.leaf(*L, Service));
-        M.IsOpen = true;
-        M.OpensAt = *L;
-        M.Desc = T.L.str(In);
-        Out.push_back(std::move(M));
-        break;
-      }
-      default:
-        break;
-      }
-    }
-    return;
-  }
-
-  // Session rule: lift both sides.
-  std::vector<CMove> Left, Right;
-  movesOf(Component, Node->Left, S, Left);
-  movesOf(Component, Node->Right, S, Right);
-  for (CMove &M : Left) {
-    M.NewTree = Trees.pair(M.NewTree, Node->Right);
-    Out.push_back(std::move(M));
-  }
-  for (CMove &M : Right) {
-    M.NewTree = Trees.pair(Node->Left, M.NewTree);
-    Out.push_back(std::move(M));
-  }
-
-  auto TryActor = [&](const CNode *X, const CNode *Y, bool XIsLeft) {
-    if (!X->IsLeaf)
-      return;
-    if (Options.CommittedInternalChoice &&
-        splitMultiOutputHead(Ctx, X->Behavior))
-      return;
-    for (const Transition &TX : derive(Ctx, X->Behavior)) {
-      if (TX.L.isClose() && Y->IsLeaf) {
-        CMove M;
-        M.NewTree = Trees.leaf(X->Location, TX.Target);
-        M.IsClose = true;
-        M.ClosesAt = Y->Location;
-        M.Desc = TX.L.str(In);
-        Out.push_back(std::move(M));
-        continue;
-      }
-      if (!TX.L.isComm() || !Y->IsLeaf)
-        continue;
-      CommAction AX = TX.L.asComm();
-      if (!AX.isOutput())
-        continue;
-      for (const Transition &TY : derive(Ctx, Y->Behavior)) {
-        if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
-          continue;
-        CMove M;
-        const CNode *NX = Trees.leaf(X->Location, TX.Target);
-        const CNode *NY = Trees.leaf(Y->Location, TY.Target);
-        M.NewTree = XIsLeft ? Trees.pair(NX, NY) : Trees.pair(NY, NX);
-        M.Desc = "tau(" + AX.str(In) + ")";
-        Out.push_back(std::move(M));
-      }
-    }
-  };
-  TryActor(Node->Left, Node->Right, true);
-  TryActor(Node->Right, Node->Left, false);
+bool Explorer::enabled(const plan::Move &M, const NetState &S) const {
+  if (M.Gap != plan::Move::GapKind::None)
+    return false;
+  if (M.K != plan::Move::Kind::Open)
+    return true;
+  unsigned Cap = Repo.capacity(M.Opened);
+  if (Cap == 0)
+    return true;
+  auto It = S.InUse.find(M.Opened);
+  return It == S.InUse.end() || It->second < Cap;
 }
 
 ExplorationResult Explorer::run() {
@@ -254,18 +76,9 @@ ExplorationResult Explorer::run() {
   ExplorationResult Result;
   size_t Expanded = 0, DedupHits = 0, MovesGenerated = 0;
 
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
-
   std::vector<NetState> States;
   std::vector<std::optional<std::pair<uint32_t, std::string>>> Pred;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, VecHash> Index;
+  std::unordered_map<std::vector<uint64_t>, uint32_t, WordsHash> Index;
   std::deque<uint32_t> Work;
   bool Truncated = false;
 
@@ -288,14 +101,15 @@ ExplorationResult Explorer::run() {
     Work.push_back(I);
   };
 
+  std::vector<plan::Move> Moves;
   NetState Init;
   for (const NetworkComponent &C : Components)
     Init.Trees.push_back(Trees.leaf(C.Location, C.Client));
   Intern(std::move(Init), std::nullopt);
 
   auto AllDone = [](const NetState &S) {
-    for (const CNode *T : S.Trees)
-      if (!(T->IsLeaf && T->Behavior->isEmpty()))
+    for (const plan::SessionTree *T : S.Trees)
+      if (!T->isTerminated())
         return false;
     return true;
   };
@@ -313,24 +127,28 @@ ExplorationResult Explorer::run() {
 
     size_t MovesSeen = 0;
     for (size_t C = 0; C < Current.Trees.size(); ++C) {
-      std::vector<CMove> Moves;
-      movesOf(C, Current.Trees[C], Current, Moves);
-      MovesSeen += Moves.size();
-      MovesGenerated += Moves.size();
-      for (const CMove &M : Moves) {
+      Moves.clear();
+      plan::sessionMoves(Ctx, Trees, Current.Trees[C], Components[C].Pi,
+                         Repo, Options.CommittedInternalChoice, Moves);
+      for (const plan::Move &M : Moves) {
+        if (!enabled(M, Current))
+          continue;
+        ++MovesSeen;
         NetState Next = Current;
         Next.Trees[C] = M.NewTree;
-        if (M.IsOpen)
-          ++Next.InUse[M.OpensAt];
-        if (M.IsClose) {
-          auto It = Next.InUse.find(M.ClosesAt);
+        if (M.K == plan::Move::Kind::Open)
+          ++Next.InUse[M.Opened];
+        if (M.K == plan::Move::Kind::Close) {
+          auto It = Next.InUse.find(M.Partner);
           if (It != Next.InUse.end() && It->second > 0 && --It->second == 0)
             Next.InUse.erase(It);
         }
         Intern(std::move(Next),
-               std::make_pair(I, "c" + std::to_string(C) + ": " + M.Desc));
+               std::make_pair(I, "c" + std::to_string(C) + ": " +
+                                     M.str(Ctx.interner())));
       }
     }
+    MovesGenerated += MovesSeen;
 
     if (MovesSeen == 0 && !Result.DeadlockReachable) {
       Result.DeadlockReachable = true;

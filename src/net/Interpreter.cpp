@@ -2,63 +2,19 @@
 
 #include "net/Interpreter.h"
 
-#include "hist/Derive.h"
-#include "hist/Printer.h"
 #include "policy/Compile.h"
-#include "support/Casting.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
-
-#include <cassert>
 
 using namespace sus;
 using namespace sus::hist;
 using namespace sus::net;
 
-namespace {
-
-/// Φ(H): pending ⌋ϕ markers along the sequential spine (rule Close).
-void pendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    pendingFrameCloses(S->head(), Out);
-    pendingFrameCloses(S->tail(), Out);
-    return;
-  }
-  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
-    Out.push_back(F->policy());
-}
-
-/// If E ≡ (⊕ᵢ āᵢ.Hᵢ)·K with more than one branch, returns the choice and
-/// the continuation K (unfolding a leading µ if needed).
-std::optional<std::pair<const IntChoiceExpr *, const Expr *>>
-splitMultiOutputHead(HistContext &Ctx, const Expr *E, unsigned Fuel = 8) {
-  if (Fuel == 0)
-    return std::nullopt;
-  if (const auto *C = dyn_cast<IntChoiceExpr>(E))
-    return C->numBranches() > 1
-               ? std::make_optional(std::make_pair(C, Ctx.empty()))
-               : std::nullopt;
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    auto Head = splitMultiOutputHead(Ctx, S->head(), Fuel - 1);
-    if (!Head)
-      return std::nullopt;
-    return std::make_pair(Head->first, Ctx.seq(Head->second, S->tail()));
-  }
-  if (const auto *M = dyn_cast<MuExpr>(E)) {
-    const Expr *Unfolded = Ctx.unfold(M);
-    if (Unfolded == E)
-      return std::nullopt;
-    return splitMultiOutputHead(Ctx, Unfolded, Fuel - 1);
-  }
-  return std::nullopt;
-}
-
-} // namespace
-
 Interpreter::Interpreter(HistContext &Ctx, const plan::Repository &Repo,
                          const policy::PolicyRegistry &Registry,
                          std::vector<NetworkComponent> Comps, Options Opts)
-    : Ctx(Ctx), Repo(Repo), Opts(Opts), Components(std::move(Comps)) {
+    : Ctx(Ctx), Repo(Repo), Opts(Opts), Components(std::move(Comps)),
+      Factory(std::make_unique<plan::SessionTreeFactory>()) {
   // Every event any client or published service can fire is in the
   // universe, so no reachable step leaves it.
   std::vector<const Expr *> Behaviors;
@@ -71,168 +27,40 @@ Interpreter::Interpreter(HistContext &Ctx, const plan::Repository &Repo,
                             monitor::collectPolicyRefs(Behaviors),
                             policy::eventUniverse(Behaviors)));
   for (const NetworkComponent &C : Components) {
-    Trees.push_back(Session::leaf(C.Location, C.Client));
+    Trees.push_back(Factory->leaf(C.Location, C.Client));
     Histories.emplace_back();
     Monitors.emplace_back(*Fused);
   }
 }
 
-Session *Interpreter::resolve(size_t Component,
-                              const std::vector<bool> &Path) {
-  Session *Node = Trees[Component].get();
-  for (bool Right : Path) {
-    Node = Right ? Node->Right.get() : Node->Left.get();
-    assert(Node && "stale step path");
-  }
-  return Node;
-}
-
-void Interpreter::stepsOf(size_t Component, Session *Node,
-                          std::vector<bool> &Path, std::vector<Step> &Out) {
-  const std::string LocPrefix =
-      std::string(Ctx.interner().text(Node->IsLeaf
-                                          ? Node->Location
-                                          : Components[Component].Location));
-  if (Node->IsLeaf) {
-    // Committed-choice mode: a multi-branch ⊕ must resolve first.
-    if (Opts.CommittedInternalChoice) {
-      if (auto Split = splitMultiOutputHead(Ctx, Node->Behavior)) {
-        for (const ChoiceBranch &B : Split->first->branches()) {
-          Step S;
-          S.Component = Component;
-          S.K = Step::Kind::Commit;
-          S.Path = Path;
-          S.NewBehavior =
-              Ctx.seq(Ctx.prefix(B.Guard, B.Body), Split->second);
-          S.Desc = std::string(Ctx.interner().text(Node->Location)) +
-                   ": commit " + B.Guard.str(Ctx.interner());
-          Out.push_back(std::move(S));
-        }
-        return; // No other step until the commitment is made.
-      }
-    }
-    for (const Transition &T : derive(Ctx, Node->Behavior)) {
-      switch (T.L.kind()) {
-      case LabelKind::Event:
-      case LabelKind::FrameOpen:
-      case LabelKind::FrameClose: {
-        Step S;
-        S.Component = Component;
-        S.K = Step::Kind::Access;
-        S.Path = Path;
-        S.NewBehavior = T.Target;
-        S.HistoryAppend.push_back(T.L);
-        S.Desc = LocPrefix + ": " + T.L.str(Ctx.interner());
-        Out.push_back(std::move(S));
-        break;
-      }
-      case LabelKind::Open: {
-        Step S;
-        S.Component = Component;
-        S.K = Step::Kind::Open;
-        S.Path = Path;
-        S.NewBehavior = T.Target;
-        S.Desc = LocPrefix + ": " + T.L.str(Ctx.interner());
-        std::optional<plan::Loc> L =
-            Components[Component].Pi.lookup(T.L.request());
-        const Expr *Service = L ? Repo.find(*L) : nullptr;
-        if (!L || !Service) {
-          S.PlanGap = true;
-          Out.push_back(std::move(S));
-          break;
-        }
-        S.ServiceLoc = *L;
-        S.ServiceBehavior = Service;
-        unsigned Cap = Repo.capacity(*L);
-        if (Cap != 0) {
-          auto It = InUse.find(*L);
-          if (It != InUse.end() && It->second >= Cap)
-            S.CapacityBlocked = true;
-        }
-        if (!T.L.policy().isTrivial())
-          S.HistoryAppend.push_back(Label::frameOpen(T.L.policy()));
-        Out.push_back(std::move(S));
-        break;
-      }
-      case LabelKind::Close:
-        // Handled at the enclosing pair (rule Close discards the partner).
-        break;
-      case LabelKind::Input:
-      case LabelKind::Output:
-      case LabelKind::Tau:
-        // Communication needs the enclosing pair (rule Synch).
-        break;
-      }
-    }
-    return;
-  }
-
-  // Rule Session: explore both sides.
-  Path.push_back(false);
-  stepsOf(Component, Node->Left.get(), Path, Out);
-  Path.back() = true;
-  stepsOf(Component, Node->Right.get(), Path, Out);
-  Path.pop_back();
-
-  // Rules Synch and Close at this pair (both relevant sides leaves).
-  auto TryActor = [&](Session *X, Session *Y, bool XIsLeft) {
-    if (!X->IsLeaf)
-      return;
-    // In committed-choice mode an unresolved ⊕ cannot act yet.
-    if (Opts.CommittedInternalChoice &&
-        splitMultiOutputHead(Ctx, X->Behavior))
-      return;
-    for (const Transition &TX : derive(Ctx, X->Behavior)) {
-      if (TX.L.isClose() && Y->IsLeaf) {
-        Step S;
-        S.Component = Component;
-        S.K = Step::Kind::Close;
-        S.Path = Path;
-        S.ActorIsLeft = XIsLeft;
-        S.NewBehavior = TX.Target;
-        std::vector<PolicyRef> Pending;
-        pendingFrameCloses(Y->Behavior, Pending);
-        for (const PolicyRef &Ref : Pending)
-          if (!Ref.isTrivial())
-            S.HistoryAppend.push_back(Label::frameClose(Ref));
-        if (!TX.L.policy().isTrivial())
-          S.HistoryAppend.push_back(Label::frameClose(TX.L.policy()));
-        S.Desc = std::string(Ctx.interner().text(X->Location)) + ": " +
-                 TX.L.str(Ctx.interner());
-        Out.push_back(std::move(S));
-        continue;
-      }
-      if (!TX.L.isComm() || !Y->IsLeaf)
-        continue;
-      CommAction AX = TX.L.asComm();
-      if (!AX.isOutput())
-        continue; // Enumerate each synchronization from the sender side.
-      for (const Transition &TY : derive(Ctx, Y->Behavior)) {
-        if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
-          continue;
-        Step S;
-        S.Component = Component;
-        S.K = Step::Kind::Synch;
-        S.Path = Path;
-        S.ActorIsLeft = XIsLeft;
-        S.NewBehavior = TX.Target;
-        S.PartnerResidual = TY.Target;
-        S.Desc = "tau: " + std::string(Ctx.interner().text(X->Location)) +
-                 " " + AX.str(Ctx.interner()) + " -> " +
-                 std::string(Ctx.interner().text(Y->Location));
-        Out.push_back(std::move(S));
-      }
-    }
-  };
-  TryActor(Node->Left.get(), Node->Right.get(), /*XIsLeft=*/true);
-  TryActor(Node->Right.get(), Node->Left.get(), /*XIsLeft=*/false);
+std::string Interpreter::describe(const Step &S) const {
+  const StringInterner &In = Ctx.interner();
+  std::string Actor(In.text(S.Actor));
+  if (S.K == Step::Kind::Synch)
+    return "tau: " + Actor + " " + S.L.asComm().str(In) + " -> " +
+           std::string(In.text(S.Partner));
+  return Actor + ": " + S.str(In);
 }
 
 std::vector<Step> Interpreter::steps() {
   std::vector<Step> Out;
+  std::vector<plan::Move> Moves;
   for (size_t C = 0; C < Components.size(); ++C) {
-    std::vector<bool> Path;
-    stepsOf(C, Trees[C].get(), Path, Out);
+    Moves.clear();
+    plan::sessionMoves(Ctx, *Factory, Trees[C], Components[C].Pi, Repo,
+                       Opts.CommittedInternalChoice, Moves);
+    for (plan::Move &M : Moves) {
+      Step S;
+      static_cast<plan::Move &>(S) = std::move(M);
+      S.Component = C;
+      S.PlanGap = S.Gap != plan::Move::GapKind::None;
+      if (S.K == Step::Kind::Open && !S.PlanGap) {
+        unsigned Cap = Repo.capacity(S.Opened);
+        S.CapacityBlocked = Cap != 0 && sessionsInUse(S.Opened) >= Cap;
+      }
+      S.Desc = describe(S);
+      Out.push_back(std::move(S));
+    }
   }
   // Monitor verdicts: a step is blocked if its history extension breaks
   // validity (rule Access / Open / Close premises |= η'). This is the
@@ -254,50 +82,15 @@ bool Interpreter::apply(const Step &S) {
   if (Opts.MonitorEnabled && S.Blocked)
     return false;
 
-  Session *Node = resolve(S.Component, S.Path);
-  switch (S.K) {
-  case Step::Kind::Access:
-  case Step::Kind::Commit:
-    assert(Node->IsLeaf && "access/commit step targets a leaf");
-    Node->Behavior = S.NewBehavior;
-    break;
-  case Step::Kind::Open: {
-    assert(Node->IsLeaf && "open step targets a leaf");
-    auto Opener = Session::leaf(Node->Location, S.NewBehavior);
-    auto Server = Session::leaf(S.ServiceLoc, S.ServiceBehavior);
-    Node->IsLeaf = false;
-    Node->Behavior = nullptr;
-    Node->Left = std::move(Opener);
-    Node->Right = std::move(Server);
-    ++InUse[S.ServiceLoc];
-    break;
-  }
-  case Step::Kind::Synch: {
-    assert(!Node->IsLeaf && "synch step targets a pair");
-    Session *Actor = S.ActorIsLeft ? Node->Left.get() : Node->Right.get();
-    Session *Partner = S.ActorIsLeft ? Node->Right.get() : Node->Left.get();
-    Actor->Behavior = S.NewBehavior;
-    Partner->Behavior = S.PartnerResidual;
-    break;
-  }
-  case Step::Kind::Close: {
-    assert(!Node->IsLeaf && "close step targets a pair");
-    Session *Actor = S.ActorIsLeft ? Node->Left.get() : Node->Right.get();
-    Session *Partner = S.ActorIsLeft ? Node->Right.get() : Node->Left.get();
+  Trees[S.Component] = S.NewTree;
+  if (S.K == Step::Kind::Open)
+    ++InUse[S.Opened];
+  if (S.K == Step::Kind::Close) {
     // The discarded partner releases its replication slot.
-    auto It = InUse.find(Partner->Location);
+    auto It = InUse.find(S.Partner);
     if (It != InUse.end() && It->second > 0)
       --It->second;
-    plan::Loc L = Actor->Location;
-    Node->IsLeaf = true;
-    Node->Location = L;
-    Node->Behavior = S.NewBehavior;
-    Node->Left.reset();
-    Node->Right.reset();
-    break;
   }
-  }
-
   for (const Label &L : S.HistoryAppend) {
     Histories[S.Component].append(L);
     Monitors[S.Component].advance(L);

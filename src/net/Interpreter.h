@@ -1,11 +1,12 @@
 //===- net/Interpreter.h - Network operational semantics --------*- C++ -*-===//
 ///
 /// \file
-/// An executable implementation of the network semantics of §3 (rules
-/// Open, Close, Session, Net, Access, Synch). A network is a parallel
-/// composition of components, each a session tree with its own execution
-/// history η; services are drawn from a repository R and requests are
-/// bound through per-component plans π.
+/// An executable network for the semantics of §3. A network is a parallel
+/// composition of components (rule Net), each a session tree with its own
+/// execution history η; services are drawn from a repository R and
+/// requests are bound through per-component plans π. The moves of a tree
+/// (rules Open, Close, Session, Access, Synch) come from plan/Semantics.h,
+/// the same enumerator the static checker explores.
 ///
 /// The interpreter implements the paper's *angelic* run-time monitor: when
 /// monitoring is enabled, a step whose history extension would break
@@ -27,8 +28,8 @@
 
 #include "hist/HistContext.h"
 #include "monitor/SessionMonitor.h"
-#include "net/Session.h"
 #include "plan/Plan.h"
+#include "plan/Semantics.h"
 #include "policy/History.h"
 
 #include <map>
@@ -48,30 +49,11 @@ struct NetworkComponent {
   plan::Plan Pi;
 };
 
-/// One enabled (or blocked) step of the network.
-struct Step {
-  enum class Kind {
-    Access, ///< Rule Access: fire γ ∈ Ev ∪ Frm at a leaf.
-    Open,   ///< Rule Open: open a session with the planned service.
-    Synch,  ///< Rule Synch: complementary actions meet (τ).
-    Close,  ///< Rule Close: the opener ends the session.
-    Commit, ///< CommittedInternalChoice mode: resolve a ⊕ to one branch.
-  };
-
+/// One enabled (or blocked) step of the network: a move of one
+/// component's session tree (plan/Semantics.h) plus the interpreter's
+/// verdicts on it.
+struct Step : plan::Move {
   size_t Component = 0;
-  Kind K = Kind::Access;
-  /// Path from the component root to the affected node (false = left).
-  std::vector<bool> Path;
-
-  // New residuals (computed at enumeration time).
-  const hist::Expr *NewBehavior = nullptr;  ///< Access/Open/Close: actor.
-  const hist::Expr *PartnerResidual = nullptr; ///< Synch: the receiver.
-  plan::Loc ServiceLoc;                     ///< Open: chosen service.
-  const hist::Expr *ServiceBehavior = nullptr; ///< Open: its expression.
-  bool ActorIsLeft = true; ///< Synch/Close: which side acts.
-
-  /// History labels this step appends to the component history.
-  std::vector<hist::Label> HistoryAppend;
 
   /// Human-readable rendering (Fig. 3-style).
   std::string Desc;
@@ -142,7 +124,7 @@ public:
 
   size_t numComponents() const { return Components.size(); }
   const policy::History &history(size_t I) const { return Histories[I]; }
-  const Session &tree(size_t I) const { return *Trees[I]; }
+  const plan::SessionTree &tree(size_t I) const { return *Trees[I]; }
   bool isDone(size_t I) const { return Trees[I]->isTerminated(); }
 
   /// True if the component history has become invalid (possible only with
@@ -165,17 +147,18 @@ public:
   }
 
 private:
-  Session *resolve(size_t Component, const std::vector<bool> &Path);
-  void stepsOf(size_t Component, Session *Node, std::vector<bool> &Path,
-               std::vector<Step> &Out);
-  void finalizeHistoryLabels(size_t Component, Step &S);
+  /// The long rendering: "c1: open_1:...", "tau: c1 Req! -> br".
+  std::string describe(const Step &S) const;
 
   hist::HistContext &Ctx;
   const plan::Repository &Repo;
   Options Opts;
 
   std::vector<NetworkComponent> Components;
-  std::vector<std::unique_ptr<Session>> Trees;
+  /// Owned through a pointer so the trees survive a move.
+  std::unique_ptr<plan::SessionTreeFactory> Factory;
+  /// Each component's current session tree.
+  std::vector<const plan::SessionTree *> Trees;
   std::vector<policy::History> Histories;
   /// The network's policies fused over its closed event universe; owned
   /// through a pointer so the monitors' references survive a move.

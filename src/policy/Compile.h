@@ -54,6 +54,12 @@ std::vector<hist::Event> eventUniverse(const hist::Expr *E);
 std::vector<hist::Event>
 eventUniverse(const std::vector<const hist::Expr *> &Exprs);
 
+/// Collects every non-trivial policy reference occurring in \p Exprs
+/// (requests, framings and residual frame markers), deduplicated, in
+/// first-occurrence order.
+std::vector<hist::PolicyRef>
+policyRefs(const std::vector<const hist::Expr *> &Exprs);
+
 } // namespace policy
 } // namespace sus
 

@@ -2,17 +2,16 @@
 
 #include "validity/StaticValidity.h"
 
+#include "plan/Semantics.h"
+#include "policy/Compile.h"
+#include "support/HashUtil.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
-
-#include "hist/Derive.h"
-#include "support/Casting.h"
-#include "support/HashUtil.h"
 #include "validity/FrameRegularize.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
-#include <map>
 #include <unordered_map>
 
 using namespace sus;
@@ -20,72 +19,6 @@ using namespace sus::hist;
 using namespace sus::validity;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Session trees: S ::= ℓ:H | [S, S]
-//===----------------------------------------------------------------------===//
-
-struct SessionNode {
-  bool IsLeaf;
-  // Leaf payload.
-  plan::Loc Location;
-  const Expr *Behavior = nullptr;
-  // Pair payload. By construction Left is the session opener.
-  const SessionNode *Left = nullptr;
-  const SessionNode *Right = nullptr;
-};
-
-/// Hash-conses session trees so a tree is identified by its pointer.
-class TreeFactory {
-public:
-  const SessionNode *leaf(plan::Loc L, const Expr *H) {
-    std::vector<uint64_t> Key = {1, L.id(), reinterpret_cast<uint64_t>(H)};
-    return intern(Key, SessionNode{true, L, H, nullptr, nullptr});
-  }
-
-  const SessionNode *pair(const SessionNode *A, const SessionNode *B) {
-    std::vector<uint64_t> Key = {2, reinterpret_cast<uint64_t>(A),
-                                 reinterpret_cast<uint64_t>(B)};
-    return intern(Key, SessionNode{false, plan::Loc(), nullptr, A, B});
-  }
-
-private:
-  const SessionNode *intern(const std::vector<uint64_t> &Key,
-                            SessionNode Node) {
-    auto It = Unique.find(Key);
-    if (It != Unique.end())
-      return It->second;
-    Storage.push_back(Node);
-    const SessionNode *P = &Storage.back();
-    Unique.emplace(Key, P);
-    return P;
-  }
-
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
-
-  std::deque<SessionNode> Storage;
-  std::unordered_map<std::vector<uint64_t>, const SessionNode *, VecHash>
-      Unique;
-};
-
-/// Φ(H): the sequence of ⌋ϕ markers along the sequential spine of H (the
-/// auxiliary function of rule Close).
-void collectPendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    collectPendingFrameCloses(S->head(), Out);
-    collectPendingFrameCloses(S->tail(), Out);
-    return;
-  }
-  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
-    Out.push_back(F->policy());
-}
 
 //===----------------------------------------------------------------------===//
 // Monitors
@@ -103,7 +36,7 @@ struct MonitorSlot {
 };
 
 struct ExplState {
-  const SessionNode *Tree;
+  const plan::SessionTree *Tree;
   std::vector<MonitorSlot> Monitors;
 };
 
@@ -119,16 +52,6 @@ std::vector<uint64_t> encodeState(const ExplState &S) {
   return Key;
 }
 
-/// One atomic move of the composed service.
-struct Move {
-  const SessionNode *NewTree = nullptr;
-  std::vector<Label> HistoryAppend; ///< Ev/Frm labels this move logs.
-  std::string Desc;                 ///< Rendered label for traces.
-  // Failure moves (plan gaps) abort exploration immediately.
-  PlanFailureKind Gap = PlanFailureKind::None;
-  RequestId GapRequest = 0;
-};
-
 //===----------------------------------------------------------------------===//
 // The checker
 //===----------------------------------------------------------------------===//
@@ -143,21 +66,17 @@ public:
   StaticValidityResult run(const Expr *Client, plan::Loc ClientLoc);
 
 private:
-  /// Enumerates the moves of \p Node (rule Session lifts moves of inner
-  /// sessions; Synch and Close apply at pairs).
-  void movesOf(const SessionNode *Node, std::vector<Move> &Out);
-
-  /// Collects every policy reference in the client and the planned
-  /// services; returns false on an uninstantiable one.
+  /// Gives every policy referenced by the client and the planned services
+  /// a monitor slot, in first-occurrence order; returns false on an
+  /// uninstantiable one.
   bool collectPolicies(const Expr *Client, StaticValidityResult &Result);
-
-  void collectPolicyRefs(const Expr *E, std::vector<PolicyRef> &Out);
 
   int slotIndex(const PolicyRef &Ref) const;
 
-  /// Applies the history labels of \p M to \p Monitors; returns the index
-  /// of a violated policy slot or -1.
-  int applyLabels(const Move &M, std::vector<MonitorSlot> &Monitors) const;
+  /// Applies \p Labels to \p Monitors; returns the index of a violated
+  /// policy slot or -1.
+  int applyLabels(const std::vector<Label> &Labels,
+                  std::vector<MonitorSlot> &Monitors) const;
 
   const Expr *maybeRegularize(const Expr *E) {
     return Options.Regularize ? regularizeFramings(Ctx, E) : E;
@@ -169,67 +88,20 @@ private:
   const policy::PolicyRegistry &Registry;
   const StaticValidityOptions &Options;
 
-  TreeFactory Trees;
+  plan::SessionTreeFactory Trees;
+  /// The planned services, regularized once per check.
+  plan::Repository Bound;
   std::vector<PolicyRef> SlotRefs;
   std::vector<policy::PolicyInstance> SlotInstances;
 };
 
-void Checker::collectPolicyRefs(const Expr *E, std::vector<PolicyRef> &Out) {
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Event:
-    return;
-  case ExprKind::Mu:
-    collectPolicyRefs(cast<MuExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collectPolicyRefs(S->head(), Out);
-    collectPolicyRefs(S->tail(), Out);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectPolicyRefs(B.Body, Out);
-    return;
-  case ExprKind::Request: {
-    const auto *R = cast<RequestExpr>(E);
-    Out.push_back(R->policy());
-    collectPolicyRefs(R->body(), Out);
-    return;
-  }
-  case ExprKind::Framing: {
-    const auto *F = cast<FramingExpr>(E);
-    Out.push_back(F->policy());
-    collectPolicyRefs(F->body(), Out);
-    return;
-  }
-  case ExprKind::CloseMark:
-    Out.push_back(cast<CloseMarkExpr>(E)->policy());
-    return;
-  case ExprKind::FrameOpen:
-    Out.push_back(cast<FrameOpenExpr>(E)->policy());
-    return;
-  case ExprKind::FrameClose:
-    Out.push_back(cast<FrameCloseExpr>(E)->policy());
-    return;
-  }
-}
-
 bool Checker::collectPolicies(const Expr *Client,
                               StaticValidityResult &Result) {
-  std::vector<PolicyRef> Refs;
-  collectPolicyRefs(Client, Refs);
-  for (const auto &[R, L] : P.bindings()) {
-    (void)R;
+  std::vector<const Expr *> Behaviors = {Client};
+  for (const auto &[R, L] : P.bindings())
     if (const Expr *Service = Repo.find(L))
-      collectPolicyRefs(Service, Refs);
-  }
-  for (const PolicyRef &Ref : Refs) {
-    if (Ref.isTrivial() || slotIndex(Ref) >= 0)
-      continue;
+      Behaviors.push_back(Service);
+  for (const PolicyRef &Ref : policy::policyRefs(Behaviors)) {
     std::optional<policy::PolicyInstance> Inst =
         Registry.instantiate(Ref, Ctx.interner(), nullptr);
     if (!Inst) {
@@ -251,134 +123,9 @@ int Checker::slotIndex(const PolicyRef &Ref) const {
   return -1;
 }
 
-void Checker::movesOf(const SessionNode *Node, std::vector<Move> &Out) {
-  if (Node->IsLeaf) {
-    for (const Transition &T : derive(Ctx, Node->Behavior)) {
-      switch (T.L.kind()) {
-      case LabelKind::Event:
-      case LabelKind::FrameOpen:
-      case LabelKind::FrameClose: {
-        Move M;
-        M.NewTree = Trees.leaf(Node->Location, T.Target);
-        M.HistoryAppend.push_back(T.L);
-        M.Desc = T.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
-        break;
-      }
-      case LabelKind::Open: {
-        // Rule Open: bind r through π, spawn the service alongside.
-        RequestId R = T.L.request();
-        std::optional<plan::Loc> L = P.lookup(R);
-        if (!L) {
-          Move M;
-          M.Gap = PlanFailureKind::UnboundRequest;
-          M.GapRequest = R;
-          M.Desc = T.L.str(Ctx.interner());
-          Out.push_back(std::move(M));
-          break;
-        }
-        const Expr *Service = Repo.find(*L);
-        if (!Service) {
-          Move M;
-          M.Gap = PlanFailureKind::UnknownService;
-          M.GapRequest = R;
-          M.Desc = T.L.str(Ctx.interner());
-          Out.push_back(std::move(M));
-          break;
-        }
-        Move M;
-        M.NewTree =
-            Trees.pair(Trees.leaf(Node->Location, T.Target),
-                       Trees.leaf(*L, maybeRegularize(Service)));
-        if (!T.L.policy().isTrivial())
-          M.HistoryAppend.push_back(Label::frameOpen(T.L.policy()));
-        M.Desc = T.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
-        break;
-      }
-      case LabelKind::Close:
-        // A close with no enclosing session: impossible for expressions
-        // built from requests (close marks appear only after an Open).
-        break;
-      case LabelKind::Input:
-      case LabelKind::Output:
-        // Communication needs a session partner; handled at the pair.
-        break;
-      case LabelKind::Tau:
-        break;
-      }
-    }
-    return;
-  }
-
-  // Rule Session: either side evolves on its own.
-  std::vector<Move> LeftMoves, RightMoves;
-  movesOf(Node->Left, LeftMoves);
-  movesOf(Node->Right, RightMoves);
-  for (Move &M : LeftMoves) {
-    if (M.Gap == PlanFailureKind::None)
-      M.NewTree = Trees.pair(M.NewTree, Node->Right);
-    Out.push_back(std::move(M));
-  }
-  for (Move &M : RightMoves) {
-    if (M.Gap == PlanFailureKind::None)
-      M.NewTree = Trees.pair(Node->Left, M.NewTree);
-    Out.push_back(std::move(M));
-  }
-
-  // Rules Synch and Close need both sides to be leaves (a partner engaged
-  // in a nested session first has to finish it).
-  const SessionNode *A = Node->Left;
-  const SessionNode *B = Node->Right;
-
-  auto TrySynchAndClose = [&](const SessionNode *X, const SessionNode *Y) {
-    if (!X->IsLeaf)
-      return;
-    for (const Transition &TX : derive(Ctx, X->Behavior)) {
-      // Rule Close: the opener ends the session; the partner (which must
-      // be a plain leaf) is terminated and its pending frame closes are
-      // flushed into the history.
-      if (TX.L.isClose() && Y->IsLeaf) {
-        Move M;
-        M.NewTree = Trees.leaf(X->Location, TX.Target);
-        std::vector<PolicyRef> Pending;
-        collectPendingFrameCloses(Y->Behavior, Pending);
-        for (const PolicyRef &Ref : Pending)
-          if (!Ref.isTrivial())
-            M.HistoryAppend.push_back(Label::frameClose(Ref));
-        if (!TX.L.policy().isTrivial())
-          M.HistoryAppend.push_back(Label::frameClose(TX.L.policy()));
-        M.Desc = TX.L.str(Ctx.interner());
-        Out.push_back(std::move(M));
-        continue;
-      }
-      // Rule Synch: complementary actions meet.
-      if (!TX.L.isComm() || !Y->IsLeaf)
-        continue;
-      CommAction AX = TX.L.asComm();
-      for (const Transition &TY : derive(Ctx, Y->Behavior)) {
-        if (!TY.L.isComm() || TY.L.asComm() != AX.complement())
-          continue;
-        // Emit the synchronization once, from the sender's side.
-        if (!AX.isOutput())
-          continue;
-        Move M;
-        const SessionNode *NX = Trees.leaf(X->Location, TX.Target);
-        const SessionNode *NY = Trees.leaf(Y->Location, TY.Target);
-        M.NewTree = (X == Node->Left) ? Trees.pair(NX, NY)
-                                      : Trees.pair(NY, NX);
-        M.Desc = "tau(" + AX.str(Ctx.interner()) + ")";
-        Out.push_back(std::move(M));
-      }
-    }
-  };
-  TrySynchAndClose(A, B);
-  TrySynchAndClose(B, A);
-}
-
-int Checker::applyLabels(const Move &M,
+int Checker::applyLabels(const std::vector<Label> &Labels,
                          std::vector<MonitorSlot> &Monitors) const {
-  for (const Label &L : M.HistoryAppend) {
+  for (const Label &L : Labels) {
     switch (L.kind()) {
     case LabelKind::Event: {
       // All monitors consume every event (history dependence).
@@ -429,19 +176,13 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
   StaticValidityResult Result;
   if (!collectPolicies(Client, Result))
     return Result;
-
-  struct VecHash {
-    size_t operator()(const std::vector<uint64_t> &V) const noexcept {
-      size_t Seed = V.size();
-      for (uint64_t X : V)
-        hashCombineValue(Seed, X);
-      return Seed;
-    }
-  };
+  for (const auto &[R, L] : P.bindings())
+    if (const Expr *Service = Repo.find(L))
+      Bound.add(L, maybeRegularize(Service));
 
   std::vector<ExplState> States;
   std::vector<std::optional<std::pair<uint32_t, std::string>>> Pred;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, VecHash> Index;
+  std::unordered_map<std::vector<uint64_t>, uint32_t, WordsHash> Index;
   std::deque<uint32_t> Work;
 
   std::optional<sus::ResourceExhausted> Trip;
@@ -486,6 +227,7 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
   Intern(std::move(Init), std::nullopt);
 
   bool Exceeded = false;
+  std::vector<plan::Move> Moves;
   while (!Work.empty()) {
     if (Options.Governor && !Trip) {
       if (std::optional<sus::ResourceExhausted> E = Options.Governor->poll())
@@ -496,37 +238,39 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
     uint32_t I = Work.front();
     Work.pop_front();
     // Note: States may reallocate inside the loop; copy what we need.
-    const SessionNode *Tree = States[I].Tree;
+    const plan::SessionTree *Tree = States[I].Tree;
 
-    std::vector<Move> Moves;
-    movesOf(Tree, Moves);
-
-    bool Terminated = Tree->IsLeaf && Tree->Behavior->isEmpty();
-    if (Moves.empty() && !Terminated)
+    Moves.clear();
+    plan::sessionMoves(Ctx, Trees, Tree, P, Bound,
+                       /*CommittedInternalChoice=*/false, Moves);
+    if (Moves.empty() && !Tree->isTerminated())
       Result.HasStuckConfiguration = true;
 
-    for (const Move &M : Moves) {
-      if (M.Gap != PlanFailureKind::None) {
+    for (const plan::Move &M : Moves) {
+      std::string Desc = M.str(Ctx.interner());
+      if (M.Gap != plan::Move::GapKind::None) {
         Result.Valid = false;
-        Result.Failure = M.Gap;
+        Result.Failure = M.Gap == plan::Move::GapKind::UnboundRequest
+                             ? PlanFailureKind::UnboundRequest
+                             : PlanFailureKind::UnknownService;
         Result.Request = M.GapRequest;
-        Result.Trace = TraceTo(I, M.Desc);
+        Result.Trace = TraceTo(I, Desc);
         Result.ExploredStates = States.size();
         return Result;
       }
       ExplState Next;
       Next.Tree = M.NewTree;
       Next.Monitors = States[I].Monitors;
-      int Violated = applyLabels(M, Next.Monitors);
+      int Violated = applyLabels(M.HistoryAppend, Next.Monitors);
       if (Violated >= 0) {
         Result.Valid = false;
         Result.Failure = PlanFailureKind::PolicyViolation;
         Result.Policy = SlotRefs[Violated];
-        Result.Trace = TraceTo(I, M.Desc);
+        Result.Trace = TraceTo(I, Desc);
         Result.ExploredStates = States.size();
         return Result;
       }
-      if (!Intern(std::move(Next), std::make_pair(I, M.Desc)))
+      if (!Intern(std::move(Next), std::make_pair(I, std::move(Desc))))
         Exceeded = true;
     }
   }
