@@ -46,17 +46,6 @@ void encodePolicy(std::vector<uint64_t> &P, const PolicyRef &Policy) {
 
 } // namespace
 
-size_t HistContext::profileHash(const Profile &P) {
-  size_t Seed = P.size();
-  for (uint64_t V : P)
-    hashCombineValue(Seed, V);
-  return Seed;
-}
-
-size_t HistContext::ProfileHash::operator()(const Profile &P) const noexcept {
-  return profileHash(P);
-}
-
 const Expr *HistContext::lookup(const Profile &P) const {
   auto It = Unique.find(P);
   return It == Unique.end() ? nullptr : It->second;
@@ -74,7 +63,7 @@ const Expr *HistContext::empty() {
   Profile P = {static_cast<uint64_t>(ExprKind::Empty)};
   if (const Expr *E = lookup(P))
     return E;
-  const Expr *E = Nodes.create<EmptyExpr>(profileHash(P));
+  const Expr *E = Nodes.create<EmptyExpr>(WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -84,7 +73,7 @@ const Expr *HistContext::var(Symbol Name) {
   Profile P = {static_cast<uint64_t>(ExprKind::Var), Name.id()};
   if (const Expr *E = lookup(P))
     return E;
-  const Expr *E = Nodes.create<VarExpr>(Name, profileHash(P));
+  const Expr *E = Nodes.create<VarExpr>(Name, WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -97,7 +86,7 @@ const Expr *HistContext::mu(Symbol Var, const Expr *Body) {
                encodePointer(Body)};
   if (const Expr *E = lookup(P))
     return E;
-  const Expr *E = Nodes.create<MuExpr>(Var, Body, profileHash(P));
+  const Expr *E = Nodes.create<MuExpr>(Var, Body, WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -108,7 +97,7 @@ const Expr *HistContext::event(Event Ev) {
   encodeValue(P, Ev.Arg);
   if (const Expr *E = lookup(P))
     return E;
-  const Expr *E = Nodes.create<EventExpr>(Ev, profileHash(P));
+  const Expr *E = Nodes.create<EventExpr>(Ev, WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -128,7 +117,7 @@ const Expr *HistContext::seq(const Expr *Head, const Expr *Tail) {
                encodePointer(Tail)};
   if (const Expr *E = lookup(P))
     return E;
-  const Expr *E = Nodes.create<SeqExpr>(Head, Tail, profileHash(P));
+  const Expr *E = Nodes.create<SeqExpr>(Head, Tail, WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -164,9 +153,9 @@ const Expr *HistContext::makeChoice(ExprKind Kind,
   const Expr *E =
       Kind == ExprKind::ExtChoice
           ? static_cast<const Expr *>(Nodes.create<ExtChoiceExpr>(
-                std::move(Branches), profileHash(P)))
+                std::move(Branches), WordsHash()(P)))
           : static_cast<const Expr *>(Nodes.create<IntChoiceExpr>(
-                std::move(Branches), profileHash(P)));
+                std::move(Branches), WordsHash()(P)));
   remember(std::move(P), E);
   return E;
 }
@@ -201,7 +190,7 @@ const Expr *HistContext::request(RequestId Request, PolicyRef Policy,
   if (const Expr *E = lookup(P))
     return E;
   const Expr *E = Nodes.create<RequestExpr>(Request, std::move(Policy), Body,
-                                            profileHash(P));
+                                            WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -213,7 +202,7 @@ const Expr *HistContext::framing(PolicyRef Policy, const Expr *Body) {
   if (const Expr *E = lookup(P))
     return E;
   const Expr *E =
-      Nodes.create<FramingExpr>(std::move(Policy), Body, profileHash(P));
+      Nodes.create<FramingExpr>(std::move(Policy), Body, WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -224,7 +213,7 @@ const Expr *HistContext::closeMark(RequestId Request, PolicyRef Policy) {
   if (const Expr *E = lookup(P))
     return E;
   const Expr *E = Nodes.create<CloseMarkExpr>(Request, std::move(Policy),
-                                              profileHash(P));
+                                              WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -235,7 +224,7 @@ const Expr *HistContext::frameOpen(PolicyRef Policy) {
   if (const Expr *E = lookup(P))
     return E;
   const Expr *E =
-      Nodes.create<FrameOpenExpr>(std::move(Policy), profileHash(P));
+      Nodes.create<FrameOpenExpr>(std::move(Policy), WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }
@@ -246,7 +235,7 @@ const Expr *HistContext::frameClose(PolicyRef Policy) {
   if (const Expr *E = lookup(P))
     return E;
   const Expr *E =
-      Nodes.create<FrameCloseExpr>(std::move(Policy), profileHash(P));
+      Nodes.create<FrameCloseExpr>(std::move(Policy), WordsHash()(P));
   remember(std::move(P), E);
   return E;
 }

@@ -16,6 +16,7 @@
 
 #include "hist/Expr.h"
 #include "support/Arena.h"
+#include "support/HashUtil.h"
 #include "support/StringInterner.h"
 
 #include <map>
@@ -128,19 +129,14 @@ public:
 private:
   using Profile = std::vector<uint64_t>;
 
-  struct ProfileHash {
-    size_t operator()(const Profile &P) const noexcept;
-  };
-
   const Expr *lookup(const Profile &P) const;
   void remember(Profile P, const Expr *E);
-  static size_t profileHash(const Profile &P);
 
   const Expr *makeChoice(ExprKind Kind, std::vector<ChoiceBranch> Branches);
 
   StringInterner Interner;
   Arena Nodes;
-  std::unordered_map<Profile, const Expr *, ProfileHash> Unique;
+  std::unordered_map<Profile, const Expr *, WordsHash> Unique;
 };
 
 } // namespace hist
