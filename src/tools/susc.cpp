@@ -419,10 +419,17 @@ int runTool(const CliOptions &Opts) {
         net::exploreNetwork(Ctx, File.Repo, Components, EOpts);
     std::cout << "explored " << R.States << " network states"
               << (R.Exhaustive ? "" : " (truncated)") << "\n";
+    // A truncated search witnesses what it found, but a negative answer
+    // would need the states it never reached.
+    const char *Unknown = "unknown (truncated)";
     std::cout << "all components can complete: "
-              << (R.CanComplete ? "yes" : "NO") << "\n";
+              << (R.CanComplete ? "yes" : R.Exhaustive ? "NO" : Unknown)
+              << "\n";
     std::cout << "deadlock reachable: "
-              << (R.DeadlockReachable ? "YES" : "no") << "\n";
+              << (R.DeadlockReachable ? "YES"
+                  : R.Exhaustive      ? "no"
+                                      : Unknown)
+              << "\n";
     for (const std::string &Line : R.DeadlockTrace)
       std::cout << "  --> " << Line << "\n";
     if (!R.Exhaustive) {
