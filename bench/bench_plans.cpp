@@ -17,6 +17,8 @@
 #include "Workloads.h"
 #include "core/Repair.h"
 #include "core/Verifier.h"
+#include "hist/Printer.h"
+#include "syntax/FileParser.h"
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +26,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -257,6 +260,47 @@ void BM_IndexBuild(benchmark::State &State) {
                           static_cast<int64_t>(W.Repo.size()));
 }
 BENCHMARK(BM_IndexBuild)->ArgNames({"services"})->Arg(1000)->Arg(10000);
+
+//===----------------------------------------------------------------------===//
+// B9: parsing the repository
+//===----------------------------------------------------------------------===//
+
+/// The B9 repository as .sus source: every service and the rotating
+/// clients, printed back through hist::print (which round-trips).
+std::string repoWorkloadText(unsigned NumServices) {
+  RepoWorkload &W = repoWorkload(NumServices);
+  const StringInterner &In = W.Ctx.interner();
+  std::string Out;
+  for (const auto &[L, Service] : W.Repo.services())
+    Out += "service " + std::string(In.text(L)) + " { " +
+           hist::print(W.Ctx, Service) + " }\n";
+  for (size_t K = 0; K < W.Clients.size(); ++K)
+    Out += "client c" + std::to_string(K) + " { " +
+           hist::print(W.Ctx, W.Clients[K]) + " }\n";
+  return Out;
+}
+
+/// Cold parse of the whole repository text into a fresh context: the
+/// lexer, the parsers, interning and the well-formedness facts. Reported
+/// as source bytes/sec.
+void BM_ParseRepository(benchmark::State &State) {
+  std::string Source =
+      repoWorkloadText(static_cast<unsigned>(State.range(0)));
+  for (auto _ : State) {
+    hist::HistContext Ctx;
+    DiagnosticEngine Diags;
+    std::optional<syntax::SusFile> File =
+        syntax::parseSusFile(Ctx, Source, Diags);
+    if (!File) {
+      State.SkipWithError("the repository text does not parse");
+      break;
+    }
+    benchmark::DoNotOptimize(File->Repo.size());
+  }
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(Source.size()));
+}
+BENCHMARK(BM_ParseRepository)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // B9: heavy churn — incremental repair (worker sweep, p99 latency)

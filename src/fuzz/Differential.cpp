@@ -14,6 +14,7 @@
 #include "hist/HistContext.h"
 #include "hist/Printer.h"
 #include "hist/TraceEquiv.h"
+#include "hist/WellFormed.h"
 #include "monitor/Fused.h"
 #include "monitor/SessionMonitor.h"
 #include "plan/PlanEnumerator.h"
@@ -53,6 +54,56 @@ std::vector<const hist::Expr *> allBehaviors(const syntax::SusFile &File) {
   for (const auto &[Name, E] : File.Clients)
     Out.push_back(E);
   return Out;
+}
+
+/// Part of the parse check: the well-formedness facts HistContext keeps on
+/// every node must agree with the checker walk that explains rejections.
+/// Every node of every behaviour is checked, and an open node also closed
+/// under a µ per free variable, so the walk judges how each of its free
+/// variables occurs (tail position, guardedness) as the facts record it.
+/// The closing µs add nodes to \p Ctx, so this runs after the oracles
+/// that read the parsed file.
+void wellFormedOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
+                      std::vector<Divergence> &Out) {
+  auto Agree = [&](const hist::Expr *E) {
+    std::vector<hist::WellFormedIssue> Issues = hist::wellFormedIssues(Ctx, E);
+    bool WalkClosed = true;
+    for (const hist::WellFormedIssue &I : Issues)
+      WalkClosed &= I.Kind != hist::WellFormedIssueKind::FreeVariable;
+    if (E->isClosed() == WalkClosed &&
+        hist::isWellFormed(Ctx, E) == Issues.empty())
+      return true;
+    Out.push_back({"parse", "well-formedness facts disagree with the "
+                            "checker walk on '" +
+                                hist::print(Ctx, E) + "'"});
+    return false;
+  };
+
+  std::set<const hist::Expr *> Seen;
+  std::vector<const hist::Expr *> Work = allBehaviors(File);
+  while (!Work.empty()) {
+    const hist::Expr *E = Work.back();
+    Work.pop_back();
+    if (!Seen.insert(E).second)
+      continue;
+    const hist::Expr *Closed = E;
+    if (const hist::FreeVarSet *Free = E->freeVars())
+      for (const hist::FreeVarSet::Entry &V : Free->entries())
+        Closed = Ctx.mu(V.Var, Closed);
+    if (!Agree(E) || !Agree(Closed))
+      return;
+    if (const auto *M = dyn_cast<hist::MuExpr>(E))
+      Work.push_back(M->body());
+    else if (const auto *S = dyn_cast<hist::SeqExpr>(E))
+      Work.insert(Work.end(), {S->head(), S->tail()});
+    else if (const auto *C = dyn_cast<hist::ChoiceExpr>(E))
+      for (const hist::ChoiceBranch &B : C->branches())
+        Work.push_back(B.Body);
+    else if (const auto *R = dyn_cast<hist::RequestExpr>(E))
+      Work.push_back(R->body());
+    else if (const auto *F = dyn_cast<hist::FramingExpr>(E))
+      Work.push_back(F->body());
+  }
 }
 
 /// Oracle 1: the product-automaton compliance checker (Thm. 1) and the
@@ -478,6 +529,7 @@ bool sus::fuzz::checkSource(const std::string &Source, uint64_t Seed,
     snapshotOracle(*Ctx, *File, Source, Seed, Opts, Out);
   if (Opts.Chaos)
     chaosSoak(*Ctx, *File, Seed, Opts.ChaosRounds, Out);
+  wellFormedOracle(*Ctx, *File, Out);
   return true;
 }
 

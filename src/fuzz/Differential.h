@@ -4,7 +4,9 @@
 /// The differential harness: every generated program is pushed through a
 /// hierarchy of independent implementations that must agree —
 ///
-///   parse        the program must parse (the generator promises this);
+///   parse        the program must parse (the generator promises this),
+///                and at every node the well-formedness facts must agree
+///                with the checker walk;
 ///   compliance   product-automaton checker (Thm. 1) vs. the literal
 ///                Def. 4 ready-set procedure, per request/service pair;
 ///   prescreen    a compliance pre-screen Reject must imply the ready-set

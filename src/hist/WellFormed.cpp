@@ -5,12 +5,19 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 
 using namespace sus;
 using namespace sus::hist;
 
 namespace {
+
+// The walk below decides nothing on the production path: isWellFormed
+// reads the node facts HistContext computes, and the walk only runs to
+// say why a rejected expression is ill-formed. It derives everything
+// itself, without the facts, so it doubles as their differential oracle
+// (HistTest.WellFormedFactsMatchCheckerWalk, the fuzz parse oracle).
 
 /// Returns true if every execution of \p E performs at least one
 /// communication action before terminating or recurring. Used to decide
@@ -148,12 +155,17 @@ sus::hist::wellFormedIssues(HistContext &Ctx, const Expr *E) {
 }
 
 bool sus::hist::isWellFormed(HistContext &Ctx, const Expr *E) {
-  return wellFormedIssues(Ctx, E).empty();
+  (void)Ctx;
+  return E->isClosed() && !E->hasIllFormedMu();
 }
 
 bool sus::hist::checkWellFormed(HistContext &Ctx, const Expr *E,
                                 DiagnosticEngine &Diags) {
+  if (isWellFormed(Ctx, E))
+    return true;
+  // Rejected: walk the expression to say why.
   std::vector<WellFormedIssue> Issues = wellFormedIssues(Ctx, E);
+  assert(!Issues.empty() && "node facts and the checker walk disagree");
   for (const WellFormedIssue &I : Issues) {
     std::string Name(Ctx.interner().text(I.Var));
     switch (I.Kind) {

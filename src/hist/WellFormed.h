@@ -32,15 +32,18 @@ struct WellFormedIssue {
   Symbol Var; ///< The offending recursion variable.
 };
 
-/// Collects every violation in \p E. Empty result means well-formed.
+/// Collects every violation in \p E, in walk order, each (kind, variable)
+/// once. Empty result means well-formed. This walks the whole expression;
+/// it exists to explain a rejection, and isWellFormed is the cheap test.
 std::vector<WellFormedIssue> wellFormedIssues(HistContext &Ctx,
                                               const Expr *E);
 
-/// True if \p E is closed, tail-recursive and comm-guarded.
+/// True if \p E is closed, tail-recursive and comm-guarded: a read of the
+/// node facts (Expr::isClosed, Expr::hasIllFormedMu).
 bool isWellFormed(HistContext &Ctx, const Expr *E);
 
-/// Like wellFormedIssues, but reports into \p Diags; returns true when
-/// well-formed.
+/// Like isWellFormed, but a rejection reports wellFormedIssues into
+/// \p Diags; returns true when well-formed.
 bool checkWellFormed(HistContext &Ctx, const Expr *E,
                      DiagnosticEngine &Diags);
 

@@ -63,12 +63,15 @@ public:
 
 private:
   void grow(size_t AtLeast) {
-    size_t SlabSize = Slabs.empty() ? 4096 : Slabs.back().size() * 2;
+    size_t SlabSize = LastSlabSize ? LastSlabSize * 2 : 4096;
     if (SlabSize < AtLeast)
       SlabSize = AtLeast;
-    Slabs.emplace_back(SlabSize);
-    Ptr = Slabs.back().data();
+    // Left uninitialized: every allocation is constructed before use, and
+    // the slab's untouched tail then costs no page faults.
+    Slabs.emplace_back(new char[SlabSize]);
+    Ptr = Slabs.back().get();
     End = Ptr + SlabSize;
+    LastSlabSize = SlabSize;
     Reserved += SlabSize;
   }
 
@@ -77,10 +80,11 @@ private:
     void (*Destroy)(void *);
   };
 
-  std::vector<std::vector<char>> Slabs;
+  std::vector<std::unique_ptr<char[]>> Slabs;
   std::vector<DtorEntry> Dtors;
   char *Ptr = nullptr;
   char *End = nullptr;
+  size_t LastSlabSize = 0;
   size_t Reserved = 0;
 };
 

@@ -25,6 +25,7 @@
 #define SUS_SUPPORT_METRICS_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string_view>
@@ -182,6 +183,26 @@ public:
 
 private:
   std::atomic<uint64_t> Value{0};
+};
+
+/// Adds the wall time of its own lifetime to a TimeAccount: one scope per
+/// layer entry (a whole tokenize, a whole file parse), never per item.
+class TimeAccountScope {
+public:
+  explicit TimeAccountScope(TimeAccount &Account)
+      : Account(Account), Start(std::chrono::steady_clock::now()) {}
+  ~TimeAccountScope() {
+    Account.add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count()));
+  }
+  TimeAccountScope(const TimeAccountScope &) = delete;
+  TimeAccountScope &operator=(const TimeAccountScope &) = delete;
+
+private:
+  TimeAccount &Account;
+  std::chrono::steady_clock::time_point Start;
 };
 
 /// Interns \p Name and returns its process-wide instrument. The first

@@ -2,37 +2,79 @@
 
 #include "support/StringInterner.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
+#include <functional>
 
 using namespace sus;
 
-Symbol StringInterner::intern(std::string_view Str) {
-  auto It = Table.find(Str);
-  if (It != Table.end())
-    return It->second;
+size_t StringInterner::find(std::string_view Str, size_t Hash) const {
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+    const Slot &S = Slots[I];
+    if (!S.IdPlusOne || (S.HashBits == static_cast<uint32_t>(Hash >> 32) &&
+                         Texts[S.IdPlusOne - 1] == Str))
+      return I;
+  }
+}
 
-  assert(Storage.size() < ~0u && "interner overflow");
-  Storage.emplace_back(Str);
-  Symbol S(static_cast<uint32_t>(Storage.size() - 1));
-  Table.emplace(std::string_view(Storage.back()), S);
-  return S;
+void StringInterner::rehash(size_t NumSlots) {
+  std::vector<Slot> Old(NumSlots);
+  Old.swap(Slots);
+  size_t Mask = Slots.size() - 1;
+  for (const Slot &S : Old) {
+    if (!S.IdPlusOne)
+      continue;
+    size_t I = Hashes[S.IdPlusOne - 1] & Mask;
+    while (Slots[I].IdPlusOne)
+      I = (I + 1) & Mask;
+    Slots[I] = S;
+  }
+}
+
+Symbol StringInterner::intern(std::string_view Str) {
+  if (2 * (Texts.size() + 1) > Slots.size())
+    rehash(Slots.empty() ? 1024 : 2 * Slots.size());
+  size_t Hash = std::hash<std::string_view>()(Str);
+  Slot &S = Slots[find(Str, Hash)];
+  if (S.IdPlusOne)
+    return Symbol(S.IdPlusOne - 1);
+
+  assert(Texts.size() < ~0u - 1 && "interner overflow");
+  char *Copy = static_cast<char *>(Chars.allocate(Str.size(), 1));
+  if (!Str.empty())
+    std::memcpy(Copy, Str.data(), Str.size());
+  Texts.emplace_back(Copy, Str.size());
+  Hashes.push_back(Hash);
+  S = {static_cast<uint32_t>(Texts.size()), static_cast<uint32_t>(Hash >> 32)};
+  return Symbol(S.IdPlusOne - 1);
+}
+
+void StringInterner::reserve(size_t N) {
+  Texts.reserve(N);
+  Hashes.reserve(N);
+  if (2 * N > Slots.size())
+    rehash(std::bit_ceil(2 * N));
 }
 
 std::string_view StringInterner::text(Symbol S) const {
-  assert(S.isValid() && S.id() < Storage.size() && "foreign symbol");
-  return Storage[S.id()];
+  assert(S.isValid() && S.id() < Texts.size() && "foreign symbol");
+  return Texts[S.id()];
 }
 
 Symbol StringInterner::lookup(std::string_view Str) const {
-  auto It = Table.find(Str);
-  return It == Table.end() ? Symbol() : It->second;
+  if (Slots.empty())
+    return Symbol();
+  const Slot &S = Slots[find(Str, std::hash<std::string_view>()(Str))];
+  return S.IdPlusOne ? Symbol(S.IdPlusOne - 1) : Symbol();
 }
 
 void StringInterner::seedFrom(const StringInterner &Other) {
-  assert(Storage.size() <= Other.Storage.size() &&
+  assert(Texts.size() <= Other.Texts.size() &&
          "seed target must be a prefix of the source");
-  for (uint32_t Id = 0; Id < Other.Storage.size(); ++Id) {
-    Symbol S = intern(Other.Storage[Id]);
+  for (uint32_t Id = 0; Id < Other.Texts.size(); ++Id) {
+    Symbol S = intern(Other.Texts[Id]);
     (void)S;
     assert(S.id() == Id && "seed target diverged from the source");
   }

@@ -2,6 +2,7 @@
 
 #include "syntax/FileParser.h"
 
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include "hist/WellFormed.h"
@@ -22,29 +23,29 @@ namespace {
 
 class FileParser : public ParserBase {
 public:
-  FileParser(const std::vector<Token> &Tokens, HistContext &Ctx,
+  FileParser(const TokenBuffer &Tokens, HistContext &Ctx,
              DiagnosticEngine &Diags)
       : ParserBase(Tokens, Diags), Ctx(Ctx), Lambda(Ctx) {}
 
   std::optional<SusFile> parse() {
     SusFile File;
     while (!atEof()) {
-      if (peek().isIdent("policy")) {
+      if (peek().is(Keyword::Policy)) {
         if (!parsePolicy(File))
           return std::nullopt;
         continue;
       }
-      if (peek().isIdent("service") || peek().isIdent("client")) {
+      if (peek().is(Keyword::Service) || peek().is(Keyword::Client)) {
         if (!parseBehavior(File))
           return std::nullopt;
         continue;
       }
-      if (peek().isIdent("program")) {
+      if (peek().is(Keyword::Program)) {
         if (!parseProgram(File))
           return std::nullopt;
         continue;
       }
-      if (peek().isIdent("plan")) {
+      if (peek().is(Keyword::Plan)) {
         if (!parsePlan(File))
           return std::nullopt;
         continue;
@@ -66,8 +67,8 @@ private:
       error("expected policy name");
       return false;
     }
-    SourceLoc DeclLoc = peek().Loc;
-    Symbol Name = Ctx.symbol(next().Text);
+    SourceLoc DeclLoc = loc(peek());
+    Symbol Name = Ctx.symbol(text(next()));
     File.PolicyLocs[Name] = DeclLoc;
 
     std::vector<PolicyParam> Params;
@@ -77,13 +78,13 @@ private:
           error("expected parameter name");
           return false;
         }
-        Symbol PName = Ctx.symbol(next().Text);
+        Symbol PName = Ctx.symbol(text(next()));
         if (!expect(TokenKind::Colon, "after parameter name"))
           return false;
         bool IsSet;
-        if (acceptIdent("set")) {
+        if (accept(Keyword::Set)) {
           IsSet = true;
-        } else if (acceptIdent("int")) {
+        } else if (accept(Keyword::Int)) {
           IsSet = false;
         } else {
           error("expected parameter kind 'set' or 'int'");
@@ -120,31 +121,31 @@ private:
         error("unterminated policy body");
         return false;
       }
-      if (acceptIdent("states")) {
+      if (accept(Keyword::States)) {
         while (peek().is(TokenKind::Ident))
-          StateOf(Ctx.symbol(next().Text));
+          StateOf(Ctx.symbol(text(next())));
         if (!expect(TokenKind::Semi, "after state list"))
           return false;
         continue;
       }
-      if (acceptIdent("start")) {
+      if (accept(Keyword::Start)) {
         if (!peek().is(TokenKind::Ident)) {
           error("expected state name after 'start'");
           return false;
         }
-        A.setStart(StateOf(Ctx.symbol(next().Text)));
+        A.setStart(StateOf(Ctx.symbol(text(next()))));
         StartSet = true;
         if (!expect(TokenKind::Semi, "after start state"))
           return false;
         continue;
       }
-      if (acceptIdent("offending")) {
+      if (accept(Keyword::Offending)) {
         do {
           if (!peek().is(TokenKind::Ident)) {
             error("expected state name after 'offending'");
             return false;
           }
-          A.setOffending(StateOf(Ctx.symbol(next().Text)));
+          A.setOffending(StateOf(Ctx.symbol(text(next()))));
         } while (accept(TokenKind::Comma));
         if (!expect(TokenKind::Semi, "after offending list"))
           return false;
@@ -155,15 +156,15 @@ private:
         error("expected a policy statement or edge");
         return false;
       }
-      UStateId From = StateOf(Ctx.symbol(next().Text));
+      UStateId From = StateOf(Ctx.symbol(text(next())));
       if (!expect(TokenKind::Arrow, "in policy edge"))
         return false;
       if (!peek().is(TokenKind::Ident)) {
         error("expected target state");
         return false;
       }
-      UStateId To = StateOf(Ctx.symbol(next().Text));
-      if (!acceptIdent("on")) {
+      UStateId To = StateOf(Ctx.symbol(text(next())));
+      if (!accept(Keyword::On)) {
         error("expected 'on' in policy edge");
         return false;
       }
@@ -177,19 +178,19 @@ private:
         error("expected event name in policy edge");
         return false;
       }
-      Symbol EventName = Ctx.symbol(next().Text);
+      Symbol EventName = Ctx.symbol(text(next()));
       Symbol EventVar;
       if (accept(TokenKind::LParen)) {
         if (!peek().is(TokenKind::Ident)) {
           error("expected event parameter variable");
           return false;
         }
-        EventVar = Ctx.symbol(next().Text);
+        EventVar = Ctx.symbol(text(next()));
         if (!expect(TokenKind::RParen, "to close event pattern"))
           return false;
       }
       Guard G = Guard::always();
-      if (acceptIdent("when")) {
+      if (accept(Keyword::When)) {
         std::optional<Guard> Parsed = parseGuard(EventVar, ParamIndex);
         if (!Parsed)
           return false;
@@ -217,16 +218,16 @@ private:
         error("expected guard variable");
         return std::nullopt;
       }
-      Symbol Var = Ctx.symbol(next().Text);
+      Symbol Var = Ctx.symbol(text(next()));
       if (!EventVar.isValid() || Var != EventVar) {
         error("guard variable does not match the event parameter");
         return std::nullopt;
       }
 
       bool Negated = false;
-      if (acceptIdent("not"))
+      if (accept(Keyword::Not))
         Negated = true;
-      if (acceptIdent("in")) {
+      if (accept(Keyword::In)) {
         if (peek().is(TokenKind::LBrace)) {
           next();
           std::vector<Value> Values;
@@ -243,7 +244,7 @@ private:
           G = G && (Negated ? Guard::notInConst(std::move(Values))
                             : Guard::inConst(std::move(Values)));
         } else if (peek().is(TokenKind::Ident)) {
-          int I = Param(Ctx.symbol(next().Text));
+          int I = Param(Ctx.symbol(text(next())));
           if (I < 0) {
             error("unknown policy parameter in guard");
             return std::nullopt;
@@ -260,7 +261,7 @@ private:
           return std::nullopt;
         }
         CmpOp Op;
-        switch (peek().Kind) {
+        switch (peek().kind()) {
         case TokenKind::Lt:
           Op = CmpOp::LT;
           break;
@@ -285,9 +286,9 @@ private:
         }
         next();
         if (peek().is(TokenKind::Number)) {
-          G = G && Guard::cmpConst(Op, Value::integer(next().Number));
+          G = G && Guard::cmpConst(Op, Value::integer(next().number()));
         } else if (peek().is(TokenKind::Ident)) {
-          int I = Param(Ctx.symbol(next().Text));
+          int I = Param(Ctx.symbol(text(next())));
           if (I < 0) {
             error("unknown policy parameter in guard");
             return std::nullopt;
@@ -298,15 +299,15 @@ private:
           return std::nullopt;
         }
       }
-    } while (acceptIdent("and"));
+    } while (accept(Keyword::And));
     return G;
   }
 
   std::optional<Value> parseGuardValue() {
     if (peek().is(TokenKind::Number))
-      return Value::integer(next().Number);
+      return Value::integer(next().number());
     if (peek().is(TokenKind::Ident))
-      return Value::name(Ctx.symbol(next().Text));
+      return Value::name(Ctx.symbol(text(next())));
     error("expected a number or a name");
     return std::nullopt;
   }
@@ -316,14 +317,14 @@ private:
   //===--------------------------------------------------------------------===//
 
   bool parseBehavior(SusFile &File) {
-    bool IsService = peek().isIdent("service");
+    bool IsService = peek().is(Keyword::Service);
     next();
     if (!peek().is(TokenKind::Ident)) {
       error("expected a name");
       return false;
     }
-    SourceLoc DeclLoc = peek().Loc;
-    Symbol Name = Ctx.symbol(next().Text);
+    SourceLoc DeclLoc = loc(peek());
+    Symbol Name = Ctx.symbol(text(next()));
     (IsService ? File.ServiceLocs : File.ClientLocs)[Name] = DeclLoc;
     if (!expect(TokenKind::LBrace, "to open behaviour"))
       return false;
@@ -335,9 +336,9 @@ private:
     if (!expect(TokenKind::RBrace, "to close behaviour"))
       return false;
 
-    std::string NameStr(Ctx.interner().text(Name));
     if (!Ctx.isClosed(E)) {
-      error("behaviour of '" + NameStr + "' has free recursion variables");
+      error("behaviour of '" + std::string(Ctx.interner().text(Name)) +
+            "' has free recursion variables");
       return false;
     }
     if (!checkWellFormed(Ctx, E, Diags))
@@ -364,9 +365,9 @@ private:
   bool parseProgram(SusFile &File) {
     next(); // 'program'
     bool IsService;
-    if (acceptIdent("service")) {
+    if (accept(Keyword::Service)) {
       IsService = true;
-    } else if (acceptIdent("client")) {
+    } else if (accept(Keyword::Client)) {
       IsService = false;
     } else {
       error("expected 'service' or 'client' after 'program'");
@@ -376,8 +377,8 @@ private:
       error("expected a name");
       return false;
     }
-    SourceLoc DeclLoc = peek().Loc;
-    Symbol Name = Ctx.symbol(next().Text);
+    SourceLoc DeclLoc = loc(peek());
+    Symbol Name = Ctx.symbol(text(next()));
     (IsService ? File.ServiceLocs : File.ClientLocs)[Name] = DeclLoc;
     if (!expect(TokenKind::LBrace, "to open program body"))
       return false;
@@ -415,9 +416,9 @@ private:
       return false;
     }
     PlanDecl Decl;
-    Decl.Loc = peek().Loc;
-    Decl.Name = Ctx.symbol(next().Text);
-    if (!acceptIdent("for")) {
+    Decl.Loc = loc(peek());
+    Decl.Name = Ctx.symbol(text(next()));
+    if (!accept(Keyword::For)) {
       error("expected 'for' after plan name");
       return false;
     }
@@ -425,7 +426,7 @@ private:
       error("expected client name");
       return false;
     }
-    Decl.Client = Ctx.symbol(next().Text);
+    Decl.Client = Ctx.symbol(text(next()));
     if (!expect(TokenKind::LBrace, "to open plan body"))
       return false;
     while (!accept(TokenKind::RBrace)) {
@@ -437,7 +438,7 @@ private:
         error("expected request id in plan binding");
         return false;
       }
-      RequestId R = static_cast<RequestId>(next().Number);
+      RequestId R = static_cast<RequestId>(next().number());
       if (!expect(TokenKind::Arrow, "in plan binding"))
         return false;
       if (!peek().is(TokenKind::Ident)) {
@@ -452,7 +453,7 @@ private:
               " is already bound in this plan");
         return false;
       }
-      Decl.Pi.bind(R, Ctx.symbol(next().Text));
+      Decl.Pi.bind(R, Ctx.symbol(text(next())));
       if (!expect(TokenKind::Semi, "after plan binding"))
         return false;
     }
@@ -470,11 +471,20 @@ std::optional<SusFile> sus::syntax::parseSusFile(HistContext &Ctx,
                                                  std::string_view Buffer,
                                                  DiagnosticEngine &Diags,
                                                  std::string_view FileName) {
+  static metrics::TimeAccount &Account =
+      metrics::timeAccount("syntax.parse_ns");
+  metrics::TimeAccountScope Timed(Account);
   trace::Span Span("parse", "pipeline");
   Span.count("bytes", static_cast<int64_t>(Buffer.size()));
-  std::vector<Token> Tokens = tokenize(Buffer, Diags, FileName);
+  TokenBuffer Tokens = tokenize(Buffer, Diags, FileName);
   if (Diags.hasErrors())
     return std::nullopt;
+  // Size the intern tables once instead of rehashing them as a large file
+  // fills them. The ratios are those of the generated 10k-service
+  // repositories (about 5 tokens per node and 7 per distinct name); a
+  // wrong guess costs a regrowth or idle slots, never a different result.
+  Ctx.reserve(Ctx.numNodes() + Tokens.size() / 5);
+  Ctx.interner().reserve(Ctx.interner().size() + Tokens.size() / 7);
   FileParser P(Tokens, Ctx, Diags);
   std::optional<SusFile> File = P.parse();
   if (Diags.hasErrors())

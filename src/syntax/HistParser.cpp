@@ -14,13 +14,13 @@ const Expr *HistParser::parseExpr() {
   DepthGuard Guard(*this);
   if (!Guard)
     return nullptr;
-  if (peek().isIdent("mu")) {
+  if (peek().is(Keyword::Mu)) {
     next();
     if (!peek().is(TokenKind::Ident)) {
       error("expected recursion variable after 'mu'");
       return nullptr;
     }
-    Symbol Var = Ctx.symbol(next().Text);
+    Symbol Var = Ctx.symbol(text(next()));
     if (!expect(TokenKind::Dot, "after mu binder"))
       return nullptr;
     const Expr *Body = parseExpr();
@@ -111,7 +111,7 @@ const Expr *HistParser::parsePrefix() {
   // Action prefix: IDENT ('?'|'!') ['.' prefix].
   if (peek().is(TokenKind::Ident) &&
       (peek(1).is(TokenKind::Question) || peek(1).is(TokenKind::Bang))) {
-    Symbol Channel = Ctx.symbol(next().Text);
+    Symbol Channel = Ctx.symbol(text(next()));
     bool IsInput = next().is(TokenKind::Question);
     const Expr *Body = Ctx.empty();
     if (accept(TokenKind::Dot)) {
@@ -128,9 +128,9 @@ const Expr *HistParser::parsePrefix() {
 
 std::optional<Value> HistParser::parseValue() {
   if (peek().is(TokenKind::Number))
-    return Value::integer(next().Number);
+    return Value::integer(next().number());
   if (peek().is(TokenKind::Ident))
-    return Value::name(Ctx.symbol(next().Text));
+    return Value::name(Ctx.symbol(text(next())));
   error("expected a number or a name");
   return std::nullopt;
 }
@@ -141,7 +141,7 @@ std::optional<PolicyRef> HistParser::parsePolicyRef() {
     return std::nullopt;
   }
   PolicyRef Ref;
-  Ref.Name = Ctx.symbol(next().Text);
+  Ref.Name = Ctx.symbol(text(next()));
   if (!accept(TokenKind::LParen))
     return Ref;
   if (accept(TokenKind::RParen))
@@ -193,7 +193,7 @@ const Expr *HistParser::parsePrimary() {
       error("expected event name after '%'");
       return nullptr;
     }
-    Symbol Name = Ctx.symbol(next().Text);
+    Symbol Name = Ctx.symbol(text(next()));
     Value Arg;
     if (accept(TokenKind::LParen)) {
       std::optional<Value> V = parseValue();
@@ -206,18 +206,18 @@ const Expr *HistParser::parsePrimary() {
     return Ctx.event(Event{Name, Arg});
   }
 
-  if (T.isIdent("eps")) {
+  if (T.is(Keyword::Eps)) {
     next();
     return Ctx.empty();
   }
 
-  if (T.isIdent("open")) {
+  if (T.is(Keyword::Open)) {
     next();
     if (!peek().is(TokenKind::Number)) {
       error("expected request id after 'open'");
       return nullptr;
     }
-    RequestId R = static_cast<RequestId>(next().Number);
+    RequestId R = static_cast<RequestId>(next().number());
     PolicyRef Policy;
     if (accept(TokenKind::At)) {
       std::optional<PolicyRef> P = parsePolicyRef();
@@ -235,13 +235,13 @@ const Expr *HistParser::parsePrimary() {
     return Ctx.request(R, std::move(Policy), Body);
   }
 
-  if (T.isIdent("close")) {
+  if (T.is(Keyword::Close)) {
     next();
     if (!peek().is(TokenKind::Number)) {
       error("expected request id after 'close'");
       return nullptr;
     }
-    RequestId R = static_cast<RequestId>(next().Number);
+    RequestId R = static_cast<RequestId>(next().number());
     PolicyRef Policy;
     if (accept(TokenKind::At)) {
       std::optional<PolicyRef> P = parsePolicyRef();
@@ -252,8 +252,8 @@ const Expr *HistParser::parsePrimary() {
     return Ctx.closeMark(R, std::move(Policy));
   }
 
-  if (T.isIdent("fopen") || T.isIdent("fclose")) {
-    bool IsOpen = T.isIdent("fopen");
+  if (T.is(Keyword::FOpen) || T.is(Keyword::FClose)) {
+    bool IsOpen = T.is(Keyword::FOpen);
     next();
     std::optional<PolicyRef> P = parsePolicyRef();
     if (!P)
@@ -277,18 +277,18 @@ const Expr *HistParser::parsePrimary() {
         return nullptr;
       return Ctx.framing(std::move(*P), Body);
     }
-    return Ctx.var(Ctx.symbol(next().Text));
+    return Ctx.var(Ctx.symbol(text(next())));
   }
 
   error(std::string("expected an expression, got ") +
-        tokenKindName(T.Kind));
+        tokenKindName(T.kind()));
   return nullptr;
 }
 
 const Expr *sus::syntax::parseHistExpr(HistContext &Ctx,
                                        std::string_view Buffer,
                                        DiagnosticEngine &Diags) {
-  std::vector<Token> Tokens = tokenize(Buffer, Diags);
+  TokenBuffer Tokens = tokenize(Buffer, Diags);
   if (Diags.hasErrors())
     return nullptr;
   HistParser P(Tokens, Ctx, Diags);
@@ -296,7 +296,7 @@ const Expr *sus::syntax::parseHistExpr(HistContext &Ctx,
   if (!E)
     return nullptr;
   if (!P.atEof()) {
-    Diags.error(P.peek().Loc, "trailing input after expression");
+    Diags.error(P.loc(P.peek()), "trailing input after expression");
     return nullptr;
   }
   return E;

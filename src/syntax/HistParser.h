@@ -22,7 +22,7 @@ namespace syntax {
 /// and by the .sus file parser).
 class HistParser : public ParserBase {
 public:
-  HistParser(const std::vector<Token> &Tokens, hist::HistContext &Ctx,
+  HistParser(const TokenBuffer &Tokens, hist::HistContext &Ctx,
              DiagnosticEngine &Diags)
       : ParserBase(Tokens, Diags), Ctx(Ctx) {}
 

@@ -11,11 +11,8 @@ using namespace sus::syntax;
 namespace {
 
 /// Contextual keywords that can never be bare variables.
-bool isReservedWord(std::string_view S) {
-  return S == "unit" || S == "true" || S == "false" || S == "fun" ||
-         S == "if" || S == "then" || S == "else" || S == "snd" ||
-         S == "rcv" || S == "select" || S == "branch" || S == "req" ||
-         S == "frame" || S == "rec" || S == "jump" || S == "bool";
+bool isReservedWord(Keyword K) {
+  return K >= Keyword::Unit && K <= Keyword::Jump;
 }
 
 } // namespace
@@ -27,7 +24,7 @@ bool LambdaParser::startsAtom() const {
   if (!T.is(TokenKind::Ident))
     return false;
   // 'then'/'else' terminate an application run inside an if.
-  return T.Text != "then" && T.Text != "else";
+  return !T.is(Keyword::Then) && !T.is(Keyword::Else);
 }
 
 const Term *LambdaParser::parseTerm() {
@@ -57,9 +54,9 @@ const Term *LambdaParser::parseApp() {
 }
 
 const Type *LambdaParser::parseType() {
-  if (acceptIdent("unit"))
+  if (accept(Keyword::Unit))
     return Ctx.unitType();
-  if (acceptIdent("bool"))
+  if (accept(Keyword::Bool))
     return Ctx.boolType();
   error("expected parameter type 'unit' or 'bool'");
   return nullptr;
@@ -67,9 +64,9 @@ const Type *LambdaParser::parseType() {
 
 std::optional<Value> LambdaParser::parseValue() {
   if (peek().is(TokenKind::Number))
-    return Value::integer(next().Number);
+    return Value::integer(next().number());
   if (peek().is(TokenKind::Ident))
-    return Value::name(Ctx.symbol(next().Text));
+    return Value::name(Ctx.symbol(text(next())));
   error("expected a number or a name");
   return std::nullopt;
 }
@@ -80,7 +77,7 @@ std::optional<hist::PolicyRef> LambdaParser::parsePolicyRef() {
     return std::nullopt;
   }
   hist::PolicyRef Ref;
-  Ref.Name = Ctx.symbol(next().Text);
+  Ref.Name = Ctx.symbol(text(next()));
   if (!accept(TokenKind::LParen))
     return Ref;
   if (accept(TokenKind::RParen))
@@ -135,7 +132,7 @@ const Term *LambdaParser::parseAtom() {
       error("expected event name after '%'");
       return nullptr;
     }
-    Symbol Name = Ctx.symbol(next().Text);
+    Symbol Name = Ctx.symbol(text(next()));
     Value Arg;
     if (accept(TokenKind::LParen)) {
       std::optional<Value> V = parseValue();
@@ -149,20 +146,20 @@ const Term *LambdaParser::parseAtom() {
   }
 
   if (!T.is(TokenKind::Ident)) {
-    error(std::string("expected a term, got ") + tokenKindName(T.Kind));
+    error(std::string("expected a term, got ") + tokenKindName(T.kind()));
     return nullptr;
   }
 
-  if (T.Text == "unit") {
+  if (T.is(Keyword::Unit)) {
     next();
     return Ctx.unit();
   }
-  if (T.Text == "true" || T.Text == "false") {
-    bool V = T.Text == "true";
+  if (T.is(Keyword::True) || T.is(Keyword::False)) {
+    bool V = T.is(Keyword::True);
     next();
     return Ctx.boolLit(V);
   }
-  if (T.Text == "fun") {
+  if (T.is(Keyword::Fun)) {
     next();
     if (!expect(TokenKind::LParen, "after 'fun'"))
       return nullptr;
@@ -170,7 +167,7 @@ const Term *LambdaParser::parseAtom() {
       error("expected parameter name");
       return nullptr;
     }
-    std::string Param(next().Text);
+    std::string Param(text(next()));
     if (!expect(TokenKind::Colon, "after parameter name"))
       return nullptr;
     const Type *Ty = parseType();
@@ -185,19 +182,19 @@ const Term *LambdaParser::parseAtom() {
       return nullptr;
     return Ctx.lambda(Param, Ty, Body);
   }
-  if (T.Text == "if") {
+  if (T.is(Keyword::If)) {
     next();
     const Term *C = parseTerm();
     if (!C)
       return nullptr;
-    if (!acceptIdent("then")) {
+    if (!accept(Keyword::Then)) {
       error("expected 'then'");
       return nullptr;
     }
     const Term *Then = parseTerm();
     if (!Then)
       return nullptr;
-    if (!acceptIdent("else")) {
+    if (!accept(Keyword::Else)) {
       error("expected 'else'");
       return nullptr;
     }
@@ -206,18 +203,18 @@ const Term *LambdaParser::parseAtom() {
       return nullptr;
     return Ctx.ifTerm(C, Then, Else);
   }
-  if (T.Text == "snd" || T.Text == "rcv") {
-    bool IsSend = T.Text == "snd";
+  if (T.is(Keyword::Snd) || T.is(Keyword::Rcv)) {
+    bool IsSend = T.is(Keyword::Snd);
     next();
     if (!peek().is(TokenKind::Ident)) {
       error("expected channel name");
       return nullptr;
     }
-    std::string Ch(next().Text);
+    std::string Ch(text(next()));
     return IsSend ? Ctx.send(Ch) : Ctx.recv(Ch);
   }
-  if (T.Text == "select" || T.Text == "branch") {
-    bool IsSelect = T.Text == "select";
+  if (T.is(Keyword::Select) || T.is(Keyword::Branch)) {
+    bool IsSelect = T.is(Keyword::Select);
     next();
     if (!expect(TokenKind::LBrace, "to open arms"))
       return nullptr;
@@ -227,7 +224,7 @@ const Term *LambdaParser::parseAtom() {
         error("expected channel name in arm");
         return nullptr;
       }
-      Symbol Ch = Ctx.symbol(next().Text);
+      Symbol Ch = Ctx.symbol(text(next()));
       if (!expect(TokenKind::Arrow, "in arm"))
         return nullptr;
       const Term *Body = parseTerm();
@@ -240,13 +237,13 @@ const Term *LambdaParser::parseAtom() {
     return IsSelect ? Ctx.select(std::move(Arms))
                     : Ctx.branch(std::move(Arms));
   }
-  if (T.Text == "req") {
+  if (T.is(Keyword::Req)) {
     next();
     if (!peek().is(TokenKind::Number)) {
       error("expected request id after 'req'");
       return nullptr;
     }
-    hist::RequestId R = static_cast<hist::RequestId>(next().Number);
+    hist::RequestId R = static_cast<hist::RequestId>(next().number());
     hist::PolicyRef Policy;
     if (accept(TokenKind::At)) {
       std::optional<hist::PolicyRef> P = parsePolicyRef();
@@ -263,7 +260,7 @@ const Term *LambdaParser::parseAtom() {
       return nullptr;
     return Ctx.request(R, std::move(Policy), Body);
   }
-  if (T.Text == "frame") {
+  if (T.is(Keyword::Frame)) {
     next();
     std::optional<hist::PolicyRef> P = parsePolicyRef();
     if (!P)
@@ -277,13 +274,13 @@ const Term *LambdaParser::parseAtom() {
       return nullptr;
     return Ctx.framing(std::move(*P), Body);
   }
-  if (T.Text == "rec") {
+  if (T.is(Keyword::Rec)) {
     next();
     if (!peek().is(TokenKind::Ident)) {
       error("expected loop variable after 'rec'");
       return nullptr;
     }
-    std::string Var(next().Text);
+    std::string Var(text(next()));
     if (!expect(TokenKind::LBrace, "to open rec body"))
       return nullptr;
     const Term *Body = parseTerm();
@@ -293,26 +290,26 @@ const Term *LambdaParser::parseAtom() {
       return nullptr;
     return Ctx.rec(Var, Body);
   }
-  if (T.Text == "jump") {
+  if (T.is(Keyword::Jump)) {
     next();
     if (!peek().is(TokenKind::Ident)) {
       error("expected loop variable after 'jump'");
       return nullptr;
     }
-    return Ctx.jump(std::string(next().Text));
+    return Ctx.jump(std::string(text(next())));
   }
 
-  if (isReservedWord(T.Text)) {
-    error("'" + std::string(T.Text) + "' cannot be used here");
+  if (isReservedWord(T.keyword())) {
+    error("'" + std::string(text(T)) + "' cannot be used here");
     return nullptr;
   }
-  return Ctx.var(std::string(next().Text));
+  return Ctx.var(std::string(text(next())));
 }
 
 const Term *sus::syntax::parseLambdaTerm(LambdaContext &Ctx,
                                          std::string_view Buffer,
                                          DiagnosticEngine &Diags) {
-  std::vector<Token> Tokens = tokenize(Buffer, Diags);
+  TokenBuffer Tokens = tokenize(Buffer, Diags);
   if (Diags.hasErrors())
     return nullptr;
   LambdaParser P(Tokens, Ctx, Diags);
@@ -320,7 +317,7 @@ const Term *sus::syntax::parseLambdaTerm(LambdaContext &Ctx,
   if (!T)
     return nullptr;
   if (!P.atEof()) {
-    Diags.error(P.peek().Loc, "trailing input after term");
+    Diags.error(P.loc(P.peek()), "trailing input after term");
     return nullptr;
   }
   return T;

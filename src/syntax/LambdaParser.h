@@ -40,7 +40,7 @@ namespace syntax {
 /// Parses λ terms out of a token stream.
 class LambdaParser : public ParserBase {
 public:
-  LambdaParser(const std::vector<Token> &Tokens, lambda::LambdaContext &Ctx,
+  LambdaParser(const TokenBuffer &Tokens, lambda::LambdaContext &Ctx,
                DiagnosticEngine &Diags)
       : ParserBase(Tokens, Diags), Ctx(Ctx) {}
 

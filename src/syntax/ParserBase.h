@@ -17,10 +17,10 @@
 namespace sus {
 namespace syntax {
 
-/// Cursor over a token vector with error reporting helpers.
+/// Cursor over a token buffer with error reporting helpers.
 class ParserBase {
 public:
-  ParserBase(const std::vector<Token> &Tokens, DiagnosticEngine &Diags)
+  ParserBase(const TokenBuffer &Tokens, DiagnosticEngine &Diags)
       : Tokens(Tokens), Diags(Diags) {}
 
   const Token &peek(unsigned Ahead = 0) const {
@@ -37,6 +37,10 @@ public:
 
   bool atEof() const { return peek().is(TokenKind::Eof); }
 
+  /// The spelling of an Ident token, and any token's source location.
+  std::string_view text(const Token &T) const { return Tokens.text(T); }
+  SourceLoc loc(const Token &T) const { return Tokens.loc(T); }
+
   /// Consumes a token of kind \p K if present.
   bool accept(TokenKind K) {
     if (!peek().is(K))
@@ -45,9 +49,9 @@ public:
     return true;
   }
 
-  /// Consumes an identifier with exact spelling \p S if present.
-  bool acceptIdent(std::string_view S) {
-    if (!peek().isIdent(S))
+  /// Consumes an identifier spelled as keyword \p K if present.
+  bool accept(Keyword K) {
+    if (!peek().is(K))
       return false;
     next();
     return true;
@@ -64,17 +68,17 @@ public:
       Msg += What;
     }
     Msg += ", got ";
-    Msg += tokenKindName(peek().Kind);
-    Diags.error(peek().Loc, Msg);
+    Msg += tokenKindName(peek().kind());
+    error(std::move(Msg));
     return false;
   }
 
-  void error(std::string Message) { Diags.error(peek().Loc, Message); }
+  void error(std::string Message) { Diags.error(loc(peek()), Message); }
 
   DiagnosticEngine &diags() { return Diags; }
 
   /// Cursor position (for handing off between cooperating parsers over
-  /// the same token vector).
+  /// the same token buffer).
   size_t position() const { return Pos; }
   void setPosition(size_t P) { Pos = P < Tokens.size() ? P : Tokens.size(); }
 
@@ -107,7 +111,7 @@ public:
   };
 
 protected:
-  const std::vector<Token> &Tokens;
+  const TokenBuffer &Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   unsigned Depth = 0;

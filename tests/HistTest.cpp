@@ -7,10 +7,14 @@
 #include "hist/Printer.h"
 #include "hist/TransitionSystem.h"
 #include "hist/WellFormed.h"
+#include "fuzz/Generator.h"
 #include "support/Casting.h"
+#include "syntax/FileParser.h"
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
 #include <sstream>
 
 using namespace sus;
@@ -277,6 +281,252 @@ TEST_F(HistTest, CheckWellFormedReportsDiagnostics) {
   DiagnosticEngine Diags;
   EXPECT_FALSE(checkWellFormed(Ctx, Ctx.var("h"), Diags));
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// Well-formedness facts vs. the walks they replaced
+//===----------------------------------------------------------------------===//
+
+/// The free-variable walk HistContext ran before nodes carried their free
+/// variables: the oracle for Expr::freeVars and isClosed.
+void collectFreeVars(const Expr *E, std::set<Symbol> &Bound,
+                     std::set<Symbol> &Free) {
+  switch (E->kind()) {
+  case ExprKind::Empty:
+  case ExprKind::Event:
+  case ExprKind::CloseMark:
+  case ExprKind::FrameOpen:
+  case ExprKind::FrameClose:
+    return;
+  case ExprKind::Var: {
+    Symbol Name = cast<VarExpr>(E)->name();
+    if (!Bound.count(Name))
+      Free.insert(Name);
+    return;
+  }
+  case ExprKind::Mu: {
+    const auto *M = cast<MuExpr>(E);
+    bool Inserted = Bound.insert(M->var()).second;
+    collectFreeVars(M->body(), Bound, Free);
+    if (Inserted)
+      Bound.erase(M->var());
+    return;
+  }
+  case ExprKind::Seq: {
+    const auto *S = cast<SeqExpr>(E);
+    collectFreeVars(S->head(), Bound, Free);
+    collectFreeVars(S->tail(), Bound, Free);
+    return;
+  }
+  case ExprKind::ExtChoice:
+  case ExprKind::IntChoice:
+    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
+      collectFreeVars(B.Body, Bound, Free);
+    return;
+  case ExprKind::Request:
+    collectFreeVars(cast<RequestExpr>(E)->body(), Bound, Free);
+    return;
+  case ExprKind::Framing:
+    collectFreeVars(cast<FramingExpr>(E)->body(), Bound, Free);
+    return;
+  }
+}
+
+/// Whether every run of \p E communicates before it ends or recurs, by
+/// walk (the oracle for Expr::communicates).
+bool walkCommunicates(const Expr *E) {
+  switch (E->kind()) {
+  case ExprKind::ExtChoice:
+  case ExprKind::IntChoice:
+    return true;
+  case ExprKind::Seq:
+    return walkCommunicates(cast<SeqExpr>(E)->head()) ||
+           walkCommunicates(cast<SeqExpr>(E)->tail());
+  case ExprKind::Mu:
+    return walkCommunicates(cast<MuExpr>(E)->body());
+  case ExprKind::Request:
+    return walkCommunicates(cast<RequestExpr>(E)->body());
+  case ExprKind::Framing:
+    return walkCommunicates(cast<FramingExpr>(E)->body());
+  default:
+    return false;
+  }
+}
+
+/// The occurrence bits of free variable \p Var in \p E, by walk: \p Tail
+/// and \p Guarded describe the position of \p E itself.
+uint8_t walkOccurrences(const Expr *E, Symbol Var, bool Tail, bool Guarded) {
+  switch (E->kind()) {
+  case ExprKind::Var:
+    if (cast<VarExpr>(E)->name() != Var)
+      return 0;
+    return (Tail ? 0 : FreeVarSet::NonTail) |
+           (Guarded ? 0 : FreeVarSet::Unguarded);
+  case ExprKind::Mu: {
+    const auto *M = cast<MuExpr>(E);
+    return M->var() == Var ? 0
+                           : walkOccurrences(M->body(), Var, Tail, Guarded);
+  }
+  case ExprKind::Seq: {
+    const auto *S = cast<SeqExpr>(E);
+    return walkOccurrences(S->head(), Var, false, Guarded) |
+           walkOccurrences(S->tail(), Var, Tail,
+                           Guarded || walkCommunicates(S->head()));
+  }
+  case ExprKind::ExtChoice:
+  case ExprKind::IntChoice: {
+    uint8_t Bits = 0;
+    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
+      Bits |= walkOccurrences(B.Body, Var, Tail, true);
+    return Bits;
+  }
+  case ExprKind::Request:
+    return walkOccurrences(cast<RequestExpr>(E)->body(), Var, false, Guarded);
+  case ExprKind::Framing:
+    return walkOccurrences(cast<FramingExpr>(E)->body(), Var, false, Guarded);
+  default:
+    return 0;
+  }
+}
+
+/// Checks the facts of \p Root and of every node below it against the
+/// walks; returns how many nodes were checked.
+size_t expectFactsMatchWalks(HistContext &Ctx, const Expr *Root) {
+  std::set<const Expr *> Seen;
+  std::vector<const Expr *> Work = {Root};
+  while (!Work.empty()) {
+    const Expr *E = Work.back();
+    Work.pop_back();
+    if (!Seen.insert(E).second)
+      continue;
+    std::string Text = print(Ctx, E);
+
+    std::set<Symbol> Bound, Free;
+    collectFreeVars(E, Bound, Free);
+    EXPECT_EQ(Ctx.isClosed(E), Free.empty()) << Text;
+    EXPECT_EQ(Ctx.freeVars(E), Free) << Text;
+    for (Symbol V : Free)
+      EXPECT_EQ(E->freeVars()->find(V)->Occurs,
+                walkOccurrences(E, V, /*Tail=*/true, /*Guarded=*/false))
+          << Text << " at " << Ctx.interner().text(V);
+    EXPECT_EQ(E->communicates(), walkCommunicates(E)) << Text;
+    EXPECT_EQ(isWellFormed(Ctx, E), wellFormedIssues(Ctx, E).empty()) << Text;
+
+    switch (E->kind()) {
+    case ExprKind::Mu:
+      Work.push_back(cast<MuExpr>(E)->body());
+      break;
+    case ExprKind::Seq:
+      Work.push_back(cast<SeqExpr>(E)->head());
+      Work.push_back(cast<SeqExpr>(E)->tail());
+      break;
+    case ExprKind::ExtChoice:
+    case ExprKind::IntChoice:
+      for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
+        Work.push_back(B.Body);
+      break;
+    case ExprKind::Request:
+      Work.push_back(cast<RequestExpr>(E)->body());
+      break;
+    case ExprKind::Framing:
+      Work.push_back(cast<FramingExpr>(E)->body());
+      break;
+    default:
+      break;
+    }
+  }
+  return Seen.size();
+}
+
+/// A random expression over two recursion variables, well-formed or not.
+const Expr *randomExpr(HistContext &Ctx, std::mt19937 &Rng, unsigned Depth,
+                       PolicyRef Phi) {
+  const char *Vars[] = {"h", "k"};
+  unsigned Pick = Depth == 0 ? Rng() % 3 : Rng() % 10;
+  auto Sub = [&] { return randomExpr(Ctx, Rng, Depth - 1, Phi); };
+  switch (Pick) {
+  case 0:
+    return Ctx.var(Vars[Rng() % 2]);
+  case 1:
+    return Ctx.event("e");
+  case 2:
+    return Ctx.empty();
+  case 3:
+    return Ctx.mu(Vars[Rng() % 2], Sub());
+  case 4:
+  case 5:
+    return Ctx.seq(Sub(), Sub());
+  case 6:
+    return Ctx.send(Rng() % 2 ? "a" : "b", Sub());
+  case 7:
+    return Ctx.extChoice({{CommAction::input(Ctx.symbol("a")), Sub()},
+                          {CommAction::input(Ctx.symbol("b")), Sub()}});
+  case 8:
+    return Ctx.request(1, Phi, Sub());
+  default:
+    return Ctx.framing(Phi, Sub());
+  }
+}
+
+TEST_F(HistTest, WellFormedFactsMatchCheckerWalk) {
+  size_t Checked = 0;
+
+  // Generated programs: every behaviour and every node below it (bodies
+  // under a µ are open, so both verdicts occur).
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    HistContext Parsed;
+    DiagnosticEngine Diags;
+    std::string Source = fuzz::generateProgram(Seed).source();
+    std::optional<syntax::SusFile> File =
+        syntax::parseSusFile(Parsed, Source, Diags);
+    ASSERT_TRUE(File) << "seed " << Seed;
+    for (const auto &[Loc, Service] : File->Repo.services())
+      Checked += expectFactsMatchWalks(Parsed, Service);
+    for (const auto &[Name, Client] : File->Clients)
+      Checked += expectFactsMatchWalks(Parsed, Client);
+  }
+
+  // Random expressions, mostly ill-formed.
+  std::mt19937 Rng(7);
+  size_t IllFormed = 0;
+  for (unsigned I = 0; I < 300; ++I) {
+    const Expr *E = randomExpr(Ctx, Rng, 5, phi());
+    IllFormed += !isWellFormed(Ctx, E);
+    Checked += expectFactsMatchWalks(Ctx, E);
+  }
+  EXPECT_GT(IllFormed, 50u);
+
+  // Hand-built: each ill-formedness, shadowing µs, and guards that only
+  // count when they always happen.
+  const Expr *H = Ctx.var("h");
+  const Expr *K = Ctx.var("k");
+  const Expr *Ev = Ctx.event("e");
+  const Expr *Cases[] = {
+      Ctx.mu("h", H),                                    // unguarded
+      Ctx.mu("h", Ctx.seq(Ev, H)),                       // event guard only
+      Ctx.mu("h", Ctx.seq(Ctx.send("a", H), Ev)),        // non-tail
+      Ctx.mu("h", Ctx.send("a", Ctx.request(1, phi(), H))),
+      Ctx.mu("h", Ctx.send("a", Ctx.framing(phi(), H))),
+      Ctx.mu("h", Ctx.send("a", Ctx.mu("h", Ctx.seq(H, Ev)))), // shadowed
+      Ctx.mu("h", Ctx.send("a", Ctx.mu("h", Ctx.send("b", H)))),
+      Ctx.mu("h", Ctx.mu("k", Ctx.seq(Ev, Ctx.seq(H, K)))),
+      Ctx.mu("h", Ctx.send("a", Ctx.mu("k", Ctx.extChoice(
+                                             {{CommAction::input(
+                                                   Ctx.symbol("b")),
+                                               H},
+                                              {CommAction::input(
+                                                   Ctx.symbol("c")),
+                                               K}})))),
+      Ctx.mu("h", Ctx.seq(Ctx.mu("k", Ctx.send("a", K)), H)), // comm head
+      Ctx.mu("h", Ctx.seq(Ctx.request(1, phi(), Ctx.send("a", Ev)), H)),
+      Ctx.send("a", Ctx.seq(H, K)),                      // free
+  };
+  for (const Expr *E : Cases)
+    Checked += expectFactsMatchWalks(Ctx, E);
+  EXPECT_FALSE(isWellFormed(Ctx, Cases[0]));
+  EXPECT_TRUE(isWellFormed(Ctx, Cases[6]));
+  EXPECT_TRUE(isWellFormed(Ctx, Cases[9]));
+  EXPECT_GT(Checked, 1000u);
 }
 
 //===----------------------------------------------------------------------===//

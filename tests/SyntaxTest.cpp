@@ -35,7 +35,7 @@ TEST(LexerTest, TokenizesPunctuationAndIdents) {
                          Diags);
   EXPECT_FALSE(Diags.hasErrors());
   ASSERT_GE(Tokens.size(), 2u);
-  EXPECT_TRUE(Tokens.front().isIdent("foo"));
+  EXPECT_TRUE(Tokens.text(Tokens.front()) == "foo");
   EXPECT_TRUE(Tokens.back().is(TokenKind::Eof));
   // Count specific kinds.
   unsigned Numbers = 0;
@@ -49,7 +49,7 @@ TEST(LexerTest, NegativeNumbers) {
   DiagnosticEngine Diags;
   auto Tokens = tokenize("-12", Diags);
   ASSERT_EQ(Tokens.size(), 2u);
-  EXPECT_EQ(Tokens[0].Number, -12);
+  EXPECT_EQ(Tokens[0].number(), -12);
 }
 
 TEST(LexerTest, CommentsAreSkipped) {
@@ -57,16 +57,16 @@ TEST(LexerTest, CommentsAreSkipped) {
   auto Tokens = tokenize("a // comment + ; {\n# another\nb", Diags);
   EXPECT_FALSE(Diags.hasErrors());
   ASSERT_EQ(Tokens.size(), 3u);
-  EXPECT_TRUE(Tokens[0].isIdent("a"));
-  EXPECT_TRUE(Tokens[1].isIdent("b"));
+  EXPECT_TRUE(Tokens.text(Tokens[0]) == "a");
+  EXPECT_TRUE(Tokens.text(Tokens[1]) == "b");
 }
 
 TEST(LexerTest, TracksLineAndColumn) {
   DiagnosticEngine Diags;
   auto Tokens = tokenize("a\n  b", Diags);
-  EXPECT_EQ(Tokens[0].Loc.Line, 1u);
-  EXPECT_EQ(Tokens[1].Loc.Line, 2u);
-  EXPECT_EQ(Tokens[1].Loc.Col, 3u);
+  EXPECT_EQ(Tokens.loc(Tokens[0]).Line, 1u);
+  EXPECT_EQ(Tokens.loc(Tokens[1]).Line, 2u);
+  EXPECT_EQ(Tokens.loc(Tokens[1]).Col, 3u);
 }
 
 TEST(LexerTest, StrayCharacterIsReported) {
@@ -99,10 +99,10 @@ TEST(LexerTest, Int64BoundaryLiteralsScanExactly) {
   DiagnosticEngine Diags;
   auto Max = tokenize("9223372036854775807", Diags);
   ASSERT_EQ(Max.size(), 2u);
-  EXPECT_EQ(Max[0].Number, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Max[0].number(), std::numeric_limits<int64_t>::max());
   auto Min = tokenize("-9223372036854775807", Diags);
   ASSERT_EQ(Min.size(), 2u);
-  EXPECT_EQ(Min[0].Number, -std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Min[0].number(), -std::numeric_limits<int64_t>::max());
   EXPECT_FALSE(Diags.hasErrors());
 }
 

@@ -6,7 +6,8 @@ Usage: check_metrics_json.py SUSC_BINARY SCHEMA_JSON EXAMPLE_SUS \
 
 Runs the shipped example through susc five ways and asserts:
   1. `--metrics-out` emits JSON valid against tests/metrics_schema.json
-     (the normative sus-metrics-v1 schema);
+     (the normative sus-metrics-v1 schema), with the parse's
+     `syntax.lex_ns` and `syntax.parse_ns` time accounts above zero;
   2. `--trace-out` emits well-formed Chrome trace_event JSON;
   3. both also work through the `susc lint` subcommand;
   4. stdout/stderr and the exit code are bit-for-bit identical with and
@@ -188,7 +189,12 @@ def main():
         if observed.stdout != plain.stdout or observed.stderr != plain.stderr:
             fail("observability flags changed the tool output")
 
-        validate(json.loads(Path(metrics).read_text()), schema)
+        observed_metrics = json.loads(Path(metrics).read_text())
+        validate(observed_metrics, schema)
+        # The front end's always-on layer accounts saw the parse.
+        for account in ("syntax.lex_ns", "syntax.parse_ns"):
+            if observed_metrics["time_accounts"].get(account, 0) <= 0:
+                fail(f"time account {account} not positive after a parse")
         n_events = check_trace(trace)
 
         # The lint subcommand honours the same flags.
