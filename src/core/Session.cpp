@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -32,6 +33,40 @@ bool Session::open(std::string Src, std::string Name, VerifierOptions Opts,
 }
 
 ClientOutcome Session::verifyClient(Symbol Name, const hist::Expr *Client,
+                                    const std::string &OnlyPlan,
+                                    bool Enumerate, std::ostream &OS) {
+  if (!OnlyPlan.empty() || V->options().Governor)
+    return renderClient(Name, Client, OnlyPlan, Enumerate, OS);
+  ++MemoLookups;
+  auto [It, Fresh] =
+      Memo.try_emplace(uint64_t(Name.id()) * 2 + (Enumerate ? 1 : 0));
+  MemoEntry &Kept = It->second;
+  if (Fresh) {
+    std::ostringstream Text;
+    Kept.Outcome = renderClient(Name, Client, OnlyPlan, Enumerate, Text);
+    Kept.Text = Text.str();
+  } else {
+    ++MemoHits;
+#ifdef SUS_AUDIT
+    // The memo must never answer what a fresh render would not.
+    std::ostringstream Text;
+    ClientOutcome Again =
+        renderClient(Name, Client, OnlyPlan, Enumerate, Text);
+    if (Text.str() != Kept.Text ||
+        Again.FirstValid != Kept.Outcome.FirstValid ||
+        Again.Inconclusive != Kept.Outcome.Inconclusive) {
+      std::fprintf(stderr,
+                   "report memo audit: stale report for client '%s'\n",
+                   std::string(Ctx.interner().text(Name)).c_str());
+      std::abort();
+    }
+#endif
+  }
+  OS << Kept.Text;
+  return Kept.Outcome;
+}
+
+ClientOutcome Session::renderClient(Symbol Name, const hist::Expr *Client,
                                     const std::string &OnlyPlan,
                                     bool Enumerate, std::ostream &OS) {
   ClientOutcome Out;
@@ -127,6 +162,9 @@ bool Session::replayChurn(RepairSession &Repair, uint64_t Rounds,
     return Rng >> 33;
   };
   plan::Repository &Repo = File->Repo;
+  // Each round changes the repository, and a tripped round may leave it
+  // changed: no kept report survives.
+  Memo.clear();
   std::vector<plan::Loc> Locs = Repo.locations();
   size_t Kept = 0, Dropped = 0, Reverified = 0, Repairs = 0;
   std::vector<int64_t> LatenciesUs;
@@ -180,6 +218,7 @@ bool Session::loadSnapshot(std::string_view Bytes, std::string &Err,
   }
   if (Stats)
     *Stats = R.Stats;
+  Memo.clear();
   if (V->options().UseIndex && !R.IndexEntries.empty())
     V->adoptIndex(std::make_unique<plan::ServiceIndex>(Ctx, File->Repo,
                                                        R.IndexEntries));

@@ -7,7 +7,8 @@
 /// VerifierCache, and implements the requests both tools serve: the
 /// per-client §5 verify report, the seeded churn replay, and snapshot
 /// load/save. Both tools write the bytes these functions write, so
-/// their outputs cannot drift apart (DESIGN.md §13).
+/// their outputs cannot drift apart (DESIGN.md §13). Reports are kept
+/// per client, so a repeated verify writes them without recomputing.
 ///
 /// A Session is single-threaded, like the HistContext it owns; susd
 /// serializes requests on its own lock. It cannot be copied or moved:
@@ -28,6 +29,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace sus {
 namespace core {
@@ -38,6 +40,14 @@ struct ClientOutcome {
   std::optional<plan::Plan> FirstValid;
   /// Some verdict was Inconclusive(resource).
   bool Inconclusive = false;
+};
+
+/// The report memo's counters (DESIGN.md §13): lookups are the verify
+/// requests it may answer, hits the ones it did.
+struct ReportMemoStats {
+  uint64_t Hits = 0;
+  uint64_t Lookups = 0;
+  size_t Entries = 0;
 };
 
 /// Folds per-client results into the susc exit contract: 3 when any
@@ -75,6 +85,14 @@ public:
   /// Verifies one client into \p OS: its declared plans (only \p OnlyPlan
   /// when non-empty), then, with \p Enumerate and no \p OnlyPlan, the
   /// enumerated candidates' report.
+  ///
+  /// A request without \p OnlyPlan on a verifier with no governor armed
+  /// goes through the report memo, keyed by (client, \p Enumerate): the
+  /// first one renders and keeps the bytes and outcome, every repeat
+  /// writes the kept bytes. The memo holds at most two entries a client
+  /// and is cleared by replayChurn and loadSnapshot, the only requests
+  /// that change what a report says. A governed request neither reads nor
+  /// fills it: its report may carry a budget's Inconclusive verdicts.
   ClientOutcome verifyClient(Symbol Name, const hist::Expr *Client,
                              const std::string &OnlyPlan, bool Enumerate,
                              std::ostream &OS);
@@ -102,12 +120,30 @@ public:
   /// Serializes the cache and (building it first if needed) the index.
   std::string saveSnapshot(SnapshotStats *Stats = nullptr);
 
+  ReportMemoStats reportMemoStats() const {
+    return {MemoHits, MemoLookups, Memo.size()};
+  }
+
 private:
+  /// One client's report, rendered afresh (verifyClient without the memo).
+  ClientOutcome renderClient(Symbol Name, const hist::Expr *Client,
+                             const std::string &OnlyPlan, bool Enumerate,
+                             std::ostream &OS);
+
+  /// A kept report: the bytes written and the outcome they earned.
+  struct MemoEntry {
+    std::string Text;
+    ClientOutcome Outcome;
+  };
+
   std::string Source;
   std::string FileName;
   hist::HistContext Ctx;
   std::optional<syntax::SusFile> File;
   std::unique_ptr<Verifier> V;
+  /// The report memo, keyed by client symbol id * 2 + Enumerate.
+  std::unordered_map<uint64_t, MemoEntry> Memo;
+  uint64_t MemoHits = 0, MemoLookups = 0;
 };
 
 /// Reads the whole file at \p Path; false when it cannot be opened.

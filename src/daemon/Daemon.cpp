@@ -232,6 +232,8 @@ Response Engine::stats(const Request &R) {
   }
   OS << "repository: " << S.file().Repo.size() << " services, "
      << S.file().Clients.size() << " clients\n";
+  core::ReportMemoStats Memo = S.reportMemoStats();
+  OS << "reports: " << Memo.Hits << "/" << Memo.Lookups << " memo hits\n";
   return replyWith(OS);
 }
 
@@ -242,12 +244,15 @@ Response Engine::stats(const Request &R) {
 namespace {
 
 /// Serves one connection end to end: one request line in, one response
-/// out. Runs on a pool worker; Engine::handle serializes internally.
+/// out. Runs on a pool worker; Engine::handle serializes internally. A
+/// client silent past RequestReadTimeoutMs gets an exit-2 response, so it
+/// holds the worker no longer than that.
 void serveConnection(Engine &E, int Fd) {
   std::string Err;
   std::string Line;
   Response Resp;
-  if (!readLine(Fd, Line, MaxRequestLine, Err)) {
+  ConnectionReader Reader(Fd, RequestReadTimeoutMs);
+  if (!Reader.readLine(Line, MaxRequestLine, Err)) {
     Resp = errorResponse(Err);
   } else {
     Request Req;

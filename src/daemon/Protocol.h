@@ -15,7 +15,8 @@
 /// Keys and values are percent-escaped (%XX for '%', ' ', '=', and
 /// control bytes including newline), so arbitrary strings survive the
 /// space/equals framing. A request line is capped at 64 KiB — longer
-/// lines are a protocol error, not an allocation.
+/// lines are a protocol error, not an allocation — and must arrive
+/// within RequestReadTimeoutMs of the daemon starting to read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +33,11 @@ namespace daemon {
 /// Cap on one request line (framing included). Far above any real
 /// request, low enough that a hostile peer cannot balloon the daemon.
 constexpr size_t MaxRequestLine = 64 * 1024;
+
+/// How long the daemon waits for a connection's request line. A client
+/// that connects and stays silent gets an exit-2 response after this and
+/// frees its worker; real clients send the line as soon as they connect.
+constexpr int RequestReadTimeoutMs = 5000;
 
 /// A parsed request: a verb plus string parameters.
 struct Request {

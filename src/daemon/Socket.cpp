@@ -2,6 +2,7 @@
 
 #include "daemon/Socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -102,52 +103,93 @@ int daemon::connectTo(const std::string &Path, std::string &Err) {
   return Fd;
 }
 
-bool daemon::readLine(int Fd, std::string &Line, size_t MaxLen,
-                      std::string &Err) {
-  Line.clear();
-  char C;
+ConnectionReader::ConnectionReader(int Fd, int DeadlineMs)
+    : Fd(Fd), DeadlineMs(DeadlineMs) {
+  if (DeadlineMs >= 0)
+    Deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(DeadlineMs);
+}
+
+long ConnectionReader::readSome(char *Dst, size_t Len, std::string &Err) {
   while (true) {
-    ssize_t N = ::read(Fd, &C, 1);
-    if (N == 0) {
-      Err = "connection closed before end of line";
-      return false;
-    }
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
+    ssize_t N = DeadlineMs < 0 ? ::read(Fd, Dst, Len)
+                               : ::recv(Fd, Dst, Len, MSG_DONTWAIT);
+    if (N >= 0)
+      return N;
+    if (errno == EINTR)
+      continue;
+    if (DeadlineMs < 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
       Err = errnoMessage("read");
-      return false;
+      return -1;
     }
-    if (C == '\n')
-      return true;
-    if (Line.size() >= MaxLen) {
-      Err = "line exceeds " + std::to_string(MaxLen) + " bytes";
-      return false;
+    // Nothing waiting: sleep in poll until data arrives or time runs out.
+    auto Left = std::chrono::ceil<std::chrono::milliseconds>(
+                    Deadline - std::chrono::steady_clock::now())
+                    .count();
+    pollfd P;
+    P.fd = Fd;
+    P.events = POLLIN;
+    P.revents = 0;
+    int Ready = Left > 0 ? ::poll(&P, 1, static_cast<int>(Left)) : 0;
+    if (Ready == 0) {
+      Err = "read timed out after " + std::to_string(DeadlineMs) + " ms";
+      return -1;
     }
-    Line.push_back(C);
+    if (Ready < 0 && errno != EINTR) {
+      Err = errnoMessage("poll");
+      return -1;
+    }
   }
 }
 
-bool daemon::readExact(int Fd, size_t Len, std::string &Out,
-                       std::string &Err) {
-  Out.clear();
-  Out.reserve(Len);
-  char Buf[4096];
+bool ConnectionReader::readLine(std::string &Line, size_t MaxLen,
+                                std::string &Err) {
+  Line.clear();
+  while (true) {
+    const char *Start = Buf + Begin;
+    size_t Avail = End - Begin;
+    const char *Newline =
+        static_cast<const char *>(std::memchr(Start, '\n', Avail));
+    size_t Take = Newline ? static_cast<size_t>(Newline - Start) : Avail;
+    if (Take > MaxLen - Line.size()) {
+      Err = "line exceeds " + std::to_string(MaxLen) + " bytes";
+      return false;
+    }
+    Line.append(Start, Take);
+    if (Newline) {
+      Begin += Take + 1; // What follows the newline stays buffered.
+      return true;
+    }
+    Begin = End = 0;
+    long N = readSome(Buf, sizeof(Buf), Err);
+    if (N <= 0) {
+      if (N == 0)
+        Err = "connection closed before end of line";
+      return false;
+    }
+    End = static_cast<size_t>(N);
+  }
+}
+
+bool ConnectionReader::readExact(size_t Len, std::string &Out,
+                                 std::string &Err) {
+  size_t Buffered = std::min(Len, End - Begin);
+  Out.assign(Buf + Begin, Buffered);
+  Begin += Buffered;
+  // The rest goes straight into Out, which grows geometrically: a
+  // garbage header's length is never allocated up front.
   while (Out.size() < Len) {
-    size_t Want = std::min(sizeof(Buf), Len - Out.size());
-    ssize_t N = ::read(Fd, Buf, Want);
-    if (N == 0) {
-      Err = "connection closed mid-payload (" + std::to_string(Out.size()) +
-            " of " + std::to_string(Len) + " bytes)";
+    size_t Got = Out.size();
+    size_t Want = std::min(Len - Got, std::max(sizeof(Buf), Got));
+    Out.resize(Got + Want);
+    long N = readSome(&Out[Got], Want, Err);
+    Out.resize(Got + static_cast<size_t>(std::max(N, 0L)));
+    if (N <= 0) {
+      if (N == 0)
+        Err = "connection closed mid-payload (" + std::to_string(Got) +
+              " of " + std::to_string(Len) + " bytes)";
       return false;
     }
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Err = errnoMessage("read");
-      return false;
-    }
-    Out.append(Buf, static_cast<size_t>(N));
   }
   return true;
 }

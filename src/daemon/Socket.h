@@ -4,15 +4,17 @@
 /// Thin blocking AF_UNIX helpers shared by the daemon and the
 /// `susc --connect` client: listen/accept with a poll()-based timeout
 /// (so the daemon's accept loop can notice a shutdown flag), connect,
-/// line-delimited reads with a hard cap, and write-all. Every function
-/// reports failure through an errno-derived message instead of printing,
-/// so callers own the diagnostics.
+/// one buffered reader (capped lines, exact payloads, an optional
+/// deadline), and write-all. Every function reports failure through an
+/// errno-derived message instead of printing, so callers own the
+/// diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUS_DAEMON_SOCKET_H
 #define SUS_DAEMON_SOCKET_H
 
+#include <chrono>
 #include <string>
 #include <string_view>
 
@@ -33,12 +35,39 @@ int acceptClient(int ListenFd, int TimeoutMs, std::string &Err);
 /// diagnostic in \p Err.
 int connectTo(const std::string &Path, std::string &Err);
 
-/// Reads bytes up to and including '\n' (stripped from \p Line), capped
-/// at \p MaxLen. False on EOF-before-newline, overflow, or error.
-bool readLine(int Fd, std::string &Line, size_t MaxLen, std::string &Err);
+/// The one reader of a connection, for both the daemon's request line
+/// and the client's response header and payload. It reads through a
+/// buffer of a few KiB, so a request line costs one read(2) rather than
+/// one per byte, and bytes read past a line stay buffered for the next
+/// call: a header and its payload arriving in one segment lose nothing.
+///
+/// With a deadline, every read first tries a non-blocking recv and
+/// polls only when no data is waiting; past the deadline (counted from
+/// construction) the read fails. Without one, reads block.
+class ConnectionReader {
+public:
+  /// Reads \p Fd, a connected socket. \p DeadlineMs < 0: no deadline.
+  explicit ConnectionReader(int Fd, int DeadlineMs = -1);
 
-/// Reads exactly \p Len bytes into \p Out. False on short read.
-bool readExact(int Fd, size_t Len, std::string &Out, std::string &Err);
+  /// Reads bytes up to and including '\n' (stripped from \p Line),
+  /// capped at \p MaxLen. False on EOF-before-newline, overflow, expired
+  /// deadline or error.
+  bool readLine(std::string &Line, size_t MaxLen, std::string &Err);
+
+  /// Reads exactly \p Len bytes into \p Out. False on short read.
+  bool readExact(size_t Len, std::string &Out, std::string &Err);
+
+private:
+  /// Reads at most \p Len bytes into \p Dst: the count, 0 on EOF, -1
+  /// with a diagnostic in \p Err on error or an expired deadline.
+  long readSome(char *Dst, size_t Len, std::string &Err);
+
+  int Fd;
+  int DeadlineMs;
+  std::chrono::steady_clock::time_point Deadline;
+  size_t Begin = 0, End = 0; ///< The unread bytes are Buf[Begin, End).
+  char Buf[4096];
+};
 
 /// Writes all of \p Bytes. False on error (e.g. peer hung up).
 bool writeAll(int Fd, std::string_view Bytes, std::string &Err);

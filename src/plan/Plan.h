@@ -104,12 +104,14 @@ class Repository {
 public:
   /// Publishes \p Service at \p Location (replacing any previous one).
   /// \p Capacity bounds concurrent sessions; 0 means unbounded.
+  /// Publishing in key order, as a parsed file does, costs amortized
+  /// constant time: the end() hint is right whenever the key sorts last.
   void add(Loc Location, const hist::Expr *Service, unsigned Capacity = 0) {
-    Services[Location] = Service;
-    if (Capacity == 0)
+    Services.insert_or_assign(Services.end(), Location, Service);
+    if (Capacity != 0)
+      Capacities.insert_or_assign(Capacities.end(), Location, Capacity);
+    else if (!Capacities.empty())
       Capacities.erase(Location);
-    else
-      Capacities[Location] = Capacity;
   }
 
   /// The replication capacity of ℓ (0 = unbounded).

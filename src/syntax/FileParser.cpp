@@ -325,7 +325,8 @@ private:
     }
     SourceLoc DeclLoc = loc(peek());
     Symbol Name = Ctx.symbol(text(next()));
-    (IsService ? File.ServiceLocs : File.ClientLocs)[Name] = DeclLoc;
+    auto &Locs = IsService ? File.ServiceLocs : File.ClientLocs;
+    Locs.insert_or_assign(Locs.end(), Name, DeclLoc); // Usually sorts last.
     if (!expect(TokenKind::LBrace, "to open behaviour"))
       return false;
     HistParser HP(Tokens, Ctx, Diags);
@@ -379,7 +380,8 @@ private:
     }
     SourceLoc DeclLoc = loc(peek());
     Symbol Name = Ctx.symbol(text(next()));
-    (IsService ? File.ServiceLocs : File.ClientLocs)[Name] = DeclLoc;
+    auto &Locs = IsService ? File.ServiceLocs : File.ClientLocs;
+    Locs.insert_or_assign(Locs.end(), Name, DeclLoc); // Usually sorts last.
     if (!expect(TokenKind::LBrace, "to open program body"))
       return false;
 

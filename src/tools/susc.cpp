@@ -925,15 +925,17 @@ int runConnect(int Argc, char **Argv) {
   std::string Header, Body;
   int Exit = 2;
   uint64_t PayloadLen = 0;
+  // No deadline: a cold full verify can take seconds.
+  daemon::ConnectionReader Reader(Fd);
   if (!daemon::writeAll(Fd, daemon::formatRequest(Req) + "\n", Err) ||
-      !daemon::readLine(Fd, Header, /*MaxLen=*/4096, Err)) {
+      !Reader.readLine(Header, /*MaxLen=*/4096, Err)) {
     std::cerr << "susc: " << Err << "\n";
   } else if (!daemon::parseResponseHeader(Header, Exit, PayloadLen, Err)) {
     std::cerr << "susc: " << Err << "\n";
   } else if (PayloadLen > MaxResponsePayload) {
     std::cerr << "susc: response payload of " << PayloadLen
               << " bytes exceeds the client cap\n";
-  } else if (!daemon::readExact(Fd, PayloadLen, Body, Err)) {
+  } else if (!Reader.readExact(PayloadLen, Body, Err)) {
     std::cerr << "susc: " << Err << "\n";
   } else {
     std::cout << Body;

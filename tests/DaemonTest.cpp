@@ -1,26 +1,36 @@
 //===- tests/DaemonTest.cpp - susd protocol, budgets and engine -----------===//
 ///
 /// \file
-/// Unit tests for the resident daemon below the socket layer: the
-/// percent-escaped wire protocol (framing survives arbitrary bytes, the
-/// line cap and malformed frames are clean errors), the per-tenant
-/// budget table (spec parsing, min-combination, governor arming), and
-/// the Engine itself driven in-process through the same handle() path a
-/// connection uses — verify/lint/churn verdicts, snapshot save/load and
-/// the atomic snapshot file writer, per-request deadlines, malformed
-/// count parameters and the shutdown handshake.
+/// Unit tests for the resident daemon: the percent-escaped wire protocol
+/// (framing survives arbitrary bytes, the line cap and malformed frames
+/// are clean errors), the buffered connection reader over a socketpair
+/// (split lines, coalesced header and payload, the line cap, EOF and the
+/// deadline), the per-tenant budget table (spec parsing,
+/// min-combination, governor arming), and the Engine itself driven
+/// in-process through the same handle() path a connection uses —
+/// verify/lint/churn verdicts, the report memo against fresh engines,
+/// snapshot save/load and the atomic snapshot file writer, per-request
+/// deadlines, malformed count parameters and the shutdown handshake.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Daemon.h"
 #include "daemon/Protocol.h"
+#include "daemon/Socket.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 using namespace sus;
@@ -94,6 +104,150 @@ TEST(Protocol, ResponseHeaderRoundTrips) {
   EXPECT_FALSE(parseResponseHeader("sus/1 0 5 extra", Exit, Len, Err));
   EXPECT_FALSE(parseResponseHeader("sus/1 999 5", Exit, Len, Err));
   EXPECT_FALSE(parseResponseHeader("sus/1 0", Exit, Len, Err));
+}
+
+//===----------------------------------------------------------------------===//
+// The connection reader
+//===----------------------------------------------------------------------===//
+
+/// A connected socketpair: the test writes to Writer and reads Reader.
+struct SocketPair {
+  int Reader = -1, Writer = -1;
+
+  SocketPair() {
+    int Fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+    Reader = Fds[0];
+    Writer = Fds[1];
+  }
+  ~SocketPair() {
+    ::close(Reader);
+    closeWriter();
+  }
+
+  void write(const std::string &Bytes) {
+    std::string Err;
+    EXPECT_TRUE(writeAll(Writer, Bytes, Err)) << Err;
+  }
+  /// EOF for the reader.
+  void closeWriter() {
+    if (Writer >= 0)
+      ::close(Writer);
+    Writer = -1;
+  }
+};
+
+TEST(ConnectionReader, LineSplitAcrossSeveralWrites) {
+  SocketPair P;
+  std::thread Slow([&P] {
+    for (const char *Piece :
+         {"sus/1 ", "verify cli", "ent=c1\nsus/1 pi", "ng\n"}) {
+      P.write(Piece);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  ConnectionReader R(P.Reader, /*DeadlineMs=*/10000);
+  std::string Line, Err;
+  ASSERT_TRUE(R.readLine(Line, MaxRequestLine, Err)) << Err;
+  EXPECT_EQ(Line, "sus/1 verify client=c1");
+  ASSERT_TRUE(R.readLine(Line, MaxRequestLine, Err)) << Err;
+  EXPECT_EQ(Line, "sus/1 ping");
+  Slow.join();
+}
+
+TEST(ConnectionReader, HeaderAndPayloadInOneWriteLoseNothing) {
+  SocketPair P;
+  // A payload past the buffer, so it is read partly buffered, partly
+  // straight from the socket.
+  std::string Payload(10000, 'x');
+  Payload[0] = 'a';
+  Payload.back() = 'z';
+  std::thread Send([&] { P.write("sus/1 0 10000\n" + Payload + "tail"); });
+  ConnectionReader R(P.Reader);
+  std::string Header, Body, Err;
+  ASSERT_TRUE(R.readLine(Header, 4096, Err)) << Err;
+  EXPECT_EQ(Header, "sus/1 0 10000");
+  ASSERT_TRUE(R.readExact(Payload.size(), Body, Err)) << Err;
+  EXPECT_EQ(Body, Payload);
+  ASSERT_TRUE(R.readExact(4, Body, Err)) << Err;
+  EXPECT_EQ(Body, "tail");
+  Send.join();
+
+  // A short header and payload in one segment.
+  SocketPair Q;
+  Q.write("sus/1 1 5\nhello");
+  ConnectionReader RQ(Q.Reader);
+  ASSERT_TRUE(RQ.readLine(Header, 4096, Err)) << Err;
+  EXPECT_EQ(Header, "sus/1 1 5");
+  ASSERT_TRUE(RQ.readExact(5, Body, Err)) << Err;
+  EXPECT_EQ(Body, "hello");
+}
+
+TEST(ConnectionReader, LineCapIsExact) {
+  {
+    SocketPair P;
+    std::thread Send(
+        [&P] { P.write(std::string(MaxRequestLine, 'a') + "\n"); });
+    ConnectionReader R(P.Reader);
+    std::string Line, Err;
+    EXPECT_TRUE(R.readLine(Line, MaxRequestLine, Err)) << Err;
+    EXPECT_EQ(Line.size(), MaxRequestLine);
+    Send.join();
+  }
+  {
+    SocketPair P;
+    std::thread Send(
+        [&P] { P.write(std::string(MaxRequestLine + 1, 'a') + "\n"); });
+    ConnectionReader R(P.Reader);
+    std::string Line, Err;
+    EXPECT_FALSE(R.readLine(Line, MaxRequestLine, Err));
+    EXPECT_EQ(Err, "line exceeds " + std::to_string(MaxRequestLine) +
+                       " bytes");
+    P.closeWriter(); // Unblock the writer if the reader stopped early.
+    Send.join();
+  }
+}
+
+TEST(ConnectionReader, EofMidLineAndMidPayloadAreErrors) {
+  {
+    SocketPair P;
+    P.write("sus/1 pi");
+    P.closeWriter();
+    ConnectionReader R(P.Reader, /*DeadlineMs=*/10000);
+    std::string Line, Err;
+    EXPECT_FALSE(R.readLine(Line, MaxRequestLine, Err));
+    EXPECT_EQ(Err, "connection closed before end of line");
+  }
+  {
+    SocketPair P;
+    P.write("sus/1 0 10\nabc");
+    P.closeWriter();
+    ConnectionReader R(P.Reader);
+    std::string Line, Body, Err;
+    ASSERT_TRUE(R.readLine(Line, 4096, Err)) << Err;
+    EXPECT_FALSE(R.readExact(10, Body, Err));
+    EXPECT_EQ(Err, "connection closed mid-payload (3 of 10 bytes)");
+  }
+}
+
+TEST(ConnectionReader, DeadlineExpiresOnASilentPeer) {
+  SocketPair P;
+  ConnectionReader R(P.Reader, /*DeadlineMs=*/50);
+  auto Start = std::chrono::steady_clock::now();
+  std::string Line, Err;
+  EXPECT_FALSE(R.readLine(Line, MaxRequestLine, Err));
+  auto Waited = std::chrono::steady_clock::now() - Start;
+  EXPECT_EQ(Err, "read timed out after 50 ms");
+  EXPECT_GE(Waited, std::chrono::milliseconds(50));
+  EXPECT_LT(Waited, std::chrono::seconds(5));
+
+  // A peer that sends part of a line and then stalls times out too: the
+  // deadline covers the whole line, not each read.
+  SocketPair Q;
+  Q.write("sus/1 pi");
+  ConnectionReader RQ(Q.Reader, /*DeadlineMs=*/50);
+  EXPECT_FALSE(RQ.readLine(Line, MaxRequestLine, Err));
+  EXPECT_EQ(Err, "read timed out after 50 ms");
 }
 
 //===----------------------------------------------------------------------===//
@@ -290,6 +444,171 @@ TEST(Engine, MalformedCountParametersAreUsageErrors) {
   EXPECT_EQ(RVerify.Exit, 2);
   EXPECT_NE(RVerify.Body.find("'deadline_ms'"), std::string::npos)
       << RVerify.Body;
+}
+
+//===----------------------------------------------------------------------===//
+// The report memo
+//===----------------------------------------------------------------------===//
+
+/// The client names of \p E, in report order.
+std::vector<std::string> clientNames(Engine &E) {
+  std::vector<std::string> Names;
+  std::istringstream In(E.handle(req("verify")).Body);
+  const std::string Prefix = "== client ", Suffix = " ==";
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind(Prefix, 0) == 0)
+      Names.push_back(
+          Line.substr(Prefix.size(), Line.size() - Prefix.size() -
+                                         Suffix.size()));
+  return Names;
+}
+
+/// The H and L of the stats verb's "reports: H/L memo hits" line.
+std::pair<uint64_t, uint64_t> memoCounters(Engine &E) {
+  std::string Body = E.handle(req("stats")).Body;
+  size_t At = Body.find("reports: ");
+  EXPECT_NE(At, std::string::npos) << Body;
+  uint64_t Hits = 0, Lookups = 0;
+  std::sscanf(Body.c_str() + At, "reports: %" SCNu64 "/%" SCNu64, &Hits,
+              &Lookups);
+  return {Hits, Lookups};
+}
+
+/// One step of a memo scenario: a request, or a snapshot round trip
+/// (save the engine's cache and load it back into the same engine).
+struct Step {
+  Request R;
+  bool Snapshot = false;
+};
+
+Step verifyStep(const std::string &Client = "", bool Enumerate = true) {
+  Step S;
+  S.R = req("verify");
+  if (!Client.empty())
+    S.R.Params["client"] = Client;
+  if (!Enumerate)
+    S.R.Params["enumerate"] = "0";
+  return S;
+}
+
+Step churnStep(int Seed) {
+  Step S;
+  S.R = req("churn");
+  S.R.Params["rounds"] = "1";
+  S.R.Params["seed"] = std::to_string(Seed);
+  return S;
+}
+
+Step snapshotStep() {
+  Step S;
+  S.Snapshot = true;
+  return S;
+}
+
+Response runStep(Engine &E, const Step &S) {
+  if (!S.Snapshot)
+    return E.handle(S.R);
+  std::string Err;
+  EXPECT_TRUE(E.loadSnapshotBytes(E.saveSnapshotBytes(), Err)) << Err;
+  return {};
+}
+
+class ReportMemoScenario : public testing::TestWithParam<const char *> {};
+
+TEST_P(ReportMemoScenario, EveryAnswerMatchesAFreshEngine) {
+  auto E = makeEngine(GetParam());
+  std::vector<std::string> Clients = clientNames(*E);
+  ASSERT_FALSE(Clients.empty());
+  const std::string &First = Clients.front(), &Last = Clients.back();
+  std::vector<Step> Steps = {verifyStep(First),
+                             verifyStep(),
+                             verifyStep(First),
+                             verifyStep(Last, /*Enumerate=*/false),
+                             verifyStep(Last, /*Enumerate=*/false),
+                             churnStep(3),
+                             verifyStep(),
+                             verifyStep(Last),
+                             verifyStep(),
+                             snapshotStep(),
+                             verifyStep(First),
+                             verifyStep(),
+                             churnStep(11),
+                             verifyStep(First),
+                             verifyStep(First),
+                             snapshotStep(),
+                             churnStep(5),
+                             verifyStep(),
+                             verifyStep(Last),
+                             verifyStep(Last, /*Enumerate=*/false)};
+
+  for (size_t I = 0; I < Steps.size(); ++I) {
+    Response Got = runStep(*E, Steps[I]);
+    if (Steps[I].Snapshot || Steps[I].R.Verb != "verify")
+      continue;
+    // The reference replays every step that changes the engine and then
+    // answers this one, its first and so fresh request of the kind.
+    auto Fresh = makeEngine(GetParam());
+    for (size_t J = 0; J < I; ++J)
+      if (Steps[J].Snapshot || Steps[J].R.Verb != "verify")
+        (void)runStep(*Fresh, Steps[J]);
+    Response Want = Fresh->handle(Steps[I].R);
+    EXPECT_EQ(Got.Exit, Want.Exit) << "step " << I;
+    EXPECT_EQ(Got.Body, Want.Body) << "step " << I;
+  }
+  // The scenario exercised the memo, not just its misses.
+  EXPECT_GT(memoCounters(*E).first, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Examples, ReportMemoScenario,
+                         testing::Values("hotel.sus", "marketplace.sus"));
+
+TEST(ReportMemo, GovernedRequestBypassesMemo) {
+  auto E = makeEngine("marketplace.sus");
+  Response Warm = E->handle(req("verify"));
+  ASSERT_EQ(Warm.Exit, 0);
+  ASSERT_EQ(E->handle(req("verify")).Body, Warm.Body); // A memo hit.
+  std::pair<uint64_t, uint64_t> Before = memoCounters(*E);
+  ASSERT_GT(Before.first, 0u);
+
+  Request Governed = req("verify");
+  Governed.Params["deadline_ms"] = "0";
+  EXPECT_EQ(E->handle(Governed).Exit, 3);
+  // The governed request neither read nor filled the memo...
+  EXPECT_EQ(memoCounters(*E), Before);
+  // ...and the next unbudgeted answer is the kept, conclusive one.
+  Response After = E->handle(req("verify"));
+  EXPECT_EQ(After.Exit, 0);
+  EXPECT_EQ(After.Body, Warm.Body);
+}
+
+TEST(ReportMemo, PlanFloodLeavesTheMemoUnchanged) {
+  core::Session S;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(S.open(exampleSource("hotel.sus"), "hotel.sus",
+                     core::VerifierOptions(), Diags));
+  std::ostringstream Sink;
+  ASSERT_EQ(S.verifyAll("", /*Enumerate=*/true, Sink), 0);
+  core::ReportMemoStats Before = S.reportMemoStats();
+  EXPECT_EQ(Before.Entries, S.file().Clients.size());
+
+  const auto &[Name, Client] = S.file().Clients.front();
+  for (int I = 0; I < 500; ++I)
+    (void)S.verifyClient(Name, Client, "flood" + std::to_string(I),
+                         /*Enumerate=*/true, Sink);
+  core::ReportMemoStats After = S.reportMemoStats();
+  EXPECT_EQ(After.Entries, Before.Entries);
+  EXPECT_EQ(After.Lookups, Before.Lookups);
+
+  // The same through the daemon's verb: no lookup is counted either.
+  auto E = makeEngine();
+  std::pair<uint64_t, uint64_t> Counters = memoCounters(*E);
+  Request Flood = req("verify");
+  Flood.Params["client"] = "c1";
+  for (int I = 0; I < 100; ++I) {
+    Flood.Params["plan"] = "p" + std::to_string(I);
+    (void)E->handle(Flood);
+  }
+  EXPECT_EQ(memoCounters(*E), Counters);
 }
 
 /// A fresh empty directory, removed with its contents at scope exit.

@@ -10,8 +10,13 @@ headline contracts:
      version, a truncated tail, or a flipped bit must be rejected with
      exit 2 and a one-line diagnostic (never a partial load or a crash).
   3. Concurrent serving: N threads x M `susc --connect` verify requests
-     against one daemon must all return identical bytes and exit codes,
-     and a shutdown request must stop the daemon with exit 0.
+     against one daemon must all return the bytes and exit code of the
+     one-shot `susd --warm FILE` (after the first request, these answers
+     come from the report memo), and so must a verify after a churn
+     request; a shutdown request must stop the daemon with exit 0.
+  4. Silent clients: on a one-worker daemon, a connection that never
+     sends its request line must not block a later ping past the
+     daemon's request read deadline, nor the shutdown.
 
 Usage: daemon_e2e.py <susd> <susc> <file.sus>
 """
@@ -26,6 +31,11 @@ import time
 
 # The version field sits after the 8-byte magic (DESIGN.md #13).
 VERSION_OFFSET = 8
+
+# RequestReadTimeoutMs in src/daemon/Protocol.h, and the slack a loaded
+# machine gets on top of it.
+READ_TIMEOUT_S = 5
+SLACK_S = 10
 
 
 def run(argv, **kwargs):
@@ -106,6 +116,9 @@ def wait_for_socket(path, proc, deadline_s=30):
 
 
 def check_daemon(susd, susc, sus_file, tmp):
+    cold = run([susd, "--warm", sus_file])
+    if b"== client" not in cold.stdout:
+        fail("one-shot verify output looks wrong: %r" % cold.stdout[:80])
     sock = os.path.join(tmp, "susd.sock")
     daemon = subprocess.Popen(
         [susd, "--listen", sock, "--workers", "4", sus_file],
@@ -131,15 +144,20 @@ def check_daemon(susd, susc, sus_file, tmp):
 
         if len(results) != 12:
             fail("expected 12 client runs, got %d" % len(results))
-        codes = {c for c, _ in results}
-        bodies = {b for _, b in results}
-        if codes != {0}:
-            fail("verify exit codes disagree: %s" % codes)
-        if len(bodies) != 1:
-            fail("concurrent verify outputs are not identical")
-        if b"== client" not in next(iter(bodies)):
-            fail("verify output looks wrong: %r" % next(iter(bodies))[:80])
-        print("daemon_e2e: 12 concurrent verifies, identical bytes")
+        for code, body in results:
+            if code != cold.returncode or body != cold.stdout:
+                fail("a served verify (exit %d, %d bytes) differs from the "
+                     "one-shot run (exit %d, %d bytes)"
+                     % (code, len(body), cold.returncode, len(cold.stdout)))
+        print("daemon_e2e: 12 concurrent verifies, the one-shot's bytes")
+
+        churn = run([susc, "--connect", sock, "churn", "rounds=1"])
+        if churn.returncode != 0:
+            fail("churn request failed with %d" % churn.returncode)
+        after = run([susc, "--connect", sock, "verify"])
+        if after.returncode != cold.returncode or after.stdout != cold.stdout:
+            fail("verify after churn differs from the one-shot run")
+        print("daemon_e2e: verify after churn, the one-shot's bytes")
 
         stats = run([susc, "--connect", sock, "stats"])
         if stats.returncode != 0 or b"cache:" not in stats.stdout:
@@ -162,6 +180,49 @@ def check_daemon(susd, susc, sus_file, tmp):
             daemon.wait()
 
 
+def check_silent_client(susd, susc, sus_file, tmp):
+    sock = os.path.join(tmp, "silent.sock")
+    daemon = subprocess.Popen(
+        [susd, "--listen", sock, "--workers", "1", sus_file],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    silent = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        wait_for_socket(sock, daemon)
+        # Holds the only worker until the daemon's read deadline.
+        silent.connect(sock)
+        start = time.time()
+        try:
+            ping = subprocess.run([susc, "--connect", sock, "ping"],
+                                  capture_output=True,
+                                  timeout=READ_TIMEOUT_S + SLACK_S)
+        except subprocess.TimeoutExpired:
+            fail("ping behind a silent client got no answer within %d s"
+                 % (READ_TIMEOUT_S + SLACK_S))
+        if ping.returncode != 0 or ping.stdout != b"pong\n":
+            fail("ping behind a silent client: exit %d, %r"
+                 % (ping.returncode, ping.stdout))
+        silent.settimeout(SLACK_S)
+        answer = silent.recv(4096)
+        if not answer.startswith(b"sus/1 2 ") or b"timed out" not in answer:
+            fail("the silent client got %r, not a timeout error" % answer)
+        print("daemon_e2e: silent client timed out; ping answered after "
+              "%.1f s" % (time.time() - start))
+
+        try:
+            down = run([susc, "--connect", sock, "shutdown"])
+            code = daemon.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            fail("shutdown behind a silent client hung")
+        if down.returncode != 0 or code != 0:
+            fail("shutdown: request exit %d, daemon exit %d"
+                 % (down.returncode, code))
+    finally:
+        silent.close()
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
 def main():
     if len(sys.argv) != 4:
         fail("usage: daemon_e2e.py <susd> <susc> <file.sus>")
@@ -171,6 +232,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="susd-e2e-", dir="/tmp") as tmp:
         check_snapshot_restart(susd, sus_file, tmp)
         check_daemon(susd, susc, sus_file, tmp)
+        check_silent_client(susd, susc, sus_file, tmp)
     print("daemon_e2e: all checks passed")
 
 
