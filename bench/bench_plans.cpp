@@ -303,21 +303,19 @@ void BM_ParseRepository(benchmark::State &State) {
 BENCHMARK(BM_ParseRepository)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
-// B9: heavy churn — incremental repair (worker sweep, p99 latency)
+// B9: heavy churn — incremental repair (p99 latency)
 //===----------------------------------------------------------------------===//
 
 /// Single-service churn against the 10k repository: each iteration
 /// unpublishes one good responder and republishes it, patching the
-/// session through RepairSession::applyDelta both times. range(0) is the
-/// verifier's worker count. Reports repairs/sec, the p99 wall-clock
-/// latency of one applyDelta in microseconds, and the fraction of the
-/// plan set that had to be re-verified (the <5% claim of EXPERIMENTS.md
-/// B9).
+/// session through RepairSession::applyDelta both times. Reports
+/// repairs/sec, the p99 wall-clock latency of one applyDelta in
+/// microseconds, and the fraction of the plan set that had to be
+/// re-verified (the <5% claim of EXPERIMENTS.md B9).
 void BM_ChurnRepair(benchmark::State &State) {
   RepoWorkload &W = repoWorkload(10000);
   core::VerifierOptions Opts;
   Opts.UseIndex = true;
-  Opts.Jobs = static_cast<unsigned>(State.range(0));
   core::Verifier V(W.Ctx, W.Repo, W.Registry, Opts);
   plan::Loc ClientLoc = W.Ctx.symbol("client");
 
@@ -362,15 +360,7 @@ void BM_ChurnRepair(benchmark::State &State) {
         ReverifiedSum / static_cast<double>(Repairs);
   State.SetItemsProcessed(static_cast<int64_t>(Repairs));
 }
-// Real time: with Jobs > 1 the calling thread parks while pool workers
-// re-verify, so CPU-time rates would be meaningless.
-BENCHMARK(BM_ChurnRepair)
-    ->ArgNames({"jobs"})
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_ChurnRepair);
 
 /// The from-scratch alternative the repair path replaces: re-run the full
 /// verifyClient after every single-service churn (fresh cache — a scratch

@@ -2,41 +2,12 @@
 
 #include "core/Verifier.h"
 
-#include "hist/Clone.h"
 #include "plan/RequestExtract.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
-
-#include <cassert>
 
 using namespace sus;
 using namespace sus::core;
-
-//===----------------------------------------------------------------------===//
-// Shards
-//===----------------------------------------------------------------------===//
-
-/// A worker-private copy of the verification inputs. The shard interner is
-/// seeded from the session interner first, so every symbol keeps its id and
-/// every canonical Symbol-based ordering (choice-branch sorting, derivative
-/// enumeration) coincides with the session's — which is why a shard's
-/// exploration reproduces the serial one bit-for-bit.
-struct Verifier::Shard {
-  hist::HistContext Ctx;
-  const hist::Expr *Client = nullptr;
-  plan::Repository Repo;
-
-  Shard(const hist::HistContext &Main, const hist::Expr *MainClient,
-        const plan::Repository &MainRepo) {
-    const StringInterner &From = Main.interner();
-    Ctx.interner().seedFrom(From);
-    Client = hist::cloneExpr(Ctx, From, MainClient);
-    for (const auto &[Loc, Service] : MainRepo.services())
-      Repo.add(hist::cloneSymbol(Ctx, From, Loc),
-               hist::cloneExpr(Ctx, From, Service), MainRepo.capacity(Loc));
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // Construction
@@ -50,10 +21,6 @@ Verifier::Verifier(hist::HistContext &Ctx, const plan::Repository &Repo,
       Cache(Cache ? std::move(Cache) : std::make_shared<VerifierCache>()) {}
 
 Verifier::~Verifier() = default;
-
-unsigned Verifier::effectiveJobs() const {
-  return Options.Jobs == 0 ? ThreadPool::defaultWorkers() : Options.Jobs;
-}
 
 //===----------------------------------------------------------------------===//
 // Compliance
@@ -160,20 +127,6 @@ validity::StaticValidityResult Verifier::securityOf(const hist::Expr *Client,
 // Plan checking
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The security verdict of a plan whose exploration never ran (or never
-/// finished) because of a governor trip.
-validity::StaticValidityResult exhaustedValidity(const ResourceExhausted &E) {
-  validity::StaticValidityResult R;
-  R.Valid = false;
-  R.Failure = validity::PlanFailureKind::ResourceExhausted;
-  R.Exhausted = E;
-  return R;
-}
-
-} // namespace
-
 PlanVerdict Verifier::checkPlan(const hist::Expr *Client,
                                 plan::Loc ClientLoc, const plan::Plan &Pi) {
   trace::Span Span("plan.verify", "verifier");
@@ -190,110 +143,6 @@ PlanVerdict Verifier::checkPlan(const hist::Expr *Client,
   else
     Span.tag("cache", CacheHit ? "hit" : "miss");
   return Verdict;
-}
-
-std::vector<PlanVerdict>
-Verifier::checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
-                             const std::vector<plan::Plan> &Plans,
-                             unsigned Jobs) {
-  validity::StaticValidityOptions VOpts;
-  VOpts.MaxStates = Options.MaxStatesPerPlan;
-  VOpts.Governor = gov();
-
-  // Stage 1 (serial, session context): request-site collection and
-  // compliance pre-warming. After this loop every (body, service) pair of
-  // every plan sits in the cache with its witness, so no worker ever
-  // needs the session HistContext for compliance.
-  std::vector<std::map<hist::RequestId, plan::RequestSite>> Sites;
-  Sites.reserve(Plans.size());
-  {
-    trace::Span PrewarmSpan("plan.prewarm", "verifier");
-    PrewarmSpan.count("plans", static_cast<int64_t>(Plans.size()));
-    for (const plan::Plan &Pi : Plans) {
-      Sites.push_back(collectPlanSites(Client, Pi));
-      for (const auto &[Id, Site] : Sites.back()) {
-        std::optional<plan::Loc> L = Pi.lookup(Id);
-        if (L && Repo.find(*L))
-          Cache->compliance(Ctx, Site.body(), Repo.find(*L), gov());
-      }
-    }
-  }
-
-  // Stage 2: resolve security verdicts from the cache; fan the misses out
-  // over per-worker shards. Results are slotted by plan index, so the
-  // report order is the enumeration order regardless of scheduling.
-  std::vector<std::optional<validity::StaticValidityResult>> Security(
-      Plans.size());
-  std::vector<size_t> Misses;
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    Security[I] =
-        Cache->findValidity(Client, ClientLoc, Plans[I], VOpts.MaxStates);
-    if (!Security[I])
-      Misses.push_back(I);
-  }
-
-  if (!Misses.empty()) {
-    trace::Span FanoutSpan("plan.fanout", "verifier");
-    FanoutSpan.count("misses", static_cast<int64_t>(Misses.size()));
-    if (!Pool || Pool->numWorkers() != Jobs)
-      Pool = std::make_unique<ThreadPool>(Jobs);
-
-    // Shards are created lazily by the first task each worker runs; a
-    // worker executes one task at a time, so its slot needs no lock, and
-    // waitIdle() orders every write below before the main thread reads.
-    std::vector<std::unique_ptr<Shard>> Shards(Pool->numWorkers());
-    for (size_t I : Misses)
-      Pool->submit([&, I](unsigned Worker) {
-        trace::Span PlanSpan("plan.verify", "verifier");
-        // Poll-first: a task starting after a sticky deadline/cancel trip
-        // does no exploration and just reports the trip.
-        if (const ResourceGovernor *Gov = gov())
-          if (std::optional<ResourceExhausted> E = Gov->trip()) {
-            PlanSpan.tag("governor", E->deadlineLike() ? "deadline_exceeded"
-                                                       : "budget_exceeded");
-            Security[I] = exhaustedValidity(*E);
-            return;
-          }
-        PlanSpan.tag("cache", "miss");
-        if (!Shards[Worker])
-          Shards[Worker] = std::make_unique<Shard>(Ctx, Client, Repo);
-        Shard &S = *Shards[Worker];
-        Security[I] = validity::checkPlanValidity(
-            S.Ctx, S.Client, ClientLoc, Plans[I], S.Repo, Registry, VOpts);
-        // Sticky trips doom every queued sibling too: drain the backlog in
-        // one motion rather than letting each task rediscover the trip.
-        if (Security[I]->Failure ==
-                validity::PlanFailureKind::ResourceExhausted &&
-            Security[I]->Exhausted && Security[I]->Exhausted->deadlineLike())
-          Pool->cancelPending();
-      });
-    Pool->waitIdle();
-
-    for (size_t I : Misses) {
-      if (!Security[I]) {
-        // This task was discarded by cancelPending(): synthesize its
-        // verdict from the sticky trip that triggered the drain.
-        std::optional<ResourceExhausted> E =
-            gov() ? gov()->trip() : std::nullopt;
-        Security[I] = exhaustedValidity(
-            E ? *E : ResourceExhausted{ResourceKind::Cancelled, 0, 0});
-      }
-      // Tripped explorations stay out of the cache (see securityOf).
-      if (Security[I]->Failure !=
-          validity::PlanFailureKind::ResourceExhausted)
-        Cache->recordValidity(Client, ClientLoc, Plans[I], VOpts.MaxStates,
-                              *Security[I]);
-    }
-  }
-
-  // Stage 3 (serial): assemble verdicts in enumeration order.
-  std::vector<PlanVerdict> Verdicts(Plans.size());
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    Verdicts[I].Pi = Plans[I];
-    Verdicts[I].RequestChecks = buildRequestChecks(Sites[I], Plans[I]);
-    Verdicts[I].Security = std::move(*Security[I]);
-  }
-  return Verdicts;
 }
 
 const plan::ServiceIndex *Verifier::index() {
@@ -320,9 +169,6 @@ Verifier::applyDelta(const plan::RepositoryDelta &Delta) {
 std::vector<PlanVerdict>
 Verifier::checkPlans(const hist::Expr *Client, plan::Loc ClientLoc,
                      const std::vector<plan::Plan> &Plans) {
-  unsigned Jobs = effectiveJobs();
-  if (Jobs > 1 && Plans.size() > 1)
-    return checkPlansParallel(Client, ClientLoc, Plans, Jobs);
   std::vector<PlanVerdict> Verdicts;
   Verdicts.reserve(Plans.size());
   for (const plan::Plan &Pi : Plans)

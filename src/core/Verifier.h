@@ -13,11 +13,10 @@
 /// the §4 product automaton and whole-plan security via the §3.1 composed
 /// model checker, and reports every verdict.
 ///
-/// Verification is a pipeline over a shared VerifierCache: every
+/// Verification is a serial pipeline over a shared VerifierCache: every
 /// (request body, service) compliance pair is model-checked exactly once
-/// per session, and with Jobs > 1 the independent per-plan security
-/// explorations fan out over a work-stealing thread pool. Parallel and
-/// serial runs produce element-wise identical reports (see DESIGN.md §2).
+/// per session, and every plan's security verdict is memoized per plan
+/// signature (see DESIGN.md §2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +37,6 @@
 #include <vector>
 
 namespace sus {
-
-class ThreadPool;
-
 namespace core {
 
 /// Outcome of checking one request binding r[ℓ] for compliance.
@@ -145,10 +141,6 @@ struct VerifierOptions {
   size_t MaxPlans = 1 << 14;
   size_t MaxStatesPerPlan = 1 << 18;
 
-  /// Worker threads for per-plan security checking. 1 = fully serial;
-  /// 0 = one per hardware thread. Reports are identical at any width.
-  unsigned Jobs = 1;
-
   /// Enumerate candidates through a plan::ServiceIndex (built lazily per
   /// verifier, kept current by applyDelta) instead of scanning the whole
   /// repository per request. Effective only with PruneWithCompliance on:
@@ -212,9 +204,8 @@ public:
   PlanVerdict checkPlan(const hist::Expr *Client, plan::Loc ClientLoc,
                         const plan::Plan &Pi);
 
-  /// Checks a batch of plans, routing through the parallel pipeline when
-  /// Jobs > 1. Verdicts come back in input order, element-wise identical
-  /// to per-plan checkPlan calls — this is the re-verification engine of
+  /// Checks a batch of plans, one checkPlan call each. Verdicts come back
+  /// in input order — this is the re-verification engine of
   /// core::RepairSession.
   std::vector<PlanVerdict> checkPlans(const hist::Expr *Client,
                                       plan::Loc ClientLoc,
@@ -271,12 +262,6 @@ public:
   const plan::Repository &repository() const { return Repo; }
 
 private:
-  /// One per-worker verification shard: a private HistContext (seeded so
-  /// symbol ids match the session context) plus the client and repository
-  /// cloned into it. HistContext is single-threaded; sharding is what
-  /// lets security checking run in parallel at all.
-  struct Shard;
-
   /// The request sites a plan must serve: the client's own requests plus,
   /// transitively, those of every planned service.
   std::map<hist::RequestId, plan::RequestSite>
@@ -295,22 +280,6 @@ private:
                                             plan::Loc ClientLoc,
                                             const plan::Plan &Pi,
                                             bool *CacheHit = nullptr);
-
-  /// Checks every enumerated plan through the parallel pipeline:
-  /// compliance pre-warmed serially through the cache, security fanned
-  /// out over per-worker shards. Verdicts come back in enumeration order.
-  ///
-  /// Concurrency discipline (DESIGN.md §11): workers never lock. Each
-  /// task writes only its own result slot (disjoint indices) through a
-  /// private per-worker Shard; the shared VerifierCache is read-only to
-  /// workers after the serial pre-warm, and ThreadPool::waitIdle() is
-  /// the join edge that publishes every slot back to the caller.
-  std::vector<PlanVerdict>
-  checkPlansParallel(const hist::Expr *Client, plan::Loc ClientLoc,
-                     const std::vector<plan::Plan> &Plans, unsigned Jobs);
-
-  /// Effective worker count (resolves Jobs == 0).
-  unsigned effectiveJobs() const;
 
   /// bindingCompliant without the screens: the memoized product alone.
   bool productCompliant(const hist::Expr *RequestBody,
@@ -333,9 +302,6 @@ private:
 
   /// Lazily built candidate index (only when indexEffective()).
   std::unique_ptr<plan::ServiceIndex> Index;
-
-  /// Lazily created; rebuilt when the requested width changes.
-  std::unique_ptr<ThreadPool> Pool;
 };
 
 /// Renders a report in a compact human-readable format.

@@ -15,9 +15,9 @@
 ///
 /// A cache may be shared by several Verifier instances *over the same
 /// HistContext, repository and registry* (e.g. the declared-plan checks
-/// and the enumeration pass of susc). All methods are mutex-guarded; the
-/// parallel pipeline additionally pre-warms compliance serially so worker
-/// threads never compute through the shared HistContext (see Verifier).
+/// and the enumeration pass of susc). All methods are mutex-guarded, but
+/// computing a miss goes through the single-threaded HistContext, so
+/// callers verify on the context's owning thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,8 +84,7 @@ public:
 
   /// Looks up the static-validity verdict of (client, loc, plan) under a
   /// MaxStates bound; std::nullopt on a miss. Misses are *not* computed
-  /// here: the verifier decides where (main thread or worker shard) the
-  /// exploration runs.
+  /// here: the verifier runs the exploration and records its verdict.
   std::optional<validity::StaticValidityResult>
   findValidity(const hist::Expr *Client, plan::Loc ClientLoc,
                const plan::Plan &Pi, size_t MaxStates);
@@ -192,9 +191,8 @@ private:
       SUS_REQUIRES(M);
 
   /// Leaf lock over the memo tables and stats. Held across a compliance
-  /// product on a miss (the pre-warm serialization the parallel pipeline
-  /// relies on), but never while calling back into user code, and no
-  /// other lock is ever taken under it.
+  /// product on a miss, but never while calling back into user code, and
+  /// no other lock is ever taken under it.
   mutable Mutex M;
   VerifierStats Stats SUS_GUARDED_BY(M);
   std::map<const hist::Expr *, const hist::Expr *>

@@ -63,7 +63,6 @@ std::unique_ptr<Engine> Engine::create(std::string Source,
   std::unique_ptr<Engine> E(new Engine(std::move(Opts)));
   MutexLock Lock(E->M);
   core::VerifierOptions VOpts;
-  VOpts.Jobs = E->Opts.Jobs;
   VOpts.UseIndex = E->Opts.UseIndex;
   DiagnosticEngine Diags;
   if (!E->S.open(std::move(Source), std::move(FileName), VOpts, Diags)) {

@@ -13,8 +13,7 @@
 /// handed to a ThreadPool; each request then takes the Engine's session
 /// lock for its whole handling. The HistContext is single-threaded by
 /// design, so requests serialize at the engine while socket I/O overlaps;
-/// parallelism *within* a verification comes from the Verifier's own
-/// worker shards (--jobs).
+/// each verification runs serially on the handling thread.
 ///
 /// Per-request resource governance: each request names a tenant and may
 /// ask for its own deadline/budgets; the TenantBudgetTable min-combines
@@ -40,7 +39,6 @@ namespace sus {
 namespace daemon {
 
 struct EngineOptions {
-  unsigned Jobs = 1;
   bool UseIndex = true;
   TenantBudgetTable Tenants;
 };

@@ -23,7 +23,6 @@ namespace {
 core::VerifierOptions baseOptions() {
   core::VerifierOptions O;
   O.MaxPlans = 256;
-  O.Jobs = 1;
   return O;
 }
 

@@ -219,9 +219,23 @@ const Expr *HistContext::seq(const Expr *Head, const Expr *Tail) {
     return Tail;
   if (Tail->isEmpty())
     return Head;
-  // Keep sequences right-nested: (A·B)·C = A·(B·C).
-  if (const auto *HeadSeq = dyn_cast<SeqExpr>(Head))
-    return seq(HeadSeq->head(), seq(HeadSeq->tail(), Tail));
+  // Keep sequences right-nested: (A·B)·C = A·(B·C). The head is itself
+  // right-nested, so walk its spine once and re-cons it onto the tail from
+  // the back; every element is a non-sequence, so no call recurses here.
+  if (isa<SeqExpr>(Head)) {
+    size_t Base = SpineScratch.size();
+    while (const auto *HeadSeq = dyn_cast<SeqExpr>(Head)) {
+      SpineScratch.push_back(HeadSeq->head());
+      Head = HeadSeq->tail();
+    }
+    SpineScratch.push_back(Head);
+    while (SpineScratch.size() > Base) {
+      const Expr *Part = SpineScratch.back();
+      SpineScratch.pop_back();
+      Tail = seq(Part, Tail);
+    }
+    return Tail;
+  }
 
   size_t Hash = kindHash(ExprKind::Seq);
   hashCombine(Hash, Head->hash());

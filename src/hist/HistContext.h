@@ -190,6 +190,9 @@ private:
   InternTable<FreeVarSet> VarSetTable;
   const Expr *Empty = nullptr; ///< ε, once made.
   std::vector<FreeVarSet::Entry> Scratch;
+  /// Head spines being re-nested by seq(); used as a stack, so a nested
+  /// call only ever pops what it pushed.
+  std::vector<const Expr *> SpineScratch;
 };
 
 } // namespace hist

@@ -4,6 +4,8 @@
 
 #include "hist/WellFormed.h"
 
+#include <vector>
+
 using namespace sus;
 using namespace sus::hist;
 using namespace sus::lambda;
@@ -92,12 +94,27 @@ std::optional<TypeAndEffect> EffectSystem::inferIn(const Term *T, Env &E) {
   }
 
   case TermKind::Seq: {
-    const auto *S = cast<SeqTerm>(T);
-    std::optional<TypeAndEffect> A = inferIn(S->first(), E);
-    std::optional<TypeAndEffect> B = inferIn(S->second(), E);
-    if (!A || !B)
+    // t1; (t2; (...; tn)): walk the right spine in a loop and build the
+    // effect H1·H2·...·Hn once, from the back, in linear time. Every part
+    // is inferred (and diagnosed) even after an earlier one failed.
+    std::vector<const hist::Expr *> Effects;
+    const Type *Last = nullptr;
+    bool Ok = true;
+    const Term *Rest = T;
+    while (Rest) {
+      const auto *S = dyn_cast<SeqTerm>(Rest);
+      std::optional<TypeAndEffect> Part = inferIn(S ? S->first() : Rest, E);
+      Rest = S ? S->second() : nullptr;
+      if (!Part) {
+        Ok = false;
+        continue;
+      }
+      Effects.push_back(Part->Effect);
+      Last = Part->Ty;
+    }
+    if (!Ok)
       return std::nullopt;
-    return TypeAndEffect{B->Ty, H.seq(A->Effect, B->Effect)};
+    return TypeAndEffect{Last, H.seq(Effects)};
   }
 
   case TermKind::If: {

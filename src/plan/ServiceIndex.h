@@ -28,9 +28,9 @@
 ///
 /// Thread safety: candidates() may summarize new request bodies through
 /// the HistContext, which is single-threaded — call it from the context's
-/// owning thread only (the enumerator does; the parallel verifier fans out
-/// *after* enumeration). Counters and memo tables are still mutex-guarded
-/// so concurrent read-only users of a warm index stay safe.
+/// owning thread only (the enumerator does). Counters and memo tables are
+/// still mutex-guarded so concurrent read-only users of a warm index stay
+/// safe.
 ///
 //===----------------------------------------------------------------------===//
 

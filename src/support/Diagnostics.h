@@ -87,11 +87,13 @@ enum class DiagFormat { Text, Json };
 /// Accumulates diagnostics; owned by the tool or test driver.
 ///
 /// Thread safety: report() and the query/render methods may be called
-/// concurrently (lint passes fan out over the ThreadPool). The engine
-/// serializes its own bookkeeping; the one caller obligation is to
-/// finish decorating a returned Diagnostic& (ID, category, notes) before
-/// the engine is rendered or cleared — decoration mutates the diagnostic
-/// in place and is intentionally outside the lock.
+/// concurrently. Every pass in the tree reports from one thread today;
+/// the lock keeps the engine safe to share anyway, at one uncontended
+/// acquisition per call. The engine serializes its own bookkeeping; the
+/// one caller obligation is to finish decorating a returned Diagnostic&
+/// (ID, category, notes) before the engine is rendered or cleared —
+/// decoration mutates the diagnostic in place and is intentionally
+/// outside the lock.
 class DiagnosticEngine {
 public:
   /// Reports a diagnostic at \p Loc. Messages follow the LLVM style: start

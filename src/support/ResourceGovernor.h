@@ -14,7 +14,7 @@
 ///               and (amortized over a tick stride) the deadline clock.
 ///               Deadline and cancellation trips are *sticky*: once
 ///               observed, every later poll on the same governor fails
-///               fast, so an entire parallel run drains promptly.
+///               fast, so every remaining check of a run stops promptly.
 ///  - charge() — called when a kernel is about to materialize its
 ///               Spent-th state; checks Spent against the per-kind
 ///               budget. Budget trips are *per call*: one oversized plan
@@ -150,16 +150,16 @@ public:
   std::optional<ResourceExhausted> charge(ResourceKind K,
                                           uint64_t Spent) const;
 
-  /// The sticky deadline/cancel trip observed so far, if any. Used to
-  /// synthesize verdicts for work that was drained without running.
+  /// The sticky deadline/cancel trip observed so far, if any.
   std::optional<ResourceExhausted> trip() const;
 
 private:
   std::optional<ResourceExhausted> deadlineTrip() const;
 
-  /// Configuration fields: written before workers start observing the
-  /// governor (setup happens-before the fan-out via ThreadPool::submit's
-  /// mutex), read-only afterwards — hence plain, not atomic.
+  /// Configuration fields: written while arming, before the governor is
+  /// handed to the kernels that poll it (a hand-off to another thread
+  /// must synchronize, e.g. through a mutex), read-only afterwards — hence
+  /// plain, not atomic.
   uint64_t StartNanos = 0;    ///< When the deadline was armed.
   uint64_t DeadlineNanos = 0; ///< Absolute steady-clock deadline; 0 = none.
   uint64_t BudgetMillis = 0;

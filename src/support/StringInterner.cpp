@@ -69,13 +69,3 @@ Symbol StringInterner::lookup(std::string_view Str) const {
   const Slot &S = Slots[find(Str, std::hash<std::string_view>()(Str))];
   return S.IdPlusOne ? Symbol(S.IdPlusOne - 1) : Symbol();
 }
-
-void StringInterner::seedFrom(const StringInterner &Other) {
-  assert(Texts.size() <= Other.Texts.size() &&
-         "seed target must be a prefix of the source");
-  for (uint32_t Id = 0; Id < Other.Texts.size(); ++Id) {
-    Symbol S = intern(Other.Texts[Id]);
-    (void)S;
-    assert(S.id() == Id && "seed target diverged from the source");
-  }
-}

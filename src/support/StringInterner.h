@@ -36,14 +36,6 @@ public:
   /// Returns the symbol for \p Str if already interned, else an invalid one.
   Symbol lookup(std::string_view Str) const;
 
-  /// Interns every string of \p Other, in id order, so that afterwards
-  /// every symbol of \p Other denotes the same string here *with the same
-  /// id*. Requires this interner's current contents to be an id-aligned
-  /// prefix of \p Other (the empty interner trivially is). Id equality is
-  /// what lets verifier worker shards reuse symbols — and every canonical
-  /// Symbol-based ordering — of the main session unchanged.
-  void seedFrom(const StringInterner &Other);
-
   /// Number of distinct strings interned so far.
   size_t size() const { return Texts.size(); }
 

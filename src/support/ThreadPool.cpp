@@ -14,7 +14,7 @@ using namespace sus;
 namespace {
 
 /// Pool-wide instruments (all pools share them: the registry is process
-/// scoped and susc owns at most one pool at a time).
+/// scoped).
 metrics::Counter &tasksCounter() {
   static metrics::Counter &C = metrics::counter("pool.tasks");
   return C;
@@ -22,11 +22,6 @@ metrics::Counter &tasksCounter() {
 
 metrics::Counter &stealsCounter() {
   static metrics::Counter &C = metrics::counter("pool.steals");
-  return C;
-}
-
-metrics::Counter &cancelledCounter() {
-  static metrics::Counter &C = metrics::counter("pool.cancelled");
   return C;
 }
 
@@ -172,27 +167,4 @@ void ThreadPool::waitIdle() {
   // separate, lockless function).
   while (Unfinished != 0)
     AllDone.wait(Lock);
-}
-
-size_t ThreadPool::cancelPending() {
-  size_t Discarded = 0;
-  {
-    // StateMutex first, then each queue mutex: same order as submit(), so
-    // this cannot deadlock against concurrent submitters or workers.
-    MutexLock Lock(StateMutex);
-    for (auto &WQ : Queues) {
-      MutexLock QLock(WQ->M);
-      Discarded += WQ->Q.size();
-      WQ->Q.clear();
-    }
-    assert(Unfinished >= Discarded && "task accounting underflow");
-    Unfinished -= Discarded;
-    if (Discarded > 0)
-      cancelledCounter().add(Discarded);
-    if (Unfinished == 0)
-      AllDone.notifyAll();
-  }
-  // Wake every worker: the queues they were waiting on just emptied.
-  WorkAvailable.notifyAll();
-  return Discarded;
 }

@@ -2,22 +2,23 @@
 ///
 /// \file
 /// A small fixed-size work-stealing thread pool for fanning independent
-/// verification units out over the hardware. Each worker owns a deque:
-/// new work is distributed round-robin, a worker pops its own deque LIFO
-/// (cache-friendly) and steals FIFO from the others when it runs dry.
+/// units of work (monitor shards, daemon connections) out over the
+/// hardware. Each worker owns a deque: new work is distributed
+/// round-robin, a worker pops its own deque LIFO (cache-friendly) and
+/// steals FIFO from the others when it runs dry.
 ///
 /// Tasks receive the id of the worker *executing* them, so callers can
-/// keep per-worker scratch state (e.g. a per-shard HistContext) without
-/// any synchronization: one worker runs one task at a time.
+/// keep per-worker scratch state without any synchronization: one worker
+/// runs one task at a time.
 ///
 /// The pool itself makes no determinism promises — callers that need
 /// deterministic output must make tasks independent and slot results by
-/// index (see core::Verifier).
+/// index (see monitor::MonitorEngine).
 ///
 /// Lock order (checked statically, see DESIGN.md §11): StateMutex is
-/// acquired before any WorkerQueue::M (submit, cancelPending, the
-/// worker-loop recheck). grabTask takes queue mutexes alone. No lock is
-/// ever held while a task executes.
+/// acquired before any WorkerQueue::M (submit, the worker-loop recheck).
+/// grabTask takes queue mutexes alone. No lock is ever held while a task
+/// executes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +47,7 @@ public:
 
   /// Drains remaining work, then joins every worker. The drain *runs*
   /// queued-but-unstarted tasks to completion — destroying a pool never
-  /// silently drops work. Call cancelPending() first for a fast shutdown
-  /// that discards the backlog instead (reported via "pool.cancelled").
+  /// silently drops work.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
@@ -60,13 +60,6 @@ public:
 
   /// Blocks until every submitted task has finished executing.
   void waitIdle();
-
-  /// Cooperative cancellation's pool half: discards every queued-but-
-  /// unstarted task (in-flight tasks keep running — stopping them is the
-  /// ResourceGovernor token's job) and wakes waiters whose work just
-  /// vanished. Each discarded task is counted in the "pool.cancelled"
-  /// metric, never silently dropped. Returns the number discarded.
-  size_t cancelPending();
 
   /// A sensible default width: the hardware concurrency, at least 1.
   static unsigned defaultWorkers();

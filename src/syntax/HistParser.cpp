@@ -92,16 +92,19 @@ const Expr *HistParser::parseChoice() {
 }
 
 const Expr *HistParser::parseSeq() {
-  const Expr *Acc = parsePrefix();
-  if (!Acc)
-    return nullptr;
+  const Expr *First = parsePrefix();
+  if (!First || !peek().is(TokenKind::Semi))
+    return First;
+  // Collect the terms and build the right-nested chain once, from the
+  // back: a left fold would re-nest the accumulated prefix per term.
+  std::vector<const Expr *> Terms{First};
   while (accept(TokenKind::Semi)) {
-    const Expr *Rhs = parsePrefix();
-    if (!Rhs)
+    const Expr *Term = parsePrefix();
+    if (!Term)
       return nullptr;
-    Acc = Ctx.seq(Acc, Rhs);
+    Terms.push_back(Term);
   }
-  return Acc;
+  return Ctx.seq(Terms);
 }
 
 const Expr *HistParser::parsePrefix() {

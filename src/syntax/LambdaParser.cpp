@@ -28,15 +28,18 @@ bool LambdaParser::startsAtom() const {
 }
 
 const Term *LambdaParser::parseTerm() {
-  const Term *Acc = parseApp();
-  if (!Acc)
-    return nullptr;
-  while (accept(TokenKind::Semi)) {
-    const Term *Rhs = parseApp();
-    if (!Rhs)
+  // `;` associates to the right, t1; (t2; (...; tn)), so the effect of the
+  // chain is built from the back in linear time (see TypeEffect).
+  std::vector<const Term *> Terms;
+  do {
+    const Term *T = parseApp();
+    if (!T)
       return nullptr;
-    Acc = Ctx.seq(Acc, Rhs);
-  }
+    Terms.push_back(T);
+  } while (accept(TokenKind::Semi));
+  const Term *Acc = Terms.back();
+  for (size_t I = Terms.size() - 1; I-- > 0;)
+    Acc = Ctx.seq(Terms[I], Acc);
   return Acc;
 }
 

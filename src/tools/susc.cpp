@@ -76,15 +76,10 @@ struct CliOptions : CommonOptions {
   bool Enumerate = true;
   bool Cost = false;
   bool Explore = false;
-  unsigned Jobs = 1;
   TenantBudget Budget; ///< --deadline-ms / --max-*-states
   uint64_t MaxExploreStates = NoLimit;  ///< --max-states (--explore cap)
   DiagFormat Format = DiagFormat::Text;
 };
-
-/// Hard ceiling for --jobs: far above any sane machine, low enough that a
-/// typo cannot ask for a million threads.
-constexpr unsigned long MaxJobs = 256;
 
 void printUsage(std::ostream &OS) {
   OS << "usage: susc [options] file.sus\n"
@@ -103,9 +98,6 @@ void printUsage(std::ostream &OS) {
         "  --explore        exhaustively explore the network under the\n"
         "                   declared plans (capacity-deadlock search)\n"
         "  --no-enumerate   only check declared plans\n"
-        "  --jobs N         verify candidate plans on N worker threads\n"
-        "                   (1 <= N <= 256); the report is identical at\n"
-        "                   any width\n"
         "  --deadline-ms N  stop verifying after N milliseconds; verdicts\n"
         "                   not reached in time are Inconclusive(resource)\n"
         "  --max-product-states N  per-check state budget for product /\n"
@@ -145,7 +137,6 @@ void printPlanUsage(std::ostream &OS) {
         "                   service, repairing the reports incrementally\n"
         "                   and reporting p50/p99 repair latency\n"
         "  --seed N         seed for the churn picks (default 1)\n"
-        "  --jobs N         re-verify repaired plans on N worker threads\n"
         "  --deadline-ms N / --max-product-states N / --max-subset-states N\n"
         "                   resource budgets; cut-short repairs are\n"
         "                   Inconclusive(resource), never wrong\n"
@@ -165,30 +156,6 @@ bool takeValue(int Argc, char **Argv, int &I, const std::string &Flag,
     return false;
   }
   Out = Argv[++I];
-  return true;
-}
-
-/// Parses the --jobs operand: digits only, in [1, MaxJobs]. Rejects 0 (the
-/// old "0 = one per hardware thread" shorthand was indistinguishable from a
-/// typo) and negative values.
-bool parseJobsValue(const std::string &Value, unsigned &Jobs) {
-  uint64_t N = 0;
-  CountParse R = parseCount(Value, N);
-  if (R == CountParse::NotDigits) {
-    std::cerr << "susc: --jobs expects a positive integer, got '" << Value
-              << "'\n";
-    return false;
-  }
-  if (R == CountParse::OutOfRange || N > MaxJobs) {
-    std::cerr << "susc: --jobs value '" << Value << "' is out of range (max "
-              << MaxJobs << ")\n";
-    return false;
-  }
-  if (N == 0) {
-    std::cerr << "susc: --jobs must be at least 1, got '" << Value << "'\n";
-    return false;
-  }
-  Jobs = static_cast<unsigned>(N);
   return true;
 }
 
@@ -317,8 +284,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
           return Take(Opts.DotLts);
         if (Arg == "--bisim")
           return Take(Opts.BisimA) && Take(Opts.BisimB);
-        if (Arg == "--jobs")
-          return Take(Value) && parseJobsValue(Value, Opts.Jobs);
         if (Arg == "--max-states")
           return Take(Value) && parseCountValue(Arg, Value, /*MinValue=*/1,
                                                 Opts.MaxExploreStates);
@@ -349,7 +314,6 @@ int runTool(const CliOptions &Opts) {
   if (!readInput(Opts.InputPath, Source))
     return 2;
   core::VerifierOptions VOpts;
-  VOpts.Jobs = Opts.Jobs;
   VOpts.Governor = Governor;
   core::Session S;
   DiagnosticEngine Diags;
@@ -565,7 +529,6 @@ int runLint(const LintCliOptions &Opts) {
 
 struct PlanCliOptions : CommonOptions {
   bool UseIndex = true;
-  unsigned Jobs = 1;
   uint64_t ChurnRounds = 0;
   uint64_t Seed = 1;
   TenantBudget Budget;
@@ -588,15 +551,12 @@ bool parsePlanArgs(int Argc, char **Argv, PlanCliOptions &Opts) {
         if (Arg == "--seed")
           return Take() &&
                  parseCountValue(Arg, Value, /*MinValue=*/0, Opts.Seed);
-        if (Arg == "--jobs")
-          return Take() && parseJobsValue(Value, Opts.Jobs);
         return takeBudgetFlag(Argc, Argv, I, Arg, Opts.Budget);
       });
 }
 
 int runPlan(const PlanCliOptions &Opts) {
   core::VerifierOptions VOpts;
-  VOpts.Jobs = Opts.Jobs;
   VOpts.Governor = Opts.Budget.governor(); // Armed before the parse.
   VOpts.UseIndex = Opts.UseIndex;
   std::string Source;

@@ -41,12 +41,11 @@ struct DaemonCliOptions {
   std::string SnapshotOut;     ///< --save-snapshot: write before exit/serve.
   bool Warm = false;           ///< --warm: verify every client at startup.
   bool UseIndex = true;        ///< --no-index clears.
-  unsigned Jobs = 1;
   unsigned Workers = 2;        ///< Connection-handling threads.
   std::vector<std::string> TenantSpecs;
 };
 
-constexpr unsigned long MaxJobs = 256;
+constexpr unsigned long MaxWorkers = 256;
 
 void printUsage(std::ostream &OS) {
   OS << "usage: susd [options] file.sus\n"
@@ -62,7 +61,6 @@ void printUsage(std::ostream &OS) {
         "  --save-snapshot FILE\n"
         "                      write the cache snapshot after warming\n"
         "                      (one-shot) / before serving (daemon)\n"
-        "  --jobs N            verifier worker threads (1..256)\n"
         "  --workers N         connection-handling threads (default 2)\n"
         "  --no-index          disable the ServiceIndex\n"
         "  --tenant SPEC       per-tenant budget NAME:DL_MS:PROD:SUB\n"
@@ -116,15 +114,10 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
       Opts.Warm = true;
     } else if (Arg == "--no-index") {
       Opts.UseIndex = false;
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseUnsigned(Arg, Value, MaxJobs, Opts.Jobs))
-        return false;
     } else if (Arg == "--workers") {
       std::string Value;
       if (!takeValue(Argc, Argv, I, Arg, Value) ||
-          !parseUnsigned(Arg, Value, MaxJobs, Opts.Workers))
+          !parseUnsigned(Arg, Value, MaxWorkers, Opts.Workers))
         return false;
     } else if (Arg == "--tenant") {
       std::string Value;
@@ -164,7 +157,6 @@ int main(int Argc, char **Argv) {
   }
 
   daemon::EngineOptions EOpts;
-  EOpts.Jobs = Opts.Jobs;
   EOpts.UseIndex = Opts.UseIndex;
   for (const std::string &Spec : Opts.TenantSpecs) {
     std::string Err;

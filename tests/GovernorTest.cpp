@@ -47,7 +47,7 @@ TEST(ResourceGovernorTest, ZeroDeadlineTripsTheFirstPollAndSticks) {
   EXPECT_EQ(E->Which, ResourceKind::Deadline);
   EXPECT_TRUE(E->deadlineLike());
   // Sticky: every later poll trips regardless of the tick stride, and
-  // trip() exposes the observed state for drained-work synthesis.
+  // trip() exposes the observed state.
   for (int I = 0; I < 64; ++I)
     EXPECT_TRUE(G.poll().has_value());
   ASSERT_TRUE(G.trip().has_value());

@@ -10,6 +10,7 @@
 #include "fuzz/Generator.h"
 #include "support/Casting.h"
 #include "syntax/FileParser.h"
+#include "syntax/HistParser.h"
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,37 @@ TEST_F(HistTest, SeqIsRightNested) {
   const auto *S = dyn_cast<SeqExpr>(Left);
   ASSERT_NE(S, nullptr);
   EXPECT_EQ(S->head(), A);
+}
+
+TEST_F(HistTest, LongSequenceChainsInternLinearly) {
+  // An n-term `;` chain is n-1 right-nested sequence nodes over its
+  // distinct leaves. Pinned by node count, not time: a left fold that
+  // re-nests the prefix per term would intern O(n^2) nodes.
+  constexpr size_t N = 4000;
+  DiagnosticEngine Diags;
+  ASSERT_NE(syntax::parseHistExpr(Ctx, "a?.eps", Diags), nullptr);
+  ASSERT_NE(syntax::parseHistExpr(Ctx, "%e(1)", Diags), nullptr);
+  size_t Before = Ctx.numNodes();
+  std::string Src = "a?.eps";
+  for (size_t I = 1; I < N; ++I)
+    Src += I % 2 ? "; %e(1)" : "; a?.eps";
+  const Expr *Chain = syntax::parseHistExpr(Ctx, Src, Diags);
+  ASSERT_NE(Chain, nullptr);
+  EXPECT_EQ(Ctx.numNodes() - Before, N - 1);
+
+  // Appending to a long head re-nests its whole spine in one loop: each
+  // of the n suffixes ending in the new leaf is one fresh node.
+  const Expr *Leaf = Ctx.event("z");
+  Before = Ctx.numNodes();
+  const Expr *Longer = Ctx.seq(Chain, Leaf);
+  EXPECT_EQ(Ctx.numNodes() - Before, N);
+  size_t Length = 1;
+  for (const Expr *E = Longer; const auto *S = dyn_cast<SeqExpr>(E);
+       E = S->tail()) {
+    EXPECT_FALSE(isa<SeqExpr>(S->head()));
+    ++Length;
+  }
+  EXPECT_EQ(Length, N + 1);
 }
 
 TEST_F(HistTest, HashConsingSharesStructurallyEqualNodes) {

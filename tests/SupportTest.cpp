@@ -371,6 +371,34 @@ TEST_F(TraceTest, SpansAfterDisableAreNotRecorded) {
   EXPECT_EQ(trace::spanCount(), 1u);
 }
 
+TEST_F(TraceTest, ConcurrentNestedSpansAreAllAccounted) {
+  // Eight threads record nested spans with args into a ring smaller than
+  // the total, so recording, wraparound and drop counting all race.
+  constexpr unsigned Threads = 8, PerThread = 200;
+  trace::enable(/*Capacity=*/1024);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([] {
+      for (unsigned I = 0; I < PerThread; ++I) {
+        trace::Span Outer("test.outer", "test");
+        Outer.tag("side", "outer");
+        {
+          trace::Span Inner("test.inner", "test");
+          Inner.count("i", I);
+        }
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(trace::spanCount() + trace::droppedSpans(),
+            size_t(Threads) * PerThread * 2);
+  EXPECT_EQ(trace::spanCount(), 1024u);
+
+  std::ostringstream OS;
+  trace::writeChromeTrace(OS);
+  EXPECT_NE(OS.str().find("\"traceEvents\""), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // Metrics registry
 //===----------------------------------------------------------------------===//
@@ -412,6 +440,49 @@ TEST_F(MetricsTest, CounterMergesAcrossThreads) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(C.value(), 4000u);
+}
+
+TEST_F(MetricsTest, ConcurrentInstrumentsUnderTracingAreExact) {
+  // Eight threads bump a counter and a histogram from inside nested
+  // spans: no increment may be lost, and no span either.
+  constexpr unsigned Threads = 8, PerThread = 500;
+  metrics::enable();
+  trace::enable(/*Capacity=*/1 << 14);
+  trace::reset();
+  metrics::Counter &C = metrics::counter("test.race.counter");
+  metrics::Histogram &H = metrics::histogram("test.race.hist");
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&C, &H, T] {
+      for (unsigned I = 0; I < PerThread; ++I) {
+        trace::Span Outer("test.race", "test");
+        Outer.count("thread", T);
+        trace::Span Inner("test.race.bump", "test");
+        Inner.tag("kind", "bump");
+        C.add(2);
+        H.observe(T);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  trace::disable();
+
+  constexpr uint64_t Total = uint64_t(Threads) * PerThread;
+  EXPECT_EQ(C.value(), 2 * Total);
+  EXPECT_EQ(H.count(), Total);
+  EXPECT_EQ(H.sum(), uint64_t(PerThread) * (Threads * (Threads - 1) / 2));
+  EXPECT_EQ(H.min(), 0u);
+  EXPECT_EQ(H.max(), Threads - 1);
+  EXPECT_EQ(trace::spanCount() + trace::droppedSpans(), 2 * Total);
+
+  std::ostringstream Trace, Json;
+  trace::writeChromeTrace(Trace);
+  metrics::writeJson(Json);
+  EXPECT_NE(Trace.str().find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(Json.str().find("\"test.race.counter\": " +
+                            std::to_string(2 * Total)),
+            std::string::npos);
+  trace::reset();
 }
 
 TEST_F(MetricsTest, GaugeSetAndHighWaterMark) {

@@ -178,10 +178,10 @@ def main():
         trace = str(Path(tmp) / "trace.json")
 
         # Baseline: no observability flags.
-        plain = run([susc, "--jobs", "4", example])
+        plain = run([susc, example])
 
         # Instrumented run: must behave identically on stdout/stderr.
-        observed = run([susc, "--jobs", "4", "--metrics-out", metrics,
+        observed = run([susc, "--metrics-out", metrics,
                         "--trace-out", trace, example])
         if observed.returncode != plain.returncode:
             fail(f"exit code changed: {plain.returncode} -> "
@@ -211,7 +211,7 @@ def main():
         # a short deadline) and must make the run inconclusive rather than
         # silently wrong — exit 3, an explicit verdict, and a counted trip.
         gov_metrics = str(Path(tmp) / "gov-metrics.json")
-        governed = run([susc, "--jobs", "4", "--max-product-states", "1",
+        governed = run([susc, "--max-product-states", "1",
                         "--metrics-out", gov_metrics, example])
         if governed.returncode != 3:
             fail(f"tripped budget run: expected exit 3, got "

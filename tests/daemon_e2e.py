@@ -17,6 +17,11 @@ headline contracts:
   4. Silent clients: on a one-worker daemon, a connection that never
      sends its request line must not block a later ping past the
      daemon's request read deadline, nor the shutdown.
+  5. Crash-safe save: a daemon killed with SIGKILL at a few delays into
+     a `snapshot` request leaves the old or the new snapshot at the
+     target path. A restart with --snapshot either loads it or rejects
+     it cleanly with exit 2, and then answers verify exactly like
+     `susd --warm FILE`.
 
 Usage: daemon_e2e.py <susd> <susc> <file.sus>
 """
@@ -223,6 +228,70 @@ def check_silent_client(susd, susc, sus_file, tmp):
             daemon.wait()
 
 
+# Seconds between sending `snapshot` and the SIGKILL: before the save
+# starts, inside it, and after it.
+KILL_DELAYS_S = (0.0, 0.001, 0.003, 0.01, 0.03, 0.1)
+
+
+def check_crash_during_save(susd, sus_file, tmp):
+    expected = run([susd, "--warm", sus_file])
+    snap = os.path.join(tmp, "crash.snap")
+    # The old snapshot comes from a cold session; the daemon below warms
+    # up first, so the snapshot it saves is a different (larger) one.
+    cut = run([susd, "--save-snapshot", snap, sus_file])
+    if not os.path.exists(snap):
+        fail("cutting the old snapshot failed (exit %d): %s"
+             % (cut.returncode, cut.stderr.decode(errors="replace")))
+    old = open(snap, "rb").read()
+    sock = os.path.join(tmp, "crash.sock")
+    seen = {"old": 0, "new": 0, "rejected": 0}
+    for delay in KILL_DELAYS_S:
+        open(snap, "wb").write(old)
+        if os.path.exists(sock):
+            os.unlink(sock)
+        daemon = subprocess.Popen(
+            [susd, "--warm", "--listen", sock, sus_file],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            wait_for_socket(sock, daemon)
+            conn.connect(sock)
+            conn.sendall(b"sus/1 snapshot file=" + snap.encode() + b"\n")
+            time.sleep(delay)
+        finally:
+            daemon.kill()
+            daemon.wait()
+            conn.close()
+
+        after = open(snap, "rb").read()
+        restart = run([susd, "--snapshot", snap, "--warm", sus_file])
+        if restart.returncode == 2:
+            if b"snapshot rejected" not in restart.stderr:
+                fail("kill after %.3f s: exit 2 without a rejection "
+                     "diagnostic\nstderr: %s"
+                     % (delay, restart.stderr.decode(errors="replace")))
+            seen["rejected"] += 1
+            restart = run([susd, "--warm", sus_file])
+        else:
+            if b"snapshot loaded" not in restart.stderr:
+                fail("kill after %.3f s: restart did not load the snapshot"
+                     "\nstderr: %s"
+                     % (delay, restart.stderr.decode(errors="replace")))
+            seen["old" if after == old else "new"] += 1
+        if (restart.returncode != expected.returncode or
+                restart.stdout != expected.stdout):
+            fail("kill after %.3f s: the restarted daemon (exit %d, %d "
+                 "bytes) differs from susd --warm (exit %d, %d bytes)"
+                 % (delay, restart.returncode, len(restart.stdout),
+                    expected.returncode, len(expected.stdout)))
+    # A kill inside the save may leave its temp file behind; it is never
+    # read, so it is reported, not failed.
+    stray = [f for f in os.listdir(tmp) if f.startswith("crash.snap.tmp.")]
+    print("daemon_e2e: SIGKILL during snapshot: %d old, %d new, %d rejected"
+          " (%d stray temp files); every restart answered like susd --warm"
+          % (seen["old"], seen["new"], seen["rejected"], len(stray)))
+
+
 def main():
     if len(sys.argv) != 4:
         fail("usage: daemon_e2e.py <susd> <susc> <file.sus>")
@@ -233,6 +302,7 @@ def main():
         check_snapshot_restart(susd, sus_file, tmp)
         check_daemon(susd, susc, sus_file, tmp)
         check_silent_client(susd, susc, sus_file, tmp)
+        check_crash_during_save(susd, sus_file, tmp)
     print("daemon_e2e: all checks passed")
 
 
