@@ -1,9 +1,9 @@
 //===- bench/bench_automata.cpp - B5: automata substrate ops --------------===//
 ///
 /// \file
-/// Experiment B5 (DESIGN.md): scaling of the finite-automata substrate the
-/// model checking rests on — determinization, product, minimization,
-/// emptiness — over seeded random NFAs.
+/// Experiment B5 (DESIGN.md): scaling of the finite-automata kernels —
+/// determinization, minimization, on-the-fly containment and
+/// equivalence — over seeded random NFAs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,18 +47,6 @@ void BM_Determinize(benchmark::State &State) {
 }
 BENCHMARK(BM_Determinize)->RangeMultiplier(2)->Range(8, 256);
 
-void BM_Intersect(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  std::mt19937 Rng(7);
-  Dfa A = determinize(randomNfa(Rng, N, 4, 2.5));
-  Dfa B = determinize(randomNfa(Rng, N, 4, 2.5));
-  for (auto _ : State) {
-    Dfa I = intersect(A, B);
-    benchmark::DoNotOptimize(I.numStates());
-  }
-}
-BENCHMARK(BM_Intersect)->RangeMultiplier(2)->Range(8, 256);
-
 void BM_Minimize(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
   std::mt19937 Rng(11);
@@ -73,17 +61,6 @@ void BM_Minimize(benchmark::State &State) {
 }
 BENCHMARK(BM_Minimize)->RangeMultiplier(2)->Range(8, 128);
 
-void BM_EmptinessWitness(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  std::mt19937 Rng(23);
-  Dfa D = determinize(randomNfa(Rng, N, 4, 2.0));
-  for (auto _ : State) {
-    auto W = shortestWitness(D);
-    benchmark::DoNotOptimize(W.has_value());
-  }
-}
-BENCHMARK(BM_EmptinessWitness)->RangeMultiplier(2)->Range(8, 512);
-
 void BM_Equivalence(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
   std::mt19937 Rng(31);
@@ -95,34 +72,6 @@ void BM_Equivalence(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Equivalence)->RangeMultiplier(2)->Range(8, 64);
-
-//===----------------------------------------------------------------------===//
-// On-the-fly product checks (no materialized complement/product)
-//===----------------------------------------------------------------------===//
-
-void BM_IntersectIsEmpty(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  std::mt19937 Rng(7); // Same inputs as BM_Intersect.
-  Dfa A = determinize(randomNfa(Rng, N, 4, 2.5));
-  Dfa B = determinize(randomNfa(Rng, N, 4, 2.5));
-  for (auto _ : State) {
-    bool Empty = intersectIsEmpty(A, B);
-    benchmark::DoNotOptimize(Empty);
-  }
-}
-BENCHMARK(BM_IntersectIsEmpty)->RangeMultiplier(2)->Range(8, 256);
-
-void BM_IntersectWitness(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  std::mt19937 Rng(7);
-  Dfa A = determinize(randomNfa(Rng, N, 4, 2.5));
-  Dfa B = determinize(randomNfa(Rng, N, 4, 2.5));
-  for (auto _ : State) {
-    auto W = intersectWitness(A, B);
-    benchmark::DoNotOptimize(W.has_value());
-  }
-}
-BENCHMARK(BM_IntersectWitness)->RangeMultiplier(2)->Range(8, 256);
 
 void BM_ContainedIn(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));

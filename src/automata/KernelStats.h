@@ -1,9 +1,11 @@
 //===- automata/KernelStats.h - Automata kernel accounting ------*- C++ -*-===//
 ///
 /// \file
-/// Wall-clock accounting for time spent inside the automata kernels the
-/// verifier bottoms out in: every entry point of automata/Ops.h plus the
-/// ComplianceProduct construction (the Thm. 1 emptiness kernel).
+/// Wall-clock accounting for time spent inside the automata kernels: the
+/// ComplianceProduct construction (the Thm. 1 emptiness kernel the
+/// verifier bottoms out in) plus the automata/Ops.h entry points, of which
+/// the program runs minimize (fused monitors) and isEmpty (framing lints)
+/// and the test oracles the rest.
 /// bench_verifier (B7) reads it to report kernel time separately from
 /// pipeline time, so kernel and pipeline speedups stay distinguishable
 /// across PRs.

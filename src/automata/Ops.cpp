@@ -4,7 +4,6 @@
 
 #include "automata/KernelStats.h"
 #include "support/HashUtil.h"
-#include "support/ResourceGovernor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -53,30 +52,15 @@ inline uint64_t packPair(StateId SA, StateId SB) {
   return (uint64_t(SA) << 32) | SB;
 }
 
-/// Loop-granularity governor poll; a null governor costs one branch.
-inline std::optional<ResourceExhausted> pollGov(const ResourceGovernor *Gov) {
-  return Gov ? Gov->poll() : std::nullopt;
-}
-
-/// Charges the \p Spent-th materialized state against the \p K budget.
-inline std::optional<ResourceExhausted>
-chargeGov(const ResourceGovernor *Gov, ResourceKind K, uint64_t Spent) {
-  return Gov ? Gov->charge(K, Spent) : std::nullopt;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Determinization
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-Outcome<Dfa> determinizeImpl(const Nfa &N, const ResourceGovernor *Gov) {
+Dfa sus::automata::determinize(const Nfa &N) {
   SUS_AUDIT_AUTOMATON(N);
   KernelTimerScope Timer("automata.determinize");
-  if (auto E = pollGov(Gov))
-    return *E;
   Dfa Result;
   const std::vector<SymbolCode> &Syms = N.alphabet();
   const uint32_t K = static_cast<uint32_t>(Syms.size());
@@ -144,16 +128,10 @@ Outcome<Dfa> determinizeImpl(const Nfa &N, const ResourceGovernor *Gov) {
   std::unordered_map<std::vector<uint64_t>, StateId, WordsHash> Index;
   std::deque<std::vector<uint64_t>> Work;
 
-  std::optional<ResourceExhausted> Trip;
   auto InternState = [&](std::vector<uint64_t> Set) -> StateId {
     auto It = Index.find(Set);
     if (It != Index.end())
       return It->second;
-    if (auto E = chargeGov(Gov, ResourceKind::SubsetStates,
-                           Result.numStates() + 1)) {
-      Trip = E;
-      return Dfa::NoState;
-    }
     StateId Id = Result.addState(IsAcceptingSet(Set));
     Index.emplace(Set, Id);
     Work.push_back(std::move(Set));
@@ -163,10 +141,7 @@ Outcome<Dfa> determinizeImpl(const Nfa &N, const ResourceGovernor *Gov) {
   std::vector<uint64_t> StartSet(W64, 0);
   setBit(StartSet.data(), N.start());
   Close(StartSet);
-  StateId StartId = InternState(std::move(StartSet));
-  if (Trip)
-    return *Trip;
-  Result.setStart(StartId);
+  Result.setStart(InternState(std::move(StartSet)));
 
   // Per-symbol successor buffers, reused across iterations; only the
   // touched slices are cleared.
@@ -175,8 +150,6 @@ Outcome<Dfa> determinizeImpl(const Nfa &N, const ResourceGovernor *Gov) {
   std::vector<uint32_t> Touched;
 
   while (!Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
     std::vector<uint64_t> Set = std::move(Work.front());
     Work.pop_front();
     StateId From = Index.at(Set);
@@ -202,28 +175,14 @@ Outcome<Dfa> determinizeImpl(const Nfa &N, const ResourceGovernor *Gov) {
       std::fill(Slice, Slice + W64, 0);
       SymTouched[SymIdx] = 0;
       Close(Next);
-      StateId To = InternState(std::move(Next));
-      if (Trip)
-        return *Trip;
-      Result.setEdge(From, Syms[SymIdx], To);
+      Result.setEdge(From, Syms[SymIdx], InternState(std::move(Next)));
     }
   }
   return Result;
 }
 
-} // namespace
-
-Dfa sus::automata::determinize(const Nfa &N) {
-  return determinizeImpl(N, nullptr).takeValue();
-}
-
-Outcome<Dfa> sus::automata::determinize(const Nfa &N,
-                                        const ResourceGovernor &Gov) {
-  return determinizeImpl(N, &Gov);
-}
-
 //===----------------------------------------------------------------------===//
-// Completion and complement
+// Completion
 //===----------------------------------------------------------------------===//
 
 Dfa sus::automata::complete(const Dfa &D,
@@ -256,182 +215,9 @@ Dfa sus::automata::complete(const Dfa &D,
   return Result;
 }
 
-Dfa sus::automata::complement(const Dfa &D,
-                              const std::vector<SymbolCode> &Alphabet) {
-  SUS_AUDIT_AUTOMATON(D);
-  assert(std::is_sorted(Alphabet.begin(), Alphabet.end()) &&
-         "alphabet must be sorted");
-  KernelTimerScope Timer("automata.complement");
-  std::vector<SymbolCode> Joint;
-  std::set_union(Alphabet.begin(), Alphabet.end(), D.alphabet().begin(),
-                 D.alphabet().end(), std::back_inserter(Joint));
-  Dfa Completed = complete(D, Joint);
-  for (StateId S = 0; S < Completed.numStates(); ++S)
-    Completed.setAccepting(S, !Completed.isAccepting(S));
-  return Completed;
-}
-
 //===----------------------------------------------------------------------===//
-// Products
+// Emptiness and containment
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Shared reachable-product construction; acceptance is a callback so
-/// intersection and union reuse it. Pairs are interned through a hashed
-/// index; the BFS follows A's edges in ascending symbol order, so the
-/// result numbering is the deterministic discovery order.
-template <typename AcceptFn>
-Outcome<Dfa> productImpl(const Dfa &A, const Dfa &B, AcceptFn Accept,
-                         const ResourceGovernor *Gov) {
-  if (auto E = pollGov(Gov))
-    return *E;
-  Dfa Result;
-  Result.reserveAlphabet(A.alphabet());
-  if (A.numStates() == 0 || B.numStates() == 0) {
-    // One operand is the empty automaton: the intersection is empty.
-    Result.setStart(Result.addState(false));
-    return Result;
-  }
-
-  std::unordered_map<uint64_t, StateId, PairKeyHash> Index;
-  std::deque<uint64_t> Work;
-
-  std::optional<ResourceExhausted> Trip;
-  auto InternState = [&](StateId SA, StateId SB) -> StateId {
-    uint64_t Key = packPair(SA, SB);
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      return It->second;
-    if (auto E = chargeGov(Gov, ResourceKind::ProductStates,
-                           Result.numStates() + 1)) {
-      Trip = E;
-      return Dfa::NoState;
-    }
-    StateId Id = Result.addState(Accept(SA, SB));
-    Index.emplace(Key, Id);
-    Work.push_back(Key);
-    return Id;
-  };
-
-  StateId StartId = InternState(A.start(), B.start());
-  if (Trip)
-    return *Trip;
-  Result.setStart(StartId);
-  while (!Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
-    uint64_t Key = Work.front();
-    Work.pop_front();
-    StateId SA = static_cast<StateId>(Key >> 32);
-    StateId SB = static_cast<StateId>(Key);
-    StateId From = Index.at(Key);
-    for (const NfaEdge &E : A.edges(SA)) {
-      StateId TB = B.step(SB, E.Symbol);
-      if (TB == Dfa::NoState)
-        continue;
-      StateId To = InternState(E.Target, TB);
-      if (Trip)
-        return *Trip;
-      Result.setEdge(From, E.Symbol, To);
-    }
-  }
-  return Result;
-}
-
-template <typename AcceptFn>
-Outcome<Dfa> intersectImpl(const Dfa &A, const Dfa &B, AcceptFn Accept,
-                           const ResourceGovernor *Gov) {
-  SUS_AUDIT_AUTOMATON(A);
-  SUS_AUDIT_AUTOMATON(B);
-  KernelTimerScope Timer("automata.intersect");
-  return productImpl(A, B, Accept, Gov);
-}
-
-} // namespace
-
-Dfa sus::automata::intersect(const Dfa &A, const Dfa &B) {
-  auto Accept = [&](StateId SA, StateId SB) {
-    return A.isAccepting(SA) && B.isAccepting(SB);
-  };
-  return intersectImpl(A, B, Accept, nullptr).takeValue();
-}
-
-Outcome<Dfa> sus::automata::intersect(const Dfa &A, const Dfa &B,
-                                      const ResourceGovernor &Gov) {
-  auto Accept = [&](StateId SA, StateId SB) {
-    return A.isAccepting(SA) && B.isAccepting(SB);
-  };
-  return intersectImpl(A, B, Accept, &Gov);
-}
-
-Dfa sus::automata::unite(const Dfa &A, const Dfa &B) {
-  SUS_AUDIT_AUTOMATON(A);
-  SUS_AUDIT_AUTOMATON(B);
-  KernelTimerScope Timer("automata.unite");
-  std::vector<SymbolCode> Joint;
-  std::set_union(A.alphabet().begin(), A.alphabet().end(),
-                 B.alphabet().begin(), B.alphabet().end(),
-                 std::back_inserter(Joint));
-  Dfa CA = complete(A, Joint);
-  Dfa CB = complete(B, Joint);
-  return productImpl(
-             CA, CB,
-             [&](StateId SA, StateId SB) {
-               return CA.isAccepting(SA) || CB.isAccepting(SB);
-             },
-             nullptr)
-      .takeValue();
-}
-
-//===----------------------------------------------------------------------===//
-// Emptiness and witnesses
-//===----------------------------------------------------------------------===//
-
-std::optional<std::vector<SymbolCode>>
-sus::automata::shortestWitness(const Dfa &D) {
-  SUS_AUDIT_AUTOMATON(D);
-  KernelTimerScope Timer("automata.shortestWitness");
-  if (D.numStates() == 0)
-    return std::nullopt;
-  struct Pred {
-    StateId From;
-    SymbolCode Symbol;
-  };
-  std::vector<std::optional<Pred>> Preds(D.numStates());
-  std::vector<bool> Seen(D.numStates(), false);
-  std::deque<StateId> Work;
-  Seen[D.start()] = true;
-  Work.push_back(D.start());
-
-  StateId Found = Dfa::NoState;
-  if (D.isAccepting(D.start()))
-    Found = D.start();
-
-  while (Found == Dfa::NoState && !Work.empty()) {
-    StateId S = Work.front();
-    Work.pop_front();
-    for (const NfaEdge &E : D.edges(S)) {
-      if (Seen[E.Target])
-        continue;
-      Seen[E.Target] = true;
-      Preds[E.Target] = Pred{S, E.Symbol};
-      if (D.isAccepting(E.Target)) {
-        Found = E.Target;
-        break;
-      }
-      Work.push_back(E.Target);
-    }
-  }
-  if (Found == Dfa::NoState)
-    return std::nullopt;
-
-  std::vector<SymbolCode> Word;
-  for (StateId S = Found; Preds[S]; S = Preds[S]->From)
-    Word.push_back(Preds[S]->Symbol);
-  std::reverse(Word.begin(), Word.end());
-  return Word;
-}
 
 bool sus::automata::isEmpty(const Dfa &D) {
   SUS_AUDIT_AUTOMATON(D);
@@ -459,169 +245,16 @@ bool sus::automata::isEmpty(const Dfa &D) {
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// On-the-fly product emptiness
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The implicit dead state of a virtually-completed operand: a pair's
-/// second component is DeadSide once B fell off its transition table.
-constexpr StateId DeadSide = Dfa::NoState;
-
-} // namespace
-
-namespace {
-
-Outcome<bool> intersectIsEmptyImpl(const Dfa &A, const Dfa &B,
-                                   const ResourceGovernor *Gov) {
-  SUS_AUDIT_AUTOMATON(A);
-  SUS_AUDIT_AUTOMATON(B);
-  KernelTimerScope Timer("automata.intersectIsEmpty");
-  if (auto E = pollGov(Gov))
-    return *E;
-  if (A.numStates() == 0 || B.numStates() == 0)
-    return true;
-  if (A.isAccepting(A.start()) && B.isAccepting(B.start()))
-    return false;
-  std::unordered_set<uint64_t, PairKeyHash> Seen;
-  std::deque<uint64_t> Work;
-  Seen.insert(packPair(A.start(), B.start()));
-  Work.push_back(packPair(A.start(), B.start()));
-  while (!Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
-    uint64_t Key = Work.front();
-    Work.pop_front();
-    StateId SA = static_cast<StateId>(Key >> 32);
-    StateId SB = static_cast<StateId>(Key);
-    for (const NfaEdge &E : A.edges(SA)) {
-      StateId TB = B.step(SB, E.Symbol);
-      if (TB == Dfa::NoState)
-        continue;
-      uint64_t Next = packPair(E.Target, TB);
-      if (!Seen.insert(Next).second)
-        continue;
-      if (auto Ex = chargeGov(Gov, ResourceKind::ProductStates, Seen.size()))
-        return *Ex;
-      if (A.isAccepting(E.Target) && B.isAccepting(TB))
-        return false;
-      Work.push_back(Next);
-    }
-  }
-  return true;
-}
-
-} // namespace
-
-bool sus::automata::intersectIsEmpty(const Dfa &A, const Dfa &B) {
-  return intersectIsEmptyImpl(A, B, nullptr).takeValue();
-}
-
-Outcome<bool> sus::automata::intersectIsEmpty(const Dfa &A, const Dfa &B,
-                                              const ResourceGovernor &Gov) {
-  return intersectIsEmptyImpl(A, B, &Gov);
-}
-
-namespace {
-
-Outcome<std::optional<std::vector<SymbolCode>>>
-intersectWitnessImpl(const Dfa &A, const Dfa &B, const ResourceGovernor *Gov) {
-  using Witness = std::optional<std::vector<SymbolCode>>;
-  SUS_AUDIT_AUTOMATON(A);
-  SUS_AUDIT_AUTOMATON(B);
-  KernelTimerScope Timer("automata.intersectWitness");
-  if (auto E = pollGov(Gov))
-    return *E;
-  if (A.numStates() == 0 || B.numStates() == 0)
-    return Witness(std::nullopt);
-
-  // Mirrors shortestWitness over the materialized product: same BFS
-  // discovery order (A's edges ascending), same predecessor tree, hence
-  // bit-for-bit the same shortest word.
-  struct Node {
-    uint64_t Key;
-    uint32_t Pred; ///< Index of the predecessor node, or ~0u at the start.
-    SymbolCode Symbol;
-  };
-  std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, uint32_t, PairKeyHash> Index;
-  std::deque<uint32_t> Work;
-
-  uint64_t StartKey = packPair(A.start(), B.start());
-  Nodes.push_back({StartKey, ~0u, 0});
-  Index.emplace(StartKey, 0);
-  Work.push_back(0);
-
-  uint32_t Found = ~0u;
-  if (A.isAccepting(A.start()) && B.isAccepting(B.start()))
-    Found = 0;
-
-  while (Found == ~0u && !Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
-    uint32_t I = Work.front();
-    Work.pop_front();
-    uint64_t Key = Nodes[I].Key;
-    StateId SA = static_cast<StateId>(Key >> 32);
-    StateId SB = static_cast<StateId>(Key);
-    for (const NfaEdge &E : A.edges(SA)) {
-      StateId TB = B.step(SB, E.Symbol);
-      if (TB == Dfa::NoState)
-        continue;
-      uint64_t Next = packPair(E.Target, TB);
-      if (Index.find(Next) != Index.end())
-        continue;
-      if (auto Ex = chargeGov(Gov, ResourceKind::ProductStates,
-                              Nodes.size() + 1))
-        return *Ex;
-      uint32_t J = static_cast<uint32_t>(Nodes.size());
-      Nodes.push_back({Next, I, E.Symbol});
-      Index.emplace(Next, J);
-      if (A.isAccepting(E.Target) && B.isAccepting(TB)) {
-        Found = J;
-        break;
-      }
-      Work.push_back(J);
-    }
-  }
-  if (Found == ~0u)
-    return Witness(std::nullopt);
-
-  std::vector<SymbolCode> Word;
-  for (uint32_t I = Found; Nodes[I].Pred != ~0u; I = Nodes[I].Pred)
-    Word.push_back(Nodes[I].Symbol);
-  std::reverse(Word.begin(), Word.end());
-  return Witness(std::move(Word));
-}
-
-} // namespace
-
-std::optional<std::vector<SymbolCode>>
-sus::automata::intersectWitness(const Dfa &A, const Dfa &B) {
-  return intersectWitnessImpl(A, B, nullptr).takeValue();
-}
-
-Outcome<std::optional<std::vector<SymbolCode>>>
-sus::automata::intersectWitness(const Dfa &A, const Dfa &B,
-                                const ResourceGovernor &Gov) {
-  return intersectWitnessImpl(A, B, &Gov);
-}
-
-namespace {
-
-Outcome<bool> containedInImpl(const Dfa &A, const Dfa &B,
-                              const ResourceGovernor *Gov) {
+bool sus::automata::containedIn(const Dfa &A, const Dfa &B) {
   SUS_AUDIT_AUTOMATON(A);
   SUS_AUDIT_AUTOMATON(B);
   KernelTimerScope Timer("automata.containedIn");
-  if (auto E = pollGov(Gov))
-    return *E;
   if (A.numStates() == 0)
     return true;
 
   // Pairs (a, b) of the implicit product A ⊗ ¬B, where b == DeadSide once
   // B has fallen off (the virtual completion's sink, which ¬B accepts).
+  constexpr StateId DeadSide = Dfa::NoState;
   auto Counterexample = [&](StateId SA, StateId SB) {
     return A.isAccepting(SA) && (SB == DeadSide || !B.isAccepting(SB));
   };
@@ -634,8 +267,6 @@ Outcome<bool> containedInImpl(const Dfa &A, const Dfa &B,
   Seen.insert(packPair(A.start(), SB0));
   Work.push_back(packPair(A.start(), SB0));
   while (!Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
     uint64_t Key = Work.front();
     Work.pop_front();
     StateId SA = static_cast<StateId>(Key >> 32);
@@ -645,110 +276,12 @@ Outcome<bool> containedInImpl(const Dfa &A, const Dfa &B,
       uint64_t Next = packPair(E.Target, TB);
       if (!Seen.insert(Next).second)
         continue;
-      if (auto Ex = chargeGov(Gov, ResourceKind::ProductStates, Seen.size()))
-        return *Ex;
       if (Counterexample(E.Target, TB))
         return false;
       Work.push_back(Next);
     }
   }
   return true;
-}
-
-} // namespace
-
-bool sus::automata::containedIn(const Dfa &A, const Dfa &B) {
-  return containedInImpl(A, B, nullptr).takeValue();
-}
-
-Outcome<bool> sus::automata::containedIn(const Dfa &A, const Dfa &B,
-                                         const ResourceGovernor &Gov) {
-  return containedInImpl(A, B, &Gov);
-}
-
-namespace {
-
-Outcome<std::optional<std::vector<SymbolCode>>>
-differenceWitnessImpl(const Dfa &A, const Dfa &B, const ResourceGovernor *Gov) {
-  using Witness = std::optional<std::vector<SymbolCode>>;
-  SUS_AUDIT_AUTOMATON(A);
-  SUS_AUDIT_AUTOMATON(B);
-  KernelTimerScope Timer("automata.differenceWitness");
-  if (auto E = pollGov(Gov))
-    return *E;
-  if (A.numStates() == 0)
-    return Witness(std::nullopt);
-
-  auto Counterexample = [&](StateId SA, StateId SB) {
-    return A.isAccepting(SA) && (SB == DeadSide || !B.isAccepting(SB));
-  };
-
-  struct Node {
-    uint64_t Key;
-    uint32_t Pred;
-    SymbolCode Symbol;
-  };
-  std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, uint32_t, PairKeyHash> Index;
-  std::deque<uint32_t> Work;
-
-  StateId SB0 = B.numStates() == 0 ? DeadSide : B.start();
-  uint64_t StartKey = packPair(A.start(), SB0);
-  Nodes.push_back({StartKey, ~0u, 0});
-  Index.emplace(StartKey, 0);
-  Work.push_back(0);
-
-  uint32_t Found = ~0u;
-  if (Counterexample(A.start(), SB0))
-    Found = 0;
-
-  while (Found == ~0u && !Work.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
-    uint32_t I = Work.front();
-    Work.pop_front();
-    uint64_t Key = Nodes[I].Key;
-    StateId SA = static_cast<StateId>(Key >> 32);
-    StateId SB = static_cast<StateId>(Key);
-    for (const NfaEdge &E : A.edges(SA)) {
-      StateId TB = SB == DeadSide ? DeadSide : B.step(SB, E.Symbol);
-      uint64_t Next = packPair(E.Target, TB);
-      if (Index.find(Next) != Index.end())
-        continue;
-      if (auto Ex = chargeGov(Gov, ResourceKind::ProductStates,
-                              Nodes.size() + 1))
-        return *Ex;
-      uint32_t J = static_cast<uint32_t>(Nodes.size());
-      Nodes.push_back({Next, I, E.Symbol});
-      Index.emplace(Next, J);
-      if (Counterexample(E.Target, TB)) {
-        Found = J;
-        break;
-      }
-      Work.push_back(J);
-    }
-  }
-  if (Found == ~0u)
-    return Witness(std::nullopt);
-
-  std::vector<SymbolCode> Word;
-  for (uint32_t I = Found; Nodes[I].Pred != ~0u; I = Nodes[I].Pred)
-    Word.push_back(Nodes[I].Symbol);
-  std::reverse(Word.begin(), Word.end());
-  return Witness(std::move(Word));
-}
-
-} // namespace
-
-std::optional<std::vector<SymbolCode>>
-sus::automata::differenceWitness(const Dfa &A, const Dfa &B) {
-  return differenceWitnessImpl(A, B, nullptr).takeValue();
-}
-
-Outcome<std::optional<std::vector<SymbolCode>>>
-sus::automata::differenceWitness(const Dfa &A, const Dfa &B,
-                                 const ResourceGovernor &Gov) {
-  return differenceWitnessImpl(A, B, &Gov);
 }
 
 //===----------------------------------------------------------------------===//
@@ -762,9 +295,7 @@ namespace {
 /// of every state; blocks are the Myhill–Nerode classes. O(K·M·log M).
 std::vector<uint32_t> hopcroftPartition(uint32_t M, uint32_t K,
                                         const std::vector<uint32_t> &Next,
-                                        const std::vector<bool> &Acc,
-                                        const ResourceGovernor *Gov,
-                                        std::optional<ResourceExhausted> &Trip) {
+                                        const std::vector<bool> &Acc) {
   // Inverse transitions, CSR per symbol: bucket (a, t) holds the states s
   // with Next[s·K + a] == t.
   std::vector<uint32_t> InvOff(size_t(K) * M + 1, 0);
@@ -823,10 +354,6 @@ std::vector<uint32_t> hopcroftPartition(uint32_t M, uint32_t K,
 
   std::vector<uint32_t> Pre, TouchedBlocks;
   while (!WL.empty()) {
-    if (auto E = pollGov(Gov)) {
-      Trip = E;
-      return Blk;
-    }
     uint64_t Enc = WL.back();
     WL.pop_back();
     uint32_t B = static_cast<uint32_t>(Enc / K);
@@ -896,13 +423,9 @@ std::vector<uint32_t> hopcroftPartition(uint32_t M, uint32_t K,
 
 } // namespace
 
-namespace {
-
-Outcome<Dfa> minimizeImpl(const Dfa &D, const ResourceGovernor *Gov) {
+Dfa sus::automata::minimize(const Dfa &D) {
   SUS_AUDIT_AUTOMATON(D);
   KernelTimerScope Timer("automata.minimize");
-  if (auto E = pollGov(Gov))
-    return *E;
   const std::vector<SymbolCode> &Alphabet = D.alphabet();
   Dfa C = complete(D, Alphabet);
   const uint32_t K = static_cast<uint32_t>(Alphabet.size());
@@ -915,8 +438,6 @@ Outcome<Dfa> minimizeImpl(const Dfa &D, const ResourceGovernor *Gov) {
   Reach[C.start()] = true;
   BfsWork.push_back(C.start());
   while (!BfsWork.empty()) {
-    if (auto E = pollGov(Gov))
-      return *E;
     StateId S = BfsWork.front();
     BfsWork.pop_front();
     for (const NfaEdge &E : C.edges(S))
@@ -947,10 +468,7 @@ Outcome<Dfa> minimizeImpl(const Dfa &D, const ResourceGovernor *Gov) {
     }
   }
 
-  std::optional<ResourceExhausted> Trip;
-  std::vector<uint32_t> Blk = hopcroftPartition(M, K, Next, Acc, Gov, Trip);
-  if (Trip)
-    return *Trip;
+  std::vector<uint32_t> Blk = hopcroftPartition(M, K, Next, Acc);
 
   // Build the quotient automaton over reachable classes, interned in
   // first-occurrence scan order (start first) for a deterministic result.
@@ -980,17 +498,6 @@ Outcome<Dfa> minimizeImpl(const Dfa &D, const ResourceGovernor *Gov) {
   return Result;
 }
 
-} // namespace
-
-Dfa sus::automata::minimize(const Dfa &D) {
-  return minimizeImpl(D, nullptr).takeValue();
-}
-
-Outcome<Dfa> sus::automata::minimize(const Dfa &D,
-                                     const ResourceGovernor &Gov) {
-  return minimizeImpl(D, &Gov);
-}
-
 //===----------------------------------------------------------------------===//
 // Equivalence
 //===----------------------------------------------------------------------===//
@@ -998,13 +505,4 @@ Outcome<Dfa> sus::automata::minimize(const Dfa &D,
 bool sus::automata::equivalent(const Dfa &A, const Dfa &B) {
   KernelTimerScope Timer("automata.equivalent");
   return containedIn(A, B) && containedIn(B, A);
-}
-
-Outcome<bool> sus::automata::equivalent(const Dfa &A, const Dfa &B,
-                                        const ResourceGovernor &Gov) {
-  KernelTimerScope Timer("automata.equivalent");
-  Outcome<bool> Forward = containedInImpl(A, B, &Gov);
-  if (!Forward.ok() || !Forward.value())
-    return Forward;
-  return containedInImpl(B, A, &Gov);
 }

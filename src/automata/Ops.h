@@ -1,20 +1,21 @@
 //===- automata/Ops.h - Automata algorithms ---------------------*- C++ -*-===//
 ///
 /// \file
-/// The classic constructions the verifier needs: subset-construction
-/// determinization (hashed state sets over bitset closures), completion,
-/// complement, product (intersection and union), emptiness with witness
-/// extraction, Hopcroft minimization and language-equivalence checking —
-/// plus *on-the-fly* variants (intersectIsEmpty, containedIn, implicit
-/// product witnesses) that decide emptiness questions without ever
-/// materializing the complements and products they probe.
+/// The classic constructions the program and its test oracles run:
+/// subset-construction determinization (hashed state sets over bitset
+/// closures), completion, emptiness, Hopcroft minimization, and
+/// language containment and equivalence decided *on the fly* — neither the
+/// complement nor the product they probe is ever materialized.
+///
+/// The compliance product (§4, Thm. 1) and the validity exploration
+/// (§3.1) have their own governed explorations (contract/ComplianceProduct,
+/// validity/StaticValidity); these kernels are ungoverned.
 ///
 /// Alphabet parameters are sorted, duplicate-free symbol vectors (the form
 /// `Nfa::alphabet()`/`Dfa::alphabet()` return).
 ///
 /// Every entry point is [[nodiscard]]: the kernels are pure queries and
-/// constructions, so a dropped result is always a bug — and dropping a
-/// governed Outcome would silently discard an Inconclusive verdict.
+/// constructions, so a dropped result is always a bug.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +23,7 @@
 #define SUS_AUTOMATA_OPS_H
 
 #include "automata/Nfa.h"
-#include "support/ResourceGovernor.h"
 
-#include <optional>
 #include <vector>
 
 namespace sus {
@@ -42,49 +41,14 @@ namespace automata {
 /// \p Alphabet are copied but not completed, mirroring the inputs.
 [[nodiscard]] Dfa complete(const Dfa &D, const std::vector<SymbolCode> &Alphabet);
 
-/// Complement w.r.t. \p Alphabet ∪ D's own alphabet (completes first, then
-/// flips acceptance). \p Alphabet must be sorted and unique.
-[[nodiscard]] Dfa complement(const Dfa &D, const std::vector<SymbolCode> &Alphabet);
-
-/// Product automaton accepting the intersection of the two languages.
-/// Only the reachable part is built. Prefer intersectIsEmpty /
-/// intersectWitness when only emptiness of the product is needed.
-[[nodiscard]] Dfa intersect(const Dfa &A, const Dfa &B);
-
-/// Product automaton accepting the union of the two languages; both inputs
-/// are completed over the joint alphabet first.
-[[nodiscard]] Dfa unite(const Dfa &A, const Dfa &B);
-
-/// Returns a shortest accepted word if the language is non-empty, else
-/// std::nullopt. (BFS over reachable states.)
-[[nodiscard]] std::optional<std::vector<SymbolCode>> shortestWitness(const Dfa &D);
-
 /// Returns true if the language of \p D is empty. (Early-exit BFS; no
 /// witness bookkeeping.)
 [[nodiscard]] bool isEmpty(const Dfa &D);
-
-/// Returns true if L(A) ∩ L(B) = ∅, exploring the product on the fly with
-/// early exit — the product is never materialized. Equivalent to
-/// isEmpty(intersect(A, B)).
-[[nodiscard]] bool intersectIsEmpty(const Dfa &A, const Dfa &B);
-
-/// Shortest word in L(A) ∩ L(B) if any, else std::nullopt, via BFS over
-/// the *implicit* product. Returns exactly the witness that
-/// shortestWitness(intersect(A, B)) would.
-[[nodiscard]] std::optional<std::vector<SymbolCode>>
-intersectWitness(const Dfa &A, const Dfa &B);
 
 /// Returns true if L(A) ⊆ L(B), exploring the implicit product of A with
 /// the (virtual) completed complement of B — neither the complement nor
 /// the product is built.
 [[nodiscard]] bool containedIn(const Dfa &A, const Dfa &B);
-
-/// Shortest word in L(A) \ L(B) if any (the ⊆-counterexample), else
-/// std::nullopt. Same implicit-product BFS as containedIn, with
-/// predecessor tracking; matches the witness the materialized
-/// shortestWitness(intersect(A, complement(B, joint))) pipeline returns.
-[[nodiscard]] std::optional<std::vector<SymbolCode>>
-differenceWitness(const Dfa &A, const Dfa &B);
 
 /// Hopcroft minimization — genuine partition refinement with a splitter
 /// worklist over per-symbol inverse transitions, O(|Σ|·n·log n). The input
@@ -96,33 +60,6 @@ differenceWitness(const Dfa &A, const Dfa &B);
 /// Language equivalence via two on-the-fly containment checks; no
 /// complement or product automata are materialized.
 [[nodiscard]] bool equivalent(const Dfa &A, const Dfa &B);
-
-//===----------------------------------------------------------------------===//
-// Governed variants
-//===----------------------------------------------------------------------===//
-//
-// Each governed kernel polls \p Gov once per popped work item and charges
-// materialized states against the relevant budget (SubsetStates for
-// determinize, ProductStates for the product/emptiness family) *before*
-// allocating them. On a trip the kernel abandons its partial result and
-// returns the ResourceExhausted; it never throws and never returns a
-// half-built automaton. With an unhit governor the result is bit-for-bit
-// identical to the ungoverned overload (same algorithm, same numbering).
-
-[[nodiscard]] Outcome<Dfa> determinize(const Nfa &N, const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<Dfa> intersect(const Dfa &A, const Dfa &B,
-                                     const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<bool> intersectIsEmpty(const Dfa &A, const Dfa &B,
-                                             const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<std::optional<std::vector<SymbolCode>>>
-intersectWitness(const Dfa &A, const Dfa &B, const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<bool> containedIn(const Dfa &A, const Dfa &B,
-                                        const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<std::optional<std::vector<SymbolCode>>>
-differenceWitness(const Dfa &A, const Dfa &B, const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<Dfa> minimize(const Dfa &D, const ResourceGovernor &Gov);
-[[nodiscard]] Outcome<bool> equivalent(const Dfa &A, const Dfa &B,
-                                       const ResourceGovernor &Gov);
 
 } // namespace automata
 } // namespace sus

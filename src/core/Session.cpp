@@ -3,14 +3,18 @@
 #include "core/Session.h"
 
 #include "plan/RepositoryDelta.h"
+#include "support/ParseCount.h"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -239,6 +243,37 @@ bool core::readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
+namespace {
+
+/// Unlinks the temp siblings \p Base.tmp.<pid>.<n> in \p Dir that a save
+/// killed before its rename left behind: those whose pid no longer runs.
+/// A live pid keeps its file (it may be a save in flight, this process's
+/// own included); a recycled pid only delays the cleanup to a later save.
+void removeStaleTempSiblings(const std::string &Dir, const std::string &Base) {
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return;
+  const std::string Prefix = Base + ".tmp.";
+  while (const dirent *E = ::readdir(D)) {
+    std::string_view Name = E->d_name;
+    if (Name.compare(0, Prefix.size(), Prefix) != 0)
+      continue;
+    Name.remove_prefix(Prefix.size());
+    size_t Dot = Name.find('.');
+    uint64_t Pid = 0, Seq = 0;
+    if (Dot == std::string_view::npos ||
+        parseCount(Name.substr(0, Dot), Pid) != CountParse::Ok ||
+        parseCount(Name.substr(Dot + 1), Seq) != CountParse::Ok ||
+        Pid == 0 || Pid > static_cast<uint64_t>(INT32_MAX))
+      continue;
+    if (::kill(static_cast<pid_t>(Pid), 0) != 0 && errno == ESRCH)
+      (void)::unlinkat(::dirfd(D), E->d_name, 0);
+  }
+  ::closedir(D);
+}
+
+} // namespace
+
 bool core::writeFileAtomic(const std::string &Path, std::string_view Bytes,
                            std::string &Err) {
   // The temp file sits next to the target, so the rename never crosses a
@@ -285,5 +320,6 @@ bool core::writeFileAtomic(const std::string &Path, std::string_view Bytes,
     (void)::fsync(DirFd);
     ::close(DirFd);
   }
+  removeStaleTempSiblings(Dir, Path.substr(Slash + 1));
   return true;
 }

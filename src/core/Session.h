@@ -152,7 +152,10 @@ bool readFile(const std::string &Path, std::string &Out);
 /// The crash-safe snapshot writer: writes \p Bytes to a fresh temp file
 /// in \p Path's directory, fsyncs it and renames it over \p Path, so a
 /// crash at any point leaves either the old file or the new one. False
-/// with a diagnostic in \p Err (and no file left behind) on failure.
+/// with a diagnostic in \p Err (and no file left behind) on failure. A
+/// save that succeeds also unlinks the temp files of earlier saves of
+/// \p Path that were killed before their rename (their pid no longer
+/// runs).
 bool writeFileAtomic(const std::string &Path, std::string_view Bytes,
                      std::string &Err);
 

@@ -64,7 +64,6 @@ void soakClient(hist::HistContext &Ctx, const syntax::SusFile &File,
       Gov->setLimit(ResourceKind::ProductStates, 1 + Rng() % 8);
       break;
     case 1:
-      Gov->setLimit(ResourceKind::SubsetStates, 1 + Rng() % 8);
       Gov->setLimit(ResourceKind::ProductStates, 1 + Rng() % 64);
       break;
     case 2:

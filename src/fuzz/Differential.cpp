@@ -35,6 +35,15 @@ using namespace sus::fuzz;
 
 namespace {
 
+/// Trace-prefix comparison depth of the bpa oracle.
+constexpr unsigned BpaTraceDepth = 4;
+/// Governed chaos rounds per client.
+constexpr unsigned ChaosRounds = 2;
+/// Seeded single-bit corruptions and truncations the snapshot oracle
+/// tries on every blob.
+constexpr unsigned SnapshotFlips = 16;
+constexpr unsigned SnapshotCuts = 6;
+
 std::string renderDiags(const DiagnosticEngine &Diags) {
   std::string Out;
   for (const Diagnostic &D : Diags.diagnostics()) {
@@ -426,7 +435,7 @@ std::string verifyAllInto(hist::HistContext &Ctx, const syntax::SusFile &File,
 /// !Ok with a diagnostic, never crashes, never absorbs a partial load.
 void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
                     const std::string &Source, uint64_t Seed,
-                    const FuzzOptions &Opts, std::vector<Divergence> &Out) {
+                    std::vector<Divergence> &Out) {
   // Cold run: fill a cache, render the reports, cut the snapshot.
   core::VerifierOptions VOpts;
   VOpts.UseIndex = true;
@@ -483,14 +492,14 @@ void snapshotOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
   };
 
   std::mt19937_64 Rng(Seed * 0x9e3779b97f4a7c15ull + 7);
-  for (unsigned I = 0; I < Opts.SnapshotFlips; ++I) {
+  for (unsigned I = 0; I < SnapshotFlips; ++I) {
     std::string Mutant = Bytes;
     size_t Pos = Rng() % Mutant.size();
     Mutant[Pos] = static_cast<char>(
         static_cast<unsigned char>(Mutant[Pos]) ^ (1u << (Rng() % 8)));
     mustReject(Mutant, "bit flip at offset " + std::to_string(Pos));
   }
-  for (unsigned I = 0; I < Opts.SnapshotCuts; ++I) {
+  for (unsigned I = 0; I < SnapshotCuts; ++I) {
     size_t Len = Rng() % Bytes.size();
     mustReject(Bytes.substr(0, Len),
                "truncation to " + std::to_string(Len) + " bytes");
@@ -521,14 +530,13 @@ bool sus::fuzz::checkSource(const std::string &Source, uint64_t Seed,
   }
 
   complianceOracle(*Ctx, *File, Out);
-  bpaOracle(*Ctx, *File, Opts.BpaTraceDepth, Out);
+  bpaOracle(*Ctx, *File, BpaTraceDepth, Out);
   monitorOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
   interpreterOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
   securityOracle(*Ctx, *File, Seed, Opts.MonitorTraceLen, Out);
-  if (Opts.Snapshot)
-    snapshotOracle(*Ctx, *File, Source, Seed, Opts, Out);
+  snapshotOracle(*Ctx, *File, Source, Seed, Out);
   if (Opts.Chaos)
-    chaosSoak(*Ctx, *File, Seed, Opts.ChaosRounds, Out);
+    chaosSoak(*Ctx, *File, Seed, ChaosRounds, Out);
   wellFormedOracle(*Ctx, *File, Out);
   return true;
 }

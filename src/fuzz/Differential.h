@@ -48,14 +48,9 @@ namespace fuzz {
 /// Knobs for one differential run.
 struct FuzzOptions {
   GeneratorOptions Gen;
-  unsigned BpaTraceDepth = 4;   ///< Trace-prefix comparison depth.
   unsigned MonitorTraceLen = 48; ///< Labels fed to the monitor pair,
                                  ///< and steps per interpreter run.
-  bool Chaos = true;            ///< Run the governor chaos soak too.
-  unsigned ChaosRounds = 2;     ///< Governed rounds per client.
-  bool Snapshot = true;         ///< Run the snapshot round-trip oracle.
-  unsigned SnapshotFlips = 16;  ///< Seeded single-bit corruptions tried.
-  unsigned SnapshotCuts = 6;    ///< Seeded truncations tried.
+  bool Chaos = true;             ///< Run the governor chaos soak too.
 };
 
 /// One oracle disagreement (or unexpected parser outcome).

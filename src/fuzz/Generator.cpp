@@ -30,6 +30,9 @@ std::string sus::fuzz::joinDecls(const std::vector<std::string> &Decls) {
 
 namespace {
 
+/// Event/policy argument values are drawn from 1..MaxValue.
+constexpr unsigned MaxValue = 3;
+
 GeneratorOptions clamped(GeneratorOptions O) {
   auto Clamp = [](unsigned V, unsigned Lo, unsigned Hi) {
     return std::min(std::max(V, Lo), Hi);
@@ -40,7 +43,6 @@ GeneratorOptions clamped(GeneratorOptions O) {
   O.NumServices = Clamp(O.NumServices, 1, 12);
   O.NumClients = Clamp(O.NumClients, 1, 8);
   O.ChoiceWidth = Clamp(O.ChoiceWidth, 1, 4);
-  O.MaxValue = Clamp(O.MaxValue, 1, 16);
   return O;
 }
 
@@ -57,7 +59,7 @@ public:
 private:
   unsigned pick(unsigned N) { return static_cast<unsigned>(Rng() % N); }
   bool chance(unsigned Percent) { return pick(100) < Percent; }
-  int64_t value() { return 1 + pick(O.MaxValue); }
+  int64_t value() { return 1 + pick(MaxValue); }
 
   std::string eventName(unsigned I) {
     return "ev" + std::to_string(I % O.AlphabetSize);

@@ -28,7 +28,6 @@ struct GeneratorOptions {
   unsigned NumServices = 3;  ///< Service declarations (1..12).
   unsigned NumClients = 2;   ///< Client declarations (1..8).
   unsigned ChoiceWidth = 2;  ///< Max branches per choice (1..4).
-  unsigned MaxValue = 3;     ///< Event/policy argument values are 1..MaxValue.
 };
 
 /// A generated program, kept as one string per top-level declaration so a

@@ -45,8 +45,6 @@ const char *sus::resourceKindName(ResourceKind K) {
     return "deadline";
   case ResourceKind::Cancelled:
     return "cancelled";
-  case ResourceKind::SubsetStates:
-    return "subset_states";
   case ResourceKind::ProductStates:
     return "product_states";
   }
@@ -60,9 +58,6 @@ std::string ResourceExhausted::str() const {
            std::to_string(Limit) + "ms)";
   case ResourceKind::Cancelled:
     return "cancelled";
-  case ResourceKind::SubsetStates:
-    return "subset-state budget exhausted (" + std::to_string(Spent) + " > " +
-           std::to_string(Limit) + ")";
   case ResourceKind::ProductStates:
     return "product-state budget exhausted (" + std::to_string(Spent) +
            " > " + std::to_string(Limit) + ")";
@@ -80,17 +75,13 @@ void ResourceGovernor::setDeadlineAfterMillis(uint64_t Millis) {
 }
 
 void ResourceGovernor::setLimit(ResourceKind K, uint64_t Limit) {
-  if (K == ResourceKind::SubsetStates)
-    SubsetLimit = Limit;
-  else if (K == ResourceKind::ProductStates)
+  if (K == ResourceKind::ProductStates)
     ProductLimit = Limit;
   else
-    assert(false && "only state budgets are limitable");
+    assert(false && "only the product-state budget is limitable");
 }
 
 uint64_t ResourceGovernor::limit(ResourceKind K) const {
-  if (K == ResourceKind::SubsetStates)
-    return SubsetLimit;
   if (K == ResourceKind::ProductStates)
     return ProductLimit;
   return Unlimited;
@@ -142,12 +133,4 @@ ResourceGovernor::charge(ResourceKind K, uint64_t Spent) const {
     return std::nullopt;
   budgetHitsCounter().add();
   return ResourceExhausted{K, Spent, L};
-}
-
-std::optional<ResourceExhausted> ResourceGovernor::trip() const {
-  if (CancelFlag.load(std::memory_order_relaxed))
-    return ResourceExhausted{ResourceKind::Cancelled, 0, 0};
-  if (DeadlineHit.load(std::memory_order_relaxed))
-    return deadlineTrip();
-  return std::nullopt;
 }

@@ -2,11 +2,10 @@
 ///
 /// \file
 /// Cooperative resource governance for the verification pipeline: one
-/// governor object carries a monotonic deadline, per-kernel state budgets
+/// governor object carries a monotonic deadline, a product-state budget
 /// and a cancellation token, and is threaded (as a nullable pointer — a
-/// null governor costs one branch) through every unbounded loop in the
-/// automata kernels, the compliance product, plan enumeration and static
-/// validity.
+/// null governor costs one branch) through every unbounded loop of the
+/// compliance product, plan enumeration and static validity.
 ///
 /// The protocol has two verbs:
 ///
@@ -15,16 +14,18 @@
 ///               Deadline and cancellation trips are *sticky*: once
 ///               observed, every later poll on the same governor fails
 ///               fast, so every remaining check of a run stops promptly.
-///  - charge() — called when a kernel is about to materialize its
-///               Spent-th state; checks Spent against the per-kind
+///  - charge() — called when an exploration is about to materialize its
+///               Spent-th product state; checks Spent against the
 ///               budget. Budget trips are *per call*: one oversized plan
 ///               tripping its product budget does not poison the
 ///               verdicts of its siblings.
 ///
-/// Exhaustion never throws. Kernels return Outcome<T> — either the
-/// result or a typed ResourceExhausted{Which, Spent, Limit} — and the
-/// layers above map that into an Inconclusive(resource) verdict while
-/// keeping caches free of partial results.
+/// Exhaustion never throws. Each layer reports a typed
+/// ResourceExhausted{Which, Spent, Limit} in its own result struct
+/// (ComplianceResult, StaticValidityResult, EnumerationResult; repair
+/// returns an Outcome<RepairStats>), and the layers above map it into an
+/// Inconclusive(resource) verdict while keeping caches free of partial
+/// results.
 ///
 /// Trips are counted in the metrics registry (`governor.deadline_hits`,
 /// `governor.budget_hits`, `governor.cancel_requests`), each at most once
@@ -49,18 +50,18 @@ namespace sus {
 enum class ResourceKind : uint8_t {
   Deadline,      ///< The governor's wall-clock deadline passed.
   Cancelled,     ///< Somebody called requestCancel().
-  SubsetStates,  ///< Subset-construction state budget (determinize).
-  ProductStates, ///< Product/emptiness state budget (intersect family,
-                 ///< compliance product, validity model checking).
+  ProductStates, ///< Product-state budget (compliance product, validity
+                 ///< model checking).
 };
 
 /// Stable lower-case name for metrics/trace tags and diagnostics.
 const char *resourceKindName(ResourceKind K);
 
-/// The typed "budget exceeded" value kernels return instead of throwing.
-/// For state budgets, Spent is the state count that would have been
-/// materialized and Limit the configured cap; for the deadline, both are
-/// in milliseconds (elapsed vs. budget); for cancellation both are 0.
+/// The typed "budget exceeded" value the governed layers report instead
+/// of throwing. For the state budget, Spent is the state count that would
+/// have been materialized and Limit the configured cap; for the deadline,
+/// both are in milliseconds (elapsed vs. budget); for cancellation both
+/// are 0.
 struct ResourceExhausted {
   ResourceKind Which;
   uint64_t Spent = 0;
@@ -75,8 +76,9 @@ struct ResourceExhausted {
   }
 };
 
-/// Result-or-exhaustion sum type returned by governed kernels. No
-/// exceptions cross kernel boundaries: callers branch on ok().
+/// Result-or-exhaustion sum type returned by RepairSession::applyDelta
+/// (core/Repair.h). No exceptions cross that boundary: callers branch on
+/// ok().
 ///
 /// [[nodiscard]]: dropping an Outcome silently discards a possible
 /// Inconclusive verdict — the caller would proceed as if the governed
@@ -87,7 +89,6 @@ public:
   Outcome(ResourceExhausted E) : Storage(std::in_place_index<1>, E) {}
 
   bool ok() const { return Storage.index() == 0; }
-  explicit operator bool() const { return ok(); }
 
   const T &value() const & {
     assert(ok() && "Outcome holds ResourceExhausted");
@@ -96,11 +97,6 @@ public:
   T &value() & {
     assert(ok() && "Outcome holds ResourceExhausted");
     return std::get<0>(Storage);
-  }
-  /// Moves the result out (for the ungoverned wrappers).
-  T takeValue() {
-    assert(ok() && "Outcome holds ResourceExhausted");
-    return std::move(std::get<0>(Storage));
   }
 
   const ResourceExhausted &exhausted() const {
@@ -128,7 +124,7 @@ public:
   void setDeadlineAfterMillis(uint64_t Millis);
   bool hasDeadline() const { return DeadlineNanos != 0; }
 
-  /// Sets the state budget for \p K (SubsetStates or ProductStates only).
+  /// Sets the state budget for \p K (ProductStates only).
   void setLimit(ResourceKind K, uint64_t Limit);
   uint64_t limit(ResourceKind K) const;
 
@@ -150,9 +146,6 @@ public:
   std::optional<ResourceExhausted> charge(ResourceKind K,
                                           uint64_t Spent) const;
 
-  /// The sticky deadline/cancel trip observed so far, if any.
-  std::optional<ResourceExhausted> trip() const;
-
 private:
   std::optional<ResourceExhausted> deadlineTrip() const;
 
@@ -163,7 +156,6 @@ private:
   uint64_t StartNanos = 0;    ///< When the deadline was armed.
   uint64_t DeadlineNanos = 0; ///< Absolute steady-clock deadline; 0 = none.
   uint64_t BudgetMillis = 0;
-  uint64_t SubsetLimit = Unlimited;
   uint64_t ProductLimit = Unlimited;
 
   // All three atomics are relaxed everywhere (ResourceGovernor.cpp):

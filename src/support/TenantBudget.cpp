@@ -13,7 +13,6 @@ TenantBudget TenantBudget::min(const TenantBudget &Other) const {
   TenantBudget Out;
   Out.DeadlineMs = std::min(DeadlineMs, Other.DeadlineMs);
   Out.MaxProductStates = std::min(MaxProductStates, Other.MaxProductStates);
-  Out.MaxSubsetStates = std::min(MaxSubsetStates, Other.MaxSubsetStates);
   return Out;
 }
 
@@ -22,8 +21,6 @@ uint64_t *TenantBudget::field(std::string_view Name) {
     return &DeadlineMs;
   if (Name == FieldNames[1])
     return &MaxProductStates;
-  if (Name == FieldNames[2])
-    return &MaxSubsetStates;
   return nullptr;
 }
 
@@ -33,8 +30,6 @@ std::shared_ptr<ResourceGovernor> TenantBudget::governor() const {
   auto Gov = std::make_shared<ResourceGovernor>();
   if (MaxProductStates != NoLimit)
     Gov->setLimit(ResourceKind::ProductStates, MaxProductStates);
-  if (MaxSubsetStates != NoLimit)
-    Gov->setLimit(ResourceKind::SubsetStates, MaxSubsetStates);
   if (DeadlineMs != NoLimit)
     Gov->setDeadlineAfterMillis(DeadlineMs);
   return Gov;
@@ -75,9 +70,9 @@ bool TenantBudgetTable::addSpec(const std::string &Spec, std::string &Err) {
     Fields.push_back(Spec.substr(Start, Colon - Start));
     Start = Colon + 1;
   }
-  if (Fields.size() != 4) {
+  if (Fields.size() != 3) {
     Err = "tenant spec '" + Spec +
-          "' must be NAME:DEADLINE_MS:PRODUCT_STATES:SUBSET_STATES "
+          "' must be NAME:DEADLINE_MS:PRODUCT_STATES "
           "(empty fields mean no limit)";
     return false;
   }
@@ -87,8 +82,7 @@ bool TenantBudgetTable::addSpec(const std::string &Spec, std::string &Err) {
   }
   TenantBudget B;
   if (!parseField(Fields[1], B.DeadlineMs, Err) ||
-      !parseField(Fields[2], B.MaxProductStates, Err) ||
-      !parseField(Fields[3], B.MaxSubsetStates, Err))
+      !parseField(Fields[2], B.MaxProductStates, Err))
     return false;
   if (Fields[0] == "*") {
     if (HaveDefault) {

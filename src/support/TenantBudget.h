@@ -32,11 +32,9 @@ struct TenantBudget {
 
   uint64_t DeadlineMs = NoLimit;
   uint64_t MaxProductStates = NoLimit;
-  uint64_t MaxSubsetStates = NoLimit;
 
   bool unlimited() const {
-    return DeadlineMs == NoLimit && MaxProductStates == NoLimit &&
-           MaxSubsetStates == NoLimit;
+    return DeadlineMs == NoLimit && MaxProductStates == NoLimit;
   }
 
   /// Field-wise minimum (NoLimit = identity).
@@ -44,8 +42,8 @@ struct TenantBudget {
 
   /// The fields by their susd request-parameter names; susc spells the
   /// same names as flags (--deadline-ms, ...).
-  static constexpr const char *FieldNames[] = {
-      "deadline_ms", "max_product_states", "max_subset_states"};
+  static constexpr const char *FieldNames[] = {"deadline_ms",
+                                               "max_product_states"};
 
   /// The field named \p Name (one of FieldNames), or null.
   uint64_t *field(std::string_view Name);
@@ -61,11 +59,11 @@ struct TenantBudget {
 /// admission).
 class TenantBudgetTable {
 public:
-  /// Parses one "NAME:DEADLINE_MS:PRODUCT_STATES:SUBSET_STATES" spec.
-  /// Empty fields mean "no limit" ("web:100::" caps only the deadline);
-  /// the name "*" sets the default budget for unlisted tenants. Returns
-  /// false with a one-line diagnostic in \p Err on a malformed spec
-  /// (missing fields, non-numeric values, duplicate tenant).
+  /// Parses one "NAME:DEADLINE_MS:PRODUCT_STATES" spec. Empty fields
+  /// mean "no limit" ("web:100:" caps only the deadline); the name "*"
+  /// sets the default budget for unlisted tenants. Returns false with a
+  /// one-line diagnostic in \p Err on a malformed spec (missing fields,
+  /// non-numeric values, duplicate tenant).
   bool addSpec(const std::string &Spec, std::string &Err);
 
   /// The budget of \p Tenant: its own row, else the "*" default, else

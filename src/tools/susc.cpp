@@ -102,8 +102,6 @@ void printUsage(std::ostream &OS) {
         "                   not reached in time are Inconclusive(resource)\n"
         "  --max-product-states N  per-check state budget for product /\n"
         "                   emptiness explorations\n"
-        "  --max-subset-states N   per-check state budget for subset\n"
-        "                   construction (determinization)\n"
         "  --max-states N   state cap for --explore (default 262144)\n"
         "  --trace-out F    write a Chrome trace_event JSON span trace to F\n"
         "  --metrics-out F  write pipeline metrics JSON (sus-metrics-v1) to F\n"
@@ -137,7 +135,7 @@ void printPlanUsage(std::ostream &OS) {
         "                   service, repairing the reports incrementally\n"
         "                   and reporting p50/p99 repair latency\n"
         "  --seed N         seed for the churn picks (default 1)\n"
-        "  --deadline-ms N / --max-product-states N / --max-subset-states N\n"
+        "  --deadline-ms N / --max-product-states N\n"
         "                   resource budgets; cut-short repairs are\n"
         "                   Inconclusive(resource), never wrong\n"
         "  --trace-out F    write a Chrome trace_event JSON span trace to F\n"
@@ -184,10 +182,9 @@ bool parseCountValue(const std::string &Flag, const std::string &Value,
   return true;
 }
 
-/// Consumes a resource-budget flag (--deadline-ms, --max-product-states,
-/// --max-subset-states: the TenantBudget field names as flags) into
-/// \p Budget. std::nullopt when \p Arg is no budget flag, else whether
-/// its value parsed.
+/// Consumes a resource-budget flag (--deadline-ms, --max-product-states:
+/// the TenantBudget field names as flags) into \p Budget. std::nullopt
+/// when \p Arg is no budget flag, else whether its value parsed.
 std::optional<bool> takeBudgetFlag(int Argc, char **Argv, int &I,
                                    const std::string &Arg,
                                    TenantBudget &Budget) {
@@ -847,8 +844,8 @@ void printConnectUsage(std::ostream &OS) {
         "  the daemon returns (the plain susc exit contract)\n"
         "  verbs: ping, stats, verify, lint, churn, snapshot, shutdown\n"
         "  common keys: client=NAME plan=NAME tenant=NAME deadline_ms=N\n"
-        "               max_product_states=N max_subset_states=N\n"
-        "               rounds=N seed=N file=PATH enumerate=0\n";
+        "               max_product_states=N rounds=N seed=N file=PATH\n"
+        "               enumerate=0\n";
 }
 
 int runConnect(int Argc, char **Argv) {

@@ -63,7 +63,7 @@ void printUsage(std::ostream &OS) {
         "                      (one-shot) / before serving (daemon)\n"
         "  --workers N         connection-handling threads (default 2)\n"
         "  --no-index          disable the ServiceIndex\n"
-        "  --tenant SPEC       per-tenant budget NAME:DL_MS:PROD:SUB\n"
+        "  --tenant SPEC       per-tenant budget NAME:DL_MS:PROD\n"
         "                      (empty fields = no limit; NAME '*' sets the\n"
         "                      default; repeatable)\n"
         "exit codes: one-shot verify verdict (0/1/3), 0 on clean daemon\n"

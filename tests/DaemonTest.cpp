@@ -21,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -257,13 +259,13 @@ TEST(ConnectionReader, DeadlineExpiresOnASilentPeer) {
 TEST(TenantBudgets, SpecsParseAndDefaultApplies) {
   TenantBudgetTable T;
   std::string Err;
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
-  ASSERT_TRUE(T.addSpec("batch::50000:4096", Err)) << Err;
-  ASSERT_TRUE(T.addSpec("*:5000::", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("batch::50000", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("*:5000:", Err)) << Err;
   EXPECT_EQ(T.lookup("web").DeadlineMs, 100u);
   EXPECT_EQ(T.lookup("web").MaxProductStates, TenantBudget::NoLimit);
+  EXPECT_EQ(T.lookup("batch").DeadlineMs, TenantBudget::NoLimit);
   EXPECT_EQ(T.lookup("batch").MaxProductStates, 50000u);
-  EXPECT_EQ(T.lookup("batch").MaxSubsetStates, 4096u);
   // Unlisted tenants inherit the "*" default.
   EXPECT_EQ(T.lookup("someone-else").DeadlineMs, 5000u);
 }
@@ -272,12 +274,14 @@ TEST(TenantBudgets, MalformedSpecsAreDiagnosed) {
   TenantBudgetTable T;
   std::string Err;
   EXPECT_FALSE(T.addSpec("", Err));
-  EXPECT_FALSE(T.addSpec("web:100", Err));        // Too few fields.
-  EXPECT_FALSE(T.addSpec("web:100:::extra", Err)); // Too many fields.
-  EXPECT_FALSE(T.addSpec("web:abc::", Err));      // Non-numeric.
-  EXPECT_FALSE(T.addSpec(":100::", Err));         // Empty name.
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
-  EXPECT_FALSE(T.addSpec("web:200::", Err));      // Duplicate tenant.
+  EXPECT_FALSE(T.addSpec("web:100", Err));      // Too few fields.
+  EXPECT_FALSE(T.addSpec("web:100:1:2", Err));  // Too many fields.
+  EXPECT_NE(Err.find("NAME:DEADLINE_MS:PRODUCT_STATES"), std::string::npos)
+      << Err;
+  EXPECT_FALSE(T.addSpec("web:abc:", Err));     // Non-numeric.
+  EXPECT_FALSE(T.addSpec(":100:", Err));        // Empty name.
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
+  EXPECT_FALSE(T.addSpec("web:200:", Err));     // Duplicate tenant.
   EXPECT_FALSE(Err.empty());
 }
 
@@ -290,7 +294,6 @@ TEST(TenantBudgets, OverridesCombineByMinimum) {
   TenantBudget Combined = Tenant.min(Override);
   EXPECT_EQ(Combined.DeadlineMs, 100u);
   EXPECT_EQ(Combined.MaxProductStates, 7u); // ...but can add a new one.
-  EXPECT_EQ(Combined.MaxSubsetStates, TenantBudget::NoLimit);
 
   Override.DeadlineMs = 5; // A tighter request wins.
   EXPECT_EQ(Tenant.min(Override).DeadlineMs, 5u);
@@ -299,7 +302,7 @@ TEST(TenantBudgets, OverridesCombineByMinimum) {
 TEST(TenantBudgets, GovernorOnlyArmsWhenLimited) {
   TenantBudgetTable T;
   std::string Err;
-  ASSERT_TRUE(T.addSpec("web:100::", Err)) << Err;
+  ASSERT_TRUE(T.addSpec("web:100:", Err)) << Err;
   EXPECT_EQ(T.governorFor("anyone", TenantBudget()), nullptr);
   EXPECT_NE(T.governorFor("web", TenantBudget()), nullptr);
   TenantBudget Override;
@@ -650,6 +653,37 @@ TEST(Engine, SnapshotSavedTwiceLeavesOneLoadableFile) {
   auto Fresh = makeEngine();
   std::string Err;
   EXPECT_TRUE(Fresh->loadSnapshotBytes(Bytes.str(), Err)) << Err;
+}
+
+TEST(Engine, SaveSweepsTempFilesOfDeadWritersOnly) {
+  // A pid that no longer runs: a child that has exited and been reaped.
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0)
+    ::_exit(0);
+  ASSERT_EQ(::waitpid(Child, nullptr, 0), Child);
+  std::string Dead = std::to_string(Child);
+  std::string Self = std::to_string(::getpid());
+
+  ScratchDir Dir;
+  std::vector<std::string> Kept = {
+      "cache.snap.tmp." + Self + ".999999", // A live writer's save.
+      "cache.snap.tmp.x.0",                 // Not the writer's name.
+      "other.snap.tmp." + Dead + ".0",      // Another target's temp.
+  };
+  for (const std::string &Name :
+       {Kept[0], Kept[1], Kept[2], "cache.snap.tmp." + Dead + ".3"})
+    std::ofstream(Dir.Path / Name) << "partial";
+
+  std::string Err;
+  ASSERT_TRUE(core::writeFileAtomic((Dir.Path / "cache.snap").string(),
+                                    "bytes", Err))
+      << Err;
+  Kept.push_back("cache.snap");
+  std::vector<std::string> Left = Dir.entries();
+  std::sort(Left.begin(), Left.end());
+  std::sort(Kept.begin(), Kept.end());
+  EXPECT_EQ(Left, Kept);
 }
 
 TEST(Engine, SnapshotIntoAMissingDirectoryCreatesNothing) {

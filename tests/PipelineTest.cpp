@@ -170,7 +170,6 @@ TEST_F(PipelineTest, UnhitGovernorKeepsParallelReportsBitForBit) {
   VerifierOptions Governed;
   Governed.Governor = std::make_shared<ResourceGovernor>();
   Governed.Governor->setDeadlineAfterMillis(60000);
-  Governed.Governor->setLimit(ResourceKind::SubsetStates, 1u << 20);
   Governed.Governor->setLimit(ResourceKind::ProductStates, 1u << 20);
 
   for (const auto &[Client, Loc] :
