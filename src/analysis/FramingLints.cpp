@@ -17,10 +17,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ExprWalk.h"
 #include "analysis/Lint.h"
 
 #include "automata/Ops.h"
+#include "hist/Walk.h"
 #include "plan/PlanEnumerator.h"
 #include "policy/Compile.h"
 #include "validity/StaticValidity.h"
@@ -78,19 +78,20 @@ public:
     for (const BehaviorRef &B : allBehaviors(File)) {
       SourceLoc Loc = LC.declLoc(
           B.IsService ? File.ServiceLocs : File.ClientLocs, B.Name);
-      walkExpr(B.Body, [&](const hist::Expr *E) {
+      hist::walk(B.Body, [&](const hist::Expr *E) {
         const hist::PolicyRef *Ref = nullptr;
         if (const auto *F = dyn_cast<hist::FramingExpr>(E))
           Ref = &F->policy();
         else if (const auto *R = dyn_cast<hist::RequestExpr>(E))
           Ref = &R->policy();
         if (!Ref || Ref->isTrivial() || !IsVacuous(*Ref))
-          return;
+          return true;
         LC.emit(id(), category(), Loc,
                 "framing of policy '" + Ref->str(In) + "' in '" +
                     std::string(In.text(B.Name)) +
                     "' is vacuous: no sequence of events occurring in "
                     "this file can violate it");
+        return true;
       });
     }
   }

@@ -18,11 +18,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ExprWalk.h"
 #include "analysis/Lint.h"
 
 #include "hist/Derive.h"
 #include "hist/Printer.h"
+#include "hist/Walk.h"
 #include "hist/WellFormed.h"
 
 #include <string>
@@ -92,17 +92,17 @@ public:
     for (const BehaviorRef &B : allBehaviors(LC.file())) {
       SourceLoc Loc = LC.declLoc(
           B.IsService ? LC.file().ServiceLocs : LC.file().ClientLocs, B.Name);
-      walkExpr(B.Body, [&](const hist::Expr *E) {
+      hist::walk(B.Body, [&](const hist::Expr *E) {
         const auto *S = dyn_cast<hist::SeqExpr>(E);
         if (!S)
-          return;
+          return true;
         // A head with free recursion variables cannot be analysed on its
         // own (free variables are stuck, not looping): skip it.
         if (!hist::isWellFormed(Ctx, S->head()))
-          return;
+          return true;
         if (canTerminate(Ctx, S->head(), LC.options().MaxDeriveStates,
                          Memo) != Termination::No)
-          return;
+          return true;
         Diagnostic *D = LC.emit(
             id(), category(), Loc,
             "in '" + std::string(In.text(B.Name)) + "', the behaviour after "
@@ -111,6 +111,7 @@ public:
         if (D)
           D->note(SourceLoc{0, 0, LC.fileName()},
                   "unreachable: '" + renderShort(Ctx, S->tail()) + "'");
+        return true;
       });
     }
   }
@@ -133,17 +134,18 @@ public:
     for (const BehaviorRef &B : allBehaviors(LC.file())) {
       SourceLoc Loc = LC.declLoc(
           B.IsService ? LC.file().ServiceLocs : LC.file().ClientLocs, B.Name);
-      walkExpr(B.Body, [&](const hist::Expr *E) {
+      hist::walk(B.Body, [&](const hist::Expr *E) {
         const auto *Mu = dyn_cast<hist::MuExpr>(E);
         if (!Mu || !hist::isWellFormed(Ctx, Mu))
-          return;
+          return true;
         if (canTerminate(Ctx, Mu, LC.options().MaxDeriveStates, Memo) !=
             Termination::No)
-          return;
+          return true;
         LC.emit(id(), category(), Loc,
                 "in '" + std::string(In.text(B.Name)) + "', recursion 'mu " +
                     std::string(In.text(Mu->var())) +
                     "' never terminates: no branch leads out of the loop");
+        return true;
       });
     }
   }
@@ -165,10 +167,10 @@ public:
     for (const BehaviorRef &B : allBehaviors(LC.file())) {
       SourceLoc Loc = LC.declLoc(
           B.IsService ? LC.file().ServiceLocs : LC.file().ClientLocs, B.Name);
-      walkExpr(B.Body, [&](const hist::Expr *E) {
+      hist::walk(B.Body, [&](const hist::Expr *E) {
         const auto *C = dyn_cast<hist::ChoiceExpr>(E);
         if (!C)
-          return;
+          return true;
         const auto &Branches = C->branches();
         for (size_t I = 0; I + 1 < Branches.size(); ++I) {
           // Branches are kept in canonical order, so equal guards are
@@ -183,6 +185,7 @@ public:
                       Branches[I].Guard.str(In) +
                       "': the branch taken is ambiguous");
         }
+        return true;
       });
     }
   }

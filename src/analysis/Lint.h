@@ -111,6 +111,24 @@ public:
   virtual void run(LintContext &LC) const = 0;
 };
 
+/// One declared behaviour of a file, with its name.
+struct BehaviorRef {
+  Symbol Name;
+  const hist::Expr *Body;
+  bool IsService;
+};
+
+/// Every declared behaviour of \p File: services first (repository
+/// order), then clients (declaration order).
+inline std::vector<BehaviorRef> allBehaviors(const syntax::SusFile &File) {
+  std::vector<BehaviorRef> Out;
+  for (const auto &[Loc, Service] : File.Repo.services())
+    Out.push_back({Loc, Service, true});
+  for (const auto &[Name, Client] : File.Clients)
+    Out.push_back({Name, Client, false});
+  return Out;
+}
+
 /// Every registered pass, in the fixed registration order the passes run
 /// in (policy hygiene, then framing, then history, then plan checks).
 const std::vector<const LintPass *> &allLintPasses();

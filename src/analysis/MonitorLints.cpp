@@ -16,9 +16,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ExprWalk.h"
 #include "analysis/Lint.h"
 
+#include "hist/Walk.h"
 #include "policy/UsageAutomaton.h"
 
 #include <set>
@@ -53,7 +53,7 @@ public:
     // Unframed policies are not monitored, so escape edges there are inert.
     std::set<Symbol> Framed;
     for (const BehaviorRef &B : allBehaviors(File))
-      walkExpr(B.Body, [&](const hist::Expr *E) {
+      hist::walk(B.Body, [&](const hist::Expr *E) {
         if (const auto *F = dyn_cast<hist::FramingExpr>(E))
           Framed.insert(F->policy().Name);
         else if (const auto *R = dyn_cast<hist::RequestExpr>(E))
@@ -62,6 +62,7 @@ public:
           Framed.insert(FO->policy().Name);
         else if (const auto *FC = dyn_cast<hist::FrameCloseExpr>(E))
           Framed.insert(FC->policy().Name);
+        return true;
       });
 
     for (Symbol Name : Framed) {

@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/ExprWalk.h"
 #include "analysis/Lint.h"
 
 #include "contract/Compliance.h"

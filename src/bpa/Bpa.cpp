@@ -44,8 +44,20 @@ const Term *BpaContext::seq(const Term *Lhs, const Term *Rhs) {
     return Rhs;
   if (Rhs->isNil())
     return Lhs;
-  if (const auto *S = dyn_cast<SeqTerm>(Lhs))
-    return seq(S->left(), seq(S->right(), Rhs));
+  // Keep sequences right-nested: (p·q)·r = p·(q·r). The left operand is
+  // itself right-nested, so walk its spine once and re-cons it onto Rhs
+  // from the back; every element is a non-sequence, so no call recurses.
+  if (isa<SeqTerm>(Lhs)) {
+    std::vector<const Term *> Spine;
+    while (const auto *S = dyn_cast<SeqTerm>(Lhs)) {
+      Spine.push_back(S->left());
+      Lhs = S->right();
+    }
+    Rhs = seq(Lhs, Rhs);
+    for (auto It = Spine.rbegin(); It != Spine.rend(); ++It)
+      Rhs = seq(*It, Rhs);
+    return Rhs;
+  }
   std::vector<uint64_t> Key = {static_cast<uint64_t>(TermKind::Seq),
                                reinterpret_cast<uint64_t>(Lhs),
                                reinterpret_cast<uint64_t>(Rhs)};

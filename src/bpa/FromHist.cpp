@@ -2,6 +2,7 @@
 
 #include "bpa/FromHist.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <deque>
@@ -51,8 +52,15 @@ public:
     case ExprKind::Event:
       return Bpa.action(Label::event(cast<EventExpr>(E)->event()));
     case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      return Bpa.seq(visit(S->head()), visit(S->tail()));
+      // Translated from the back, the last term first, in the order the
+      // right-nested BPA chain is built.
+      std::vector<const Expr *> Heads;
+      const Expr *Last = forEachHead(
+          E, [&](const SeqExpr *S) { Heads.push_back(S->head()); });
+      const Term *Result = visit(Last);
+      for (auto It = Heads.rbegin(); It != Heads.rend(); ++It)
+        Result = Bpa.seq(visit(*It), Result);
+      return Result;
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {

@@ -89,7 +89,7 @@ ComplianceProduct::ComplianceProduct(HistContext &Ctx, const Expr *Client,
     }
     if (Gov) {
       if (std::optional<ResourceExhausted> E =
-              Gov->charge(ResourceKind::ProductStates, States.size() + 1)) {
+              Gov->chargeProductStates(States.size() + 1)) {
         Exhausted = E;
         Complete = false;
         return std::nullopt;

@@ -2,6 +2,7 @@
 
 #include "contract/Dual.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <cassert>
@@ -18,12 +19,11 @@ public:
   explicit Dualizer(HistContext &Ctx) : Ctx(Ctx) {}
 
   const Expr *visit(const Expr *E) {
-    auto It = Memo.find(E);
-    if (It != Memo.end())
-      return It->second;
-    const Expr *Result = compute(E);
-    Memo.emplace(E, Result);
-    return Result;
+    return foldSpine(
+        E, Memo, [this](const Expr *X) { return compute(X); },
+        [this](const SeqExpr *, const Expr *Head, const Expr *Tail) {
+          return Ctx.seq(Head, Tail);
+        });
   }
 
 private:
@@ -31,14 +31,11 @@ private:
     switch (E->kind()) {
     case ExprKind::Empty:
     case ExprKind::Var:
+    case ExprKind::Seq: // Never reached: foldSpine rebuilds sequences.
       return E;
     case ExprKind::Mu: {
       const auto *M = cast<MuExpr>(E);
       return Ctx.mu(M->var(), visit(M->body()));
-    }
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      return Ctx.seq(visit(S->head()), visit(S->tail()));
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {

@@ -3,58 +3,28 @@
 #include "contract/Prescreen.h"
 
 #include "contract/Project.h"
+#include "hist/Walk.h"
 #include "support/Casting.h"
-
-#include <unordered_set>
 
 using namespace sus;
 using namespace sus::hist;
 using namespace sus::contract;
 
-namespace {
-
-/// Collects every choice guard occurring anywhere in a contract. Nodes are
-/// hash-consed, so a visited set makes the walk linear in *distinct*
-/// subterms even when branches share continuations.
-void collectAlphabet(const Expr *E, std::set<CommAction> &Out,
-                     std::unordered_set<const Expr *> &Visited) {
-  if (!E || !Visited.insert(E).second)
-    return;
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-    return;
-  case ExprKind::Mu:
-    collectAlphabet(cast<MuExpr>(E)->body(), Out, Visited);
-    return;
-  case ExprKind::Seq:
-    collectAlphabet(cast<SeqExpr>(E)->head(), Out, Visited);
-    collectAlphabet(cast<SeqExpr>(E)->tail(), Out, Visited);
-    return;
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches()) {
-      Out.insert(B.Guard);
-      collectAlphabet(B.Body, Out, Visited);
-    }
-    return;
-  default:
-    // Not in the contract fragment; the caller checked isContract first,
-    // so this is unreachable — but stay conservative if it ever isn't.
-    return;
-  }
-}
-
-} // namespace
-
 ContractSummary sus::contract::summarizeProjection(const Expr *Contract) {
   ContractSummary Summary;
-  if (!isContract(Contract))
-    return Summary; // Screenable stays false: "anything goes".
+  // One walk checks the contract fragment and collects every choice guard.
+  bool InFragment = true;
+  walk(Contract, [&](const Expr *E) {
+    if (const auto *C = dyn_cast<ChoiceExpr>(E))
+      for (const ChoiceBranch &B : C->branches())
+        Summary.Alphabet.insert(B.Guard);
+    InFragment = InFragment && inContractFragment(E);
+    return InFragment;
+  });
+  if (!InFragment)
+    return {}; // Screenable stays false: "anything goes".
   Summary.Screenable = true;
   Summary.InitialSets = readySets(Contract);
-  std::unordered_set<const Expr *> Visited;
-  collectAlphabet(Contract, Summary.Alphabet, Visited);
   for (const ReadySet &S : Summary.InitialSets) {
     if (S.empty())
       continue;

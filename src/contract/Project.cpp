@@ -2,6 +2,7 @@
 
 #include "contract/Project.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 #include "support/Trace.h"
 
@@ -18,12 +19,12 @@ public:
   explicit Projector(HistContext &Ctx) : Ctx(Ctx) {}
 
   const Expr *visit(const Expr *E) {
-    auto It = Memo.find(E);
-    if (It != Memo.end())
-      return It->second;
-    const Expr *Result = compute(E);
-    Memo.emplace(E, Result);
-    return Result;
+    return foldSpine(
+        E, Memo, [this](const Expr *X) { return compute(X); },
+        [this](const SeqExpr *S, const Expr *Head, const Expr *Tail) {
+          return Head == S->head() && Tail == S->tail() ? S
+                                                        : Ctx.seq(Head, Tail);
+        });
   }
 
 private:
@@ -43,18 +44,12 @@ private:
     case ExprKind::FrameClose:
       return Ctx.empty();
     case ExprKind::Var:
+    case ExprKind::Seq: // Never reached: foldSpine rebuilds sequences.
       return E;
     case ExprKind::Mu: {
       const auto *M = cast<MuExpr>(E);
       const Expr *Body = visit(M->body());
       return Body == M->body() ? E : Ctx.mu(M->var(), Body);
-    }
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      const Expr *Head = visit(S->head());
-      const Expr *Tail = visit(S->tail());
-      return Head == S->head() && Tail == S->tail() ? E
-                                                    : Ctx.seq(Head, Tail);
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {
@@ -90,24 +85,15 @@ const Expr *sus::contract::project(HistContext &Ctx, const Expr *E) {
   return P.visit(E);
 }
 
-bool sus::contract::isContract(const Expr *E) {
+bool sus::contract::inContractFragment(const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Empty:
   case ExprKind::Var:
-    return true;
   case ExprKind::Mu:
-    return isContract(cast<MuExpr>(E)->body());
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    return isContract(S->head()) && isContract(S->tail());
-  }
+  case ExprKind::Seq:
   case ExprKind::ExtChoice:
-  case ExprKind::IntChoice: {
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      if (!isContract(B.Body))
-        return false;
+  case ExprKind::IntChoice:
     return true;
-  }
   case ExprKind::Event:
   case ExprKind::Request:
   case ExprKind::Framing:
@@ -117,4 +103,13 @@ bool sus::contract::isContract(const Expr *E) {
     return false;
   }
   return false;
+}
+
+bool sus::contract::isContract(const Expr *E) {
+  bool Contract = true;
+  walk(E, [&Contract](const Expr *X) {
+    Contract = Contract && inContractFragment(X);
+    return Contract;
+  });
+  return Contract;
 }

@@ -32,6 +32,10 @@ const hist::Expr *project(hist::HistContext &Ctx, const hist::Expr *E);
 /// ε, h, µh.H, Σ, ⊕ and sequential composition.
 bool isContract(const hist::Expr *E);
 
+/// True if the node \p E itself is one of those forms (its children need
+/// not be).
+bool inContractFragment(const hist::Expr *E);
+
 } // namespace contract
 } // namespace sus
 

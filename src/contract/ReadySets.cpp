@@ -2,6 +2,7 @@
 
 #include "contract/ReadySets.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -18,7 +19,10 @@ void dedupe(std::vector<ReadySet> &Sets) {
   Sets.erase(std::unique(Sets.begin(), Sets.end()), Sets.end());
 }
 
-std::vector<ReadySet> compute(const Expr *E) {
+std::vector<ReadySet> compute(const Expr *E);
+
+/// The ready sets of a term that is not a sequence.
+std::vector<ReadySet> termSets(const Expr *E) {
   switch (E->kind()) {
   case ExprKind::Empty:
   case ExprKind::Var:
@@ -44,24 +48,8 @@ std::vector<ReadySet> compute(const Expr *E) {
   case ExprKind::Mu:
     return compute(cast<MuExpr>(E)->body());
 
-  case ExprKind::Seq: {
-    const auto *Sq = cast<SeqExpr>(E);
-    std::vector<ReadySet> HeadSets = compute(Sq->head());
-    std::vector<ReadySet> Result;
-    bool HeadNullable = false;
-    for (ReadySet &S : HeadSets) {
-      if (S.empty())
-        HeadNullable = true;
-      else
-        Result.push_back(std::move(S));
-    }
-    if (HeadNullable) {
-      for (ReadySet &S : compute(Sq->tail()))
-        Result.push_back(std::move(S));
-    }
-    dedupe(Result);
-    return Result;
-  }
+  case ExprKind::Seq:
+    return compute(E);
 
   case ExprKind::Event:
   case ExprKind::Request:
@@ -73,6 +61,29 @@ std::vector<ReadySet> compute(const Expr *E) {
     return {ReadySet{}};
   }
   return {ReadySet{}};
+}
+
+/// Along a `;` spine each head contributes its non-empty ready sets, and
+/// the next term is reached only while the heads so far may terminate.
+std::vector<ReadySet> compute(const Expr *E) {
+  if (!isa<SeqExpr>(E))
+    return termSets(E);
+  std::vector<ReadySet> Result;
+  E = forEachHead(E, [&](const SeqExpr *Sq) {
+    bool HeadNullable = false;
+    for (ReadySet &S : termSets(Sq->head())) {
+      if (S.empty())
+        HeadNullable = true;
+      else
+        Result.push_back(std::move(S));
+    }
+    return HeadNullable;
+  });
+  if (!isa<SeqExpr>(E)) // Every head may terminate: the last term is reached.
+    for (ReadySet &S : termSets(E))
+      Result.push_back(std::move(S));
+  dedupe(Result);
+  return Result;
 }
 
 } // namespace

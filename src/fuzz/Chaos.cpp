@@ -61,10 +61,10 @@ void soakClient(hist::HistContext &Ctx, const syntax::SusFile &File,
     std::thread Canceller;
     switch (Rng() % 4) {
     case 0:
-      Gov->setLimit(ResourceKind::ProductStates, 1 + Rng() % 8);
+      Gov->setProductLimit(1 + Rng() % 8);
       break;
     case 1:
-      Gov->setLimit(ResourceKind::ProductStates, 1 + Rng() % 64);
+      Gov->setProductLimit(1 + Rng() % 64);
       break;
     case 2:
       Gov->setDeadlineAfterMillis(0); // Trips the very first poll.

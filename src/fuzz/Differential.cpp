@@ -14,6 +14,7 @@
 #include "hist/HistContext.h"
 #include "hist/Printer.h"
 #include "hist/TraceEquiv.h"
+#include "hist/Walk.h"
 #include "hist/WellFormed.h"
 #include "monitor/Fused.h"
 #include "monitor/SessionMonitor.h"
@@ -88,31 +89,18 @@ void wellFormedOracle(hist::HistContext &Ctx, const syntax::SusFile &File,
     return false;
   };
 
-  std::set<const hist::Expr *> Seen;
-  std::vector<const hist::Expr *> Work = allBehaviors(File);
-  while (!Work.empty()) {
-    const hist::Expr *E = Work.back();
-    Work.pop_back();
-    if (!Seen.insert(E).second)
-      continue;
-    const hist::Expr *Closed = E;
-    if (const hist::FreeVarSet *Free = E->freeVars())
-      for (const hist::FreeVarSet::Entry &V : Free->entries())
-        Closed = Ctx.mu(V.Var, Closed);
-    if (!Agree(E) || !Agree(Closed))
-      return;
-    if (const auto *M = dyn_cast<hist::MuExpr>(E))
-      Work.push_back(M->body());
-    else if (const auto *S = dyn_cast<hist::SeqExpr>(E))
-      Work.insert(Work.end(), {S->head(), S->tail()});
-    else if (const auto *C = dyn_cast<hist::ChoiceExpr>(E))
-      for (const hist::ChoiceBranch &B : C->branches())
-        Work.push_back(B.Body);
-    else if (const auto *R = dyn_cast<hist::RequestExpr>(E))
-      Work.push_back(R->body());
-    else if (const auto *F = dyn_cast<hist::FramingExpr>(E))
-      Work.push_back(F->body());
-  }
+  bool Agreed = true;
+  for (const hist::Expr *B : allBehaviors(File))
+    hist::walk(B, [&](const hist::Expr *E) {
+      if (!Agreed)
+        return false;
+      const hist::Expr *Closed = E;
+      if (const hist::FreeVarSet *Free = E->freeVars())
+        for (const hist::FreeVarSet::Entry &V : Free->entries())
+          Closed = Ctx.mu(V.Var, Closed);
+      Agreed = Agree(E) && Agree(Closed);
+      return Agreed;
+    });
 }
 
 /// Oracle 1: the product-automaton compliance checker (Thm. 1) and the

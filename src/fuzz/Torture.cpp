@@ -148,6 +148,12 @@ std::vector<Divergence> sus::fuzz::parserTorture() {
               "a choice operand with a 1500-term seq spine");
   B.mustParse(Via::Hist, "%e" + repeat("; %e", 5000),
               "a flat 5000-term sequence");
+  B.mustParse(Via::Hist, "%e" + repeat("; %e", 99999),
+              "a flat 100000-term sequence");
+  B.mustParse(Via::File,
+              "service s { %e" + repeat("; %e", 99999) +
+                  " }\nclient c { open 1 { eps } }",
+              "a service whose body is a flat 100000-term sequence");
 
   // --- Seeded token soup through all three parsers: any outcome is fine,
   // crashing is not (a crash kills the process; sanitizer legs catch

@@ -2,6 +2,7 @@
 
 #include "hist/HistContext.h"
 
+#include "hist/Walk.h"
 #include "support/HashUtil.h"
 
 #include <algorithm>
@@ -224,11 +225,9 @@ const Expr *HistContext::seq(const Expr *Head, const Expr *Tail) {
   // the back; every element is a non-sequence, so no call recurses here.
   if (isa<SeqExpr>(Head)) {
     size_t Base = SpineScratch.size();
-    while (const auto *HeadSeq = dyn_cast<SeqExpr>(Head)) {
-      SpineScratch.push_back(HeadSeq->head());
-      Head = HeadSeq->tail();
-    }
-    SpineScratch.push_back(Head);
+    const Expr *Last = forEachHead(
+        Head, [this](const SeqExpr *S) { SpineScratch.push_back(S->head()); });
+    SpineScratch.push_back(Last);
     while (SpineScratch.size() > Base) {
       const Expr *Part = SpineScratch.back();
       SpineScratch.pop_back();
@@ -472,19 +471,18 @@ const Expr *HistContext::frameClose(PolicyRef Policy) {
 
 namespace {
 
-/// Recursive substitution with per-call memoization; shadowing µs stop it.
+/// Substitution with per-call memoization; shadowing µs stop it.
 class Substituter {
 public:
   Substituter(HistContext &Ctx, Symbol Var, const Expr *Replacement)
       : Ctx(Ctx), Var(Var), Replacement(Replacement) {}
 
   const Expr *visit(const Expr *E) {
-    auto It = Memo.find(E);
-    if (It != Memo.end())
-      return It->second;
-    const Expr *Result = compute(E);
-    Memo.emplace(E, Result);
-    return Result;
+    return foldSpine(
+        E, Memo, [this](const Expr *X) { return compute(X); },
+        [this](const SeqExpr *, const Expr *Head, const Expr *Tail) {
+          return Ctx.seq(Head, Tail);
+        });
   }
 
 private:
@@ -495,6 +493,7 @@ private:
     case ExprKind::CloseMark:
     case ExprKind::FrameOpen:
     case ExprKind::FrameClose:
+    case ExprKind::Seq: // Never reached: foldSpine rebuilds sequences.
       return E;
     case ExprKind::Var:
       return cast<VarExpr>(E)->name() == Var ? Replacement : E;
@@ -503,10 +502,6 @@ private:
       if (M->var() == Var)
         return E; // Shadowed.
       return Ctx.mu(M->var(), visit(M->body()));
-    }
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      return Ctx.seq(visit(S->head()), visit(S->tail()));
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {

@@ -2,6 +2,7 @@
 
 #include "hist/Printer.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 #include "support/DotWriter.h"
 
@@ -110,12 +111,13 @@ private:
       return;
     }
     case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      print(S->head(), LevelPrefix, Out);
-      Out += "; ";
-      // Sequences are right-nested; print the tail at seq level so chains
-      // render flat.
-      print(S->tail(), LevelSeq, Out);
+      // Sequences are right-nested; print the last term at seq level so
+      // chains render flat.
+      const Expr *Last = forEachHead(E, [&](const SeqExpr *S) {
+        print(S->head(), LevelPrefix, Out);
+        Out += "; ";
+      });
+      print(Last, LevelSeq, Out);
       return;
     }
     case ExprKind::ExtChoice:

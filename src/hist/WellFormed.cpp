@@ -2,6 +2,7 @@
 
 #include "hist/WellFormed.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -23,6 +24,8 @@ namespace {
 /// communication action before terminating or recurring. Used to decide
 /// whether a sequence tail is comm-guarded by its head.
 bool definitelyCommunicates(const Expr *E) {
+  E = forEachHead(
+      E, [](const SeqExpr *S) { return !definitelyCommunicates(S->head()); });
   switch (E->kind()) {
   case ExprKind::Empty:
   case ExprKind::Var:
@@ -33,12 +36,8 @@ bool definitelyCommunicates(const Expr *E) {
     return false;
   case ExprKind::ExtChoice:
   case ExprKind::IntChoice:
+  case ExprKind::Seq: // forEachHead stopped at a head that communicates.
     return true;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    return definitelyCommunicates(S->head()) ||
-           definitelyCommunicates(S->tail());
-  }
   case ExprKind::Mu:
     return definitelyCommunicates(cast<MuExpr>(E)->body());
   case ExprKind::Request:
@@ -59,7 +58,15 @@ public:
   /// in-scope µ-variables.
   void visit(const Expr *E, std::set<Symbol> Bound,
              std::set<Symbol> TailOk, std::set<Symbol> Guarded) {
+    // Along a `;` spine nothing is in tail position inside a head, and
+    // the rest inherits guardedness once a head always communicates.
+    E = forEachHead(E, [&](const SeqExpr *S) {
+      visit(S->head(), Bound, {}, Guarded);
+      if (definitelyCommunicates(S->head()))
+        Guarded = Bound;
+    });
     switch (E->kind()) {
+    case ExprKind::Seq: // Never reached: forEachHead walked the spine.
     case ExprKind::Empty:
     case ExprKind::Event:
     case ExprKind::CloseMark:
@@ -89,19 +96,6 @@ public:
       Guarded.erase(M->var());
       visit(M->body(), std::move(Bound), std::move(TailOk),
             std::move(Guarded));
-      return;
-    }
-
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      // Nothing is in tail position inside the head.
-      visit(S->head(), Bound, {}, Guarded);
-      // The tail inherits guardedness if the head always communicates.
-      std::set<Symbol> TailGuarded = Guarded;
-      if (definitelyCommunicates(S->head()))
-        TailGuarded = Bound;
-      visit(S->tail(), std::move(Bound), std::move(TailOk),
-            std::move(TailGuarded));
       return;
     }
 

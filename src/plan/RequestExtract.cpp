@@ -2,9 +2,8 @@
 
 #include "plan/RequestExtract.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
-
-#include <unordered_set>
 
 using namespace sus;
 using namespace sus::hist;
@@ -12,57 +11,26 @@ using namespace sus::plan;
 
 namespace {
 
-void collect(const Expr *E, bool Recurse, std::vector<RequestSite> &Out,
-             std::unordered_set<const Expr *> &Seen) {
-  if (!Seen.insert(E).second)
-    return;
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Event:
-  case ExprKind::CloseMark:
-  case ExprKind::FrameOpen:
-  case ExprKind::FrameClose:
-    return;
-  case ExprKind::Mu:
-    collect(cast<MuExpr>(E)->body(), Recurse, Out, Seen);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collect(S->head(), Recurse, Out, Seen);
-    collect(S->tail(), Recurse, Out, Seen);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collect(B.Body, Recurse, Out, Seen);
-    return;
-  case ExprKind::Request: {
-    const auto *R = cast<RequestExpr>(E);
+/// The request sites of \p E in first-occurrence order; \p Nested says
+/// whether to look inside request bodies.
+std::vector<RequestSite> collect(const Expr *E, bool Nested) {
+  std::vector<RequestSite> Out;
+  walk(E, [&](const Expr *X) {
+    const auto *R = dyn_cast<RequestExpr>(X);
+    if (!R)
+      return true;
     Out.push_back(RequestSite{R});
-    if (Recurse)
-      collect(R->body(), Recurse, Out, Seen);
-    return;
-  }
-  case ExprKind::Framing:
-    collect(cast<FramingExpr>(E)->body(), Recurse, Out, Seen);
-    return;
-  }
+    return Nested;
+  });
+  return Out;
 }
 
 } // namespace
 
 std::vector<RequestSite> sus::plan::extractRequests(const Expr *E) {
-  std::vector<RequestSite> Out;
-  std::unordered_set<const Expr *> Seen;
-  collect(E, /*Recurse=*/true, Out, Seen);
-  return Out;
+  return collect(E, /*Nested=*/true);
 }
 
 std::vector<RequestSite> sus::plan::extractTopLevelRequests(const Expr *E) {
-  std::vector<RequestSite> Out;
-  std::unordered_set<const Expr *> Seen;
-  collect(E, /*Recurse=*/false, Out, Seen);
-  return Out;
+  return collect(E, /*Nested=*/false);
 }

@@ -4,6 +4,7 @@
 
 #include "hist/Derive.h"
 #include "hist/Printer.h"
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <optional>
@@ -13,18 +14,6 @@ using namespace sus::hist;
 using namespace sus::plan;
 
 namespace {
-
-/// Φ(H): the ⌋ϕ markers pending along the sequential spine of H (the
-/// auxiliary function of rule Close).
-void pendingFrameCloses(const Expr *E, std::vector<PolicyRef> &Out) {
-  if (const auto *S = dyn_cast<SeqExpr>(E)) {
-    pendingFrameCloses(S->head(), Out);
-    pendingFrameCloses(S->tail(), Out);
-    return;
-  }
-  if (const auto *F = dyn_cast<FrameCloseExpr>(E))
-    Out.push_back(F->policy());
-}
 
 /// If E ≡ (⊕ᵢ āᵢ.Hᵢ)·K with more than one branch, returns the choice and
 /// the continuation K (unfolding a leading µ if needed).
@@ -141,11 +130,10 @@ void Enumerator::pairMoves(const SessionTree *Node, const SessionTree *X,
       Move M;
       M.K = Move::Kind::Close;
       M.NewTree = Trees.leaf(X->Location, TX.Target);
-      std::vector<PolicyRef> Pending;
-      pendingFrameCloses(Y->Behavior, Pending);
-      for (const PolicyRef &Ref : Pending)
-        if (!Ref.isTrivial())
-          M.HistoryAppend.push_back(Label::frameClose(Ref));
+      for (const PendingClose *P = Trees.pendingFrameCloses(Y->Behavior); P;
+           P = P->Next)
+        if (!P->Policy->isTrivial())
+          M.HistoryAppend.push_back(Label::frameClose(*P->Policy));
       if (!TX.L.policy().isTrivial())
         M.HistoryAppend.push_back(Label::frameClose(TX.L.policy()));
       M.Actor = X->Location;
@@ -196,6 +184,21 @@ void Enumerator::movesOf(const SessionTree *Node) {
 }
 
 } // namespace
+
+const PendingClose *SessionTreeFactory::pendingFrameCloses(const Expr *H) {
+  auto Own = [&](const Expr *Term) -> const PendingClose * {
+    const auto *F = dyn_cast<FrameCloseExpr>(Term);
+    return F ? Nodes.create<PendingClose>(PendingClose{&F->policy(), nullptr})
+             : nullptr;
+  };
+  // A head's own list is at most its one ⌋ϕ, put in front of the tail's.
+  auto Cons = [&](const SeqExpr *, const PendingClose *Head,
+                  const PendingClose *Tail) -> const PendingClose * {
+    return Head ? Nodes.create<PendingClose>(PendingClose{Head->Policy, Tail})
+                : Tail;
+  };
+  return foldSpine(H, Pending, Own, Cons);
+}
 
 std::string SessionTree::str(const HistContext &Ctx) const {
   if (IsLeaf)

@@ -26,6 +26,7 @@
 
 #include <array>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace sus {
@@ -47,7 +48,14 @@ struct SessionTree {
   std::string str(const hist::HistContext &Ctx) const;
 };
 
-/// Hash-conses session trees. Trees live as long as the factory.
+/// One ⌋ϕ of Φ(H), and the ones after it.
+struct PendingClose {
+  const hist::PolicyRef *Policy;
+  const PendingClose *Next;
+};
+
+/// Hash-conses session trees, and memoizes Φ for rule Close. Both live as
+/// long as the factory, which is one exploration.
 class SessionTreeFactory {
 public:
   const SessionTree *leaf(Loc L, const hist::Expr *H) {
@@ -56,6 +64,11 @@ public:
   const SessionTree *pair(const SessionTree *A, const SessionTree *B) {
     return intern({false, Loc(), nullptr, A, B});
   }
+
+  /// Φ(H): the ⌋ϕ markers along the `;` spine of H, front to back (null
+  /// when there are none). The lists of a chain's suffixes share their
+  /// cells, so every suffix is computed once however often it is asked.
+  const PendingClose *pendingFrameCloses(const hist::Expr *H);
 
 private:
   /// The node's fixed three-word key: a leaf is (ℓ, H), a pair (A, B).
@@ -93,9 +106,10 @@ private:
     return S;
   }
 
-  Arena Nodes;
+  Arena Nodes; ///< Trees and PendingClose cells.
   std::vector<const SessionTree *> Slots; ///< Power-of-two sized.
   size_t Count = 0;
+  std::unordered_map<const hist::Expr *, const PendingClose *> Pending;
 };
 
 /// One move of a session tree.

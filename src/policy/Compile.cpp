@@ -6,6 +6,7 @@
 #include "support/Trace.h"
 
 #include "automata/Ops.h"
+#include "hist/Walk.h"
 #include "support/Casting.h"
 #include "support/HashUtil.h"
 
@@ -95,90 +96,14 @@ bool sus::policy::equivalentOn(const PolicyInstance &A,
 
 namespace {
 
+/// Appends the events of \p E not in \p Out yet, in first-occurrence order.
 void collectEvents(const Expr *E, std::vector<hist::Event> &Out) {
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::CloseMark:
-  case ExprKind::FrameOpen:
-  case ExprKind::FrameClose:
-    return;
-  case ExprKind::Event: {
-    const hist::Event &Ev = cast<EventExpr>(E)->event();
-    if (std::find(Out.begin(), Out.end(), Ev) == Out.end())
-      Out.push_back(Ev);
-    return;
-  }
-  case ExprKind::Mu:
-    collectEvents(cast<MuExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collectEvents(S->head(), Out);
-    collectEvents(S->tail(), Out);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectEvents(B.Body, Out);
-    return;
-  case ExprKind::Request:
-    collectEvents(cast<RequestExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Framing:
-    collectEvents(cast<FramingExpr>(E)->body(), Out);
-    return;
-  }
-}
-
-void collectRefs(const Expr *E, std::vector<PolicyRef> &Out) {
-  auto Add = [&Out](const PolicyRef &Ref) {
-    if (!Ref.isTrivial() &&
-        std::find(Out.begin(), Out.end(), Ref) == Out.end())
-      Out.push_back(Ref);
-  };
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Event:
-    return;
-  case ExprKind::CloseMark:
-    Add(cast<CloseMarkExpr>(E)->policy());
-    return;
-  case ExprKind::FrameOpen:
-    Add(cast<FrameOpenExpr>(E)->policy());
-    return;
-  case ExprKind::FrameClose:
-    Add(cast<FrameCloseExpr>(E)->policy());
-    return;
-  case ExprKind::Mu:
-    collectRefs(cast<MuExpr>(E)->body(), Out);
-    return;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    collectRefs(S->head(), Out);
-    collectRefs(S->tail(), Out);
-    return;
-  }
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
-      collectRefs(B.Body, Out);
-    return;
-  case ExprKind::Request: {
-    const auto *R = cast<RequestExpr>(E);
-    Add(R->policy());
-    collectRefs(R->body(), Out);
-    return;
-  }
-  case ExprKind::Framing: {
-    const auto *F = cast<FramingExpr>(E);
-    Add(F->policy());
-    collectRefs(F->body(), Out);
-    return;
-  }
-  }
+  walk(E, [&Out](const Expr *X) {
+    if (const auto *V = dyn_cast<EventExpr>(X))
+      if (std::find(Out.begin(), Out.end(), V->event()) == Out.end())
+        Out.push_back(V->event());
+    return true;
+  });
 }
 
 } // namespace
@@ -201,6 +126,22 @@ std::vector<PolicyRef>
 sus::policy::policyRefs(const std::vector<const Expr *> &Exprs) {
   std::vector<PolicyRef> Out;
   for (const Expr *E : Exprs)
-    collectRefs(E, Out);
+    walk(E, [&Out](const Expr *X) {
+      const PolicyRef *Ref = nullptr;
+      if (const auto *R = dyn_cast<RequestExpr>(X))
+        Ref = &R->policy();
+      else if (const auto *F = dyn_cast<FramingExpr>(X))
+        Ref = &F->policy();
+      else if (const auto *C = dyn_cast<CloseMarkExpr>(X))
+        Ref = &C->policy();
+      else if (const auto *O = dyn_cast<FrameOpenExpr>(X))
+        Ref = &O->policy();
+      else if (const auto *K = dyn_cast<FrameCloseExpr>(X))
+        Ref = &K->policy();
+      if (Ref && !Ref->isTrivial() &&
+          std::find(Out.begin(), Out.end(), *Ref) == Out.end())
+        Out.push_back(*Ref);
+      return true;
+    });
   return Out;
 }

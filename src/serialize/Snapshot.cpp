@@ -2,6 +2,7 @@
 
 #include "serialize/Snapshot.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -61,33 +62,7 @@ uint32_t ExprEncoder::idOf(const Expr *E) {
       continue;
     }
     Stack.emplace_back(X, true);
-    switch (X->kind()) {
-    case ExprKind::Empty:
-    case ExprKind::Var:
-    case ExprKind::Event:
-    case ExprKind::CloseMark:
-    case ExprKind::FrameOpen:
-    case ExprKind::FrameClose:
-      break;
-    case ExprKind::Mu:
-      Stack.emplace_back(cast<MuExpr>(X)->body(), false);
-      break;
-    case ExprKind::Seq:
-      Stack.emplace_back(cast<SeqExpr>(X)->head(), false);
-      Stack.emplace_back(cast<SeqExpr>(X)->tail(), false);
-      break;
-    case ExprKind::ExtChoice:
-    case ExprKind::IntChoice:
-      for (const ChoiceBranch &B : cast<ChoiceExpr>(X)->branches())
-        Stack.emplace_back(B.Body, false);
-      break;
-    case ExprKind::Request:
-      Stack.emplace_back(cast<RequestExpr>(X)->body(), false);
-      break;
-    case ExprKind::Framing:
-      Stack.emplace_back(cast<FramingExpr>(X)->body(), false);
-      break;
-    }
+    forEachChild(X, [&](const Expr *C) { Stack.emplace_back(C, false); });
   }
   return Ids.at(E);
 }

@@ -74,19 +74,6 @@ void ResourceGovernor::setDeadlineAfterMillis(uint64_t Millis) {
   DeadlineNanos = Abs == 0 ? 1 : Abs;
 }
 
-void ResourceGovernor::setLimit(ResourceKind K, uint64_t Limit) {
-  if (K == ResourceKind::ProductStates)
-    ProductLimit = Limit;
-  else
-    assert(false && "only the product-state budget is limitable");
-}
-
-uint64_t ResourceGovernor::limit(ResourceKind K) const {
-  if (K == ResourceKind::ProductStates)
-    return ProductLimit;
-  return Unlimited;
-}
-
 void ResourceGovernor::requestCancel() {
   // Relaxed exchange: the flag only ever goes false→true, the RMW makes
   // the first-setter-counts-once bookkeeping exact, and cancellation is
@@ -127,10 +114,9 @@ std::optional<ResourceExhausted> ResourceGovernor::poll() const {
 }
 
 std::optional<ResourceExhausted>
-ResourceGovernor::charge(ResourceKind K, uint64_t Spent) const {
-  uint64_t L = limit(K);
-  if (Spent <= L)
+ResourceGovernor::chargeProductStates(uint64_t Spent) const {
+  if (Spent <= ProductLimit)
     return std::nullopt;
   budgetHitsCounter().add();
-  return ResourceExhausted{K, Spent, L};
+  return ResourceExhausted{ResourceKind::ProductStates, Spent, ProductLimit};
 }

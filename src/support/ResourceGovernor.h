@@ -124,9 +124,9 @@ public:
   void setDeadlineAfterMillis(uint64_t Millis);
   bool hasDeadline() const { return DeadlineNanos != 0; }
 
-  /// Sets the state budget for \p K (ProductStates only).
-  void setLimit(ResourceKind K, uint64_t Limit);
-  uint64_t limit(ResourceKind K) const;
+  /// The product-state budget, the only state budget there is.
+  void setProductLimit(uint64_t Limit) { ProductLimit = Limit; }
+  uint64_t productLimit() const { return ProductLimit; }
 
   /// Requests cooperative cancellation: every subsequent poll() trips.
   void requestCancel();
@@ -140,11 +140,10 @@ public:
   /// deadline/cancel trip is observed, every later poll returns it.
   std::optional<ResourceExhausted> poll() const;
 
-  /// Charges \p Spent accumulated units against the \p K budget; returns
-  /// the trip if Spent exceeds the configured limit. Not sticky — budget
-  /// exhaustion is scoped to the kernel call that overran.
-  std::optional<ResourceExhausted> charge(ResourceKind K,
-                                          uint64_t Spent) const;
+  /// Charges \p Spent product states against the product-state budget;
+  /// returns the trip if Spent exceeds it. Not sticky — budget exhaustion
+  /// is scoped to the kernel call that overran.
+  std::optional<ResourceExhausted> chargeProductStates(uint64_t Spent) const;
 
 private:
   std::optional<ResourceExhausted> deadlineTrip() const;

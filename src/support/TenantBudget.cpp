@@ -29,7 +29,7 @@ std::shared_ptr<ResourceGovernor> TenantBudget::governor() const {
     return nullptr;
   auto Gov = std::make_shared<ResourceGovernor>();
   if (MaxProductStates != NoLimit)
-    Gov->setLimit(ResourceKind::ProductStates, MaxProductStates);
+    Gov->setProductLimit(MaxProductStates);
   if (DeadlineMs != NoLimit)
     Gov->setDeadlineAfterMillis(DeadlineMs);
   return Gov;

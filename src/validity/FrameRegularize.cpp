@@ -2,10 +2,12 @@
 
 #include "validity/FrameRegularize.h"
 
+#include "hist/Walk.h"
 #include "support/Casting.h"
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 using namespace sus;
 using namespace sus::hist;
@@ -21,13 +23,12 @@ public:
   explicit Regularizer(HistContext &Ctx) : Ctx(Ctx) {}
 
   const Expr *visit(const Expr *E, const ActiveSet &Active) {
-    auto Key = std::make_pair(E, Active);
-    auto It = Memo.find(Key);
-    if (It != Memo.end())
-      return It->second;
-    const Expr *Result = compute(E, Active);
-    Memo.emplace(std::move(Key), Result);
-    return Result;
+    return foldSpine(
+        E, Memo[Active],
+        [&](const Expr *X) { return compute(X, Active); },
+        [this](const SeqExpr *, const Expr *Head, const Expr *Tail) {
+          return Ctx.seq(Head, Tail);
+        });
   }
 
 private:
@@ -37,6 +38,7 @@ private:
     case ExprKind::Var:
     case ExprKind::Event:
     case ExprKind::CloseMark:
+    case ExprKind::Seq: // Never reached: foldSpine rebuilds sequences.
       return E;
 
     case ExprKind::FrameOpen: {
@@ -50,10 +52,6 @@ private:
     case ExprKind::Mu: {
       const auto *M = cast<MuExpr>(E);
       return Ctx.mu(M->var(), visit(M->body(), Active));
-    }
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      return Ctx.seq(visit(S->head(), Active), visit(S->tail(), Active));
     }
     case ExprKind::ExtChoice:
     case ExprKind::IntChoice: {
@@ -95,11 +93,13 @@ private:
   }
 
   HistContext &Ctx;
-  std::map<std::pair<const Expr *, ActiveSet>, const Expr *> Memo;
+  /// Results by active-policy context, then by node.
+  std::map<ActiveSet, std::unordered_map<const Expr *, const Expr *>> Memo;
 };
 
-unsigned nesting(const Expr *E, std::map<PolicyRef, unsigned> &Depth,
-                 unsigned &Max) {
+void nesting(const Expr *E, std::map<PolicyRef, unsigned> &Depth,
+             unsigned &Max) {
+  E = forEachHead(E, [&](const SeqExpr *S) { nesting(S->head(), Depth, Max); });
   switch (E->kind()) {
   case ExprKind::Empty:
   case ExprKind::Var:
@@ -107,24 +107,19 @@ unsigned nesting(const Expr *E, std::map<PolicyRef, unsigned> &Depth,
   case ExprKind::CloseMark:
   case ExprKind::FrameOpen:
   case ExprKind::FrameClose:
-    return 0;
+  case ExprKind::Seq: // Never reached: forEachHead walked the spine.
+    return;
   case ExprKind::Mu:
     nesting(cast<MuExpr>(E)->body(), Depth, Max);
-    return 0;
-  case ExprKind::Seq: {
-    const auto *S = cast<SeqExpr>(E);
-    nesting(S->head(), Depth, Max);
-    nesting(S->tail(), Depth, Max);
-    return 0;
-  }
+    return;
   case ExprKind::ExtChoice:
   case ExprKind::IntChoice:
     for (const ChoiceBranch &B : cast<ChoiceExpr>(E)->branches())
       nesting(B.Body, Depth, Max);
-    return 0;
+    return;
   case ExprKind::Request:
     nesting(cast<RequestExpr>(E)->body(), Depth, Max);
-    return 0;
+    return;
   case ExprKind::Framing: {
     const auto *F = cast<FramingExpr>(E);
     unsigned &D = Depth[F->policy()];
@@ -132,10 +127,9 @@ unsigned nesting(const Expr *E, std::map<PolicyRef, unsigned> &Depth,
     Max = std::max(Max, D);
     nesting(F->body(), Depth, Max);
     --D;
-    return 0;
+    return;
   }
   }
-  return 0;
 }
 
 } // namespace

@@ -196,8 +196,8 @@ StaticValidityResult Checker::run(const Expr *Client, plan::Loc ClientLoc) {
     if (States.size() >= Options.MaxStates)
       return std::nullopt;
     if (Options.Governor) {
-      if (std::optional<sus::ResourceExhausted> E = Options.Governor->charge(
-              ResourceKind::ProductStates, States.size() + 1)) {
+      if (std::optional<sus::ResourceExhausted> E =
+              Options.Governor->chargeProductStates(States.size() + 1)) {
         Trip = E;
         return std::nullopt;
       }

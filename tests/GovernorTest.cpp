@@ -31,7 +31,7 @@ TEST(ResourceGovernorTest, UnarmedGovernorNeverTrips) {
   ResourceGovernor G;
   for (int I = 0; I < 100; ++I)
     EXPECT_FALSE(G.poll().has_value());
-  EXPECT_FALSE(G.charge(ResourceKind::ProductStates, 1u << 20).has_value());
+  EXPECT_FALSE(G.chargeProductStates(1u << 20).has_value());
 }
 
 TEST(ResourceGovernorTest, ZeroDeadlineTripsTheFirstPollAndSticks) {
@@ -51,10 +51,11 @@ TEST(ResourceGovernorTest, ZeroDeadlineTripsTheFirstPollAndSticks) {
 
 TEST(ResourceGovernorTest, BudgetAllowsExactlyTheLimit) {
   ResourceGovernor G;
-  G.setLimit(ResourceKind::ProductStates, 1);
-  EXPECT_FALSE(G.charge(ResourceKind::ProductStates, 1).has_value());
-  std::optional<ResourceExhausted> E =
-      G.charge(ResourceKind::ProductStates, 2);
+  EXPECT_EQ(G.productLimit(), ResourceGovernor::Unlimited);
+  G.setProductLimit(1);
+  EXPECT_EQ(G.productLimit(), 1u);
+  EXPECT_FALSE(G.chargeProductStates(1).has_value());
+  std::optional<ResourceExhausted> E = G.chargeProductStates(2);
   ASSERT_TRUE(E.has_value());
   EXPECT_EQ(E->Which, ResourceKind::ProductStates);
   EXPECT_EQ(E->Spent, 2u);
@@ -63,7 +64,7 @@ TEST(ResourceGovernorTest, BudgetAllowsExactlyTheLimit) {
   // Budget trips are per call, not sticky: polls stay clean and a later
   // charge within the budget passes.
   EXPECT_FALSE(G.poll().has_value());
-  EXPECT_FALSE(G.charge(ResourceKind::ProductStates, 1).has_value());
+  EXPECT_FALSE(G.chargeProductStates(1).has_value());
 }
 
 TEST(ResourceGovernorTest, CancellationTripsEveryPoll) {
@@ -96,7 +97,7 @@ TEST(GovernorPipelineTest, ComplianceProductHonoursTheBudget) {
   ASSERT_NE(Service, nullptr);
 
   ResourceGovernor G;
-  G.setLimit(ResourceKind::ProductStates, 1);
+  G.setProductLimit(1);
   contract::ComplianceResult Partial =
       contract::checkServiceCompliance(Ctx, Body, Service, &G);
   ASSERT_TRUE(Partial.Exhausted.has_value());
@@ -116,7 +117,7 @@ TEST(GovernorPipelineTest, PlanValidityHonoursBudgetAndDeadline) {
 
   validity::StaticValidityOptions Budgeted;
   ResourceGovernor GB;
-  GB.setLimit(ResourceKind::ProductStates, 1);
+  GB.setProductLimit(1);
   Budgeted.Governor = &GB;
   validity::StaticValidityResult R = validity::checkPlanValidity(
       Ctx, Ex.C1, Ex.LC1, Ex.pi1(), Ex.Repo, Ex.Registry, Budgeted);
@@ -170,7 +171,7 @@ TEST(GovernorCacheTest, ExhaustedComplianceIsNotMemoized) {
 
   core::VerifierCache Cache;
   ResourceGovernor G;
-  G.setLimit(ResourceKind::ProductStates, 1);
+  G.setProductLimit(1);
   contract::ComplianceResult Partial =
       Cache.compliance(Ctx, Body, Service, &G);
   ASSERT_TRUE(Partial.Exhausted.has_value());
@@ -218,7 +219,7 @@ TEST(GovernorCacheTest, TrippedRunDoesNotPolluteASharedCache) {
   // A budget-tripped run: every verdict inconclusive, none valid.
   core::VerifierOptions Tripped;
   Tripped.Governor = std::make_shared<ResourceGovernor>();
-  Tripped.Governor->setLimit(ResourceKind::ProductStates, 1);
+  Tripped.Governor->setProductLimit(1);
   core::Verifier Governed(Ctx, Ex.Repo, Ex.Registry, Tripped);
   core::VerificationReport Partial = Governed.verifyClient(Ex.C1, Ex.LC1);
   EXPECT_TRUE(Partial.anyInconclusive());

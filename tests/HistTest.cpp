@@ -1,19 +1,30 @@
 //===- tests/HistTest.cpp - history expression unit tests -----------------===//
 
+#include "bpa/FromHist.h"
+#include "contract/Dual.h"
+#include "contract/Prescreen.h"
+#include "contract/Project.h"
+#include "contract/ReadySets.h"
 #include "hist/Bisim.h"
 #include "hist/Derive.h"
 #include "hist/HistContext.h"
 #include "hist/TraceEquiv.h"
 #include "hist/Printer.h"
 #include "hist/TransitionSystem.h"
+#include "hist/Walk.h"
 #include "hist/WellFormed.h"
 #include "fuzz/Generator.h"
+#include "plan/RequestExtract.h"
+#include "plan/Semantics.h"
+#include "policy/Compile.h"
 #include "support/Casting.h"
 #include "syntax/FileParser.h"
 #include "syntax/HistParser.h"
+#include "validity/FrameRegularize.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
 #include <set>
 #include <sstream>
@@ -559,6 +570,208 @@ TEST_F(HistTest, WellFormedFactsMatchCheckerWalk) {
   EXPECT_TRUE(isWellFormed(Ctx, Cases[6]));
   EXPECT_TRUE(isWellFormed(Ctx, Cases[9]));
   EXPECT_GT(Checked, 1000u);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared walk, and walkers along long chains
+//===----------------------------------------------------------------------===//
+
+/// The order walk promises: a recursive pre-order descent over
+/// forEachChild that skips nodes it has seen.
+void recursivePreOrder(const Expr *E, std::set<const Expr *> &Seen,
+                       std::vector<const Expr *> &Out) {
+  if (!Seen.insert(E).second)
+    return;
+  Out.push_back(E);
+  forEachChild(E, [&](const Expr *C) { recursivePreOrder(C, Seen, Out); });
+}
+
+TEST_F(HistTest, WalkVisitsEachDistinctNodeOncePreOrder) {
+  const Expr *A = Ctx.event("a");
+  const Expr *C = Ctx.event("c");
+  const Expr *D = Ctx.event("d");
+  const Expr *Choice =
+      Ctx.extChoice({{CommAction::input(Ctx.symbol("b")), A},
+                     {CommAction::input(Ctx.symbol("c")), C}});
+  const Expr *Inner = Ctx.seq(Choice, D);
+  const Expr *Root = Ctx.seq(A, Inner);
+
+  // The branch body `a` was seen as the head: it is visited once, there.
+  std::vector<const Expr *> Seen;
+  walk(Root, [&](const Expr *E) {
+    Seen.push_back(E);
+    return true;
+  });
+  EXPECT_EQ(Seen, (std::vector<const Expr *>{Root, A, Inner, Choice, C, D}));
+
+  // "Do not descend" skips the node's children, but not a node that is
+  // also reachable another way.
+  Seen.clear();
+  walk(Root, [&](const Expr *E) {
+    Seen.push_back(E);
+    return !isa<ChoiceExpr>(E);
+  });
+  EXPECT_EQ(Seen, (std::vector<const Expr *>{Root, A, Inner, Choice, D}));
+  Seen.clear();
+  walk(Root, [&](const Expr *E) {
+    Seen.push_back(E);
+    return E != Inner;
+  });
+  EXPECT_EQ(Seen, (std::vector<const Expr *>{Root, A, Inner}));
+
+  // On random expressions, the iterative walk and a recursive descent
+  // agree node for node.
+  std::mt19937 Rng(11);
+  for (unsigned I = 0; I < 300; ++I) {
+    const Expr *E = randomExpr(Ctx, Rng, 5, phi());
+    std::vector<const Expr *> Walked, Recursed;
+    std::set<const Expr *> Marks;
+    walk(E, [&](const Expr *X) {
+      Walked.push_back(X);
+      return true;
+    });
+    recursivePreOrder(E, Marks, Recursed);
+    ASSERT_EQ(Walked, Recursed) << print(Ctx, E);
+  }
+}
+
+/// "name: ids" per behaviour, then the file's event universe and policy
+/// references, all in the order the collectors report them.
+std::vector<std::string> collectorOrders(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Source;
+  Source << In.rdbuf();
+  HistContext Ctx;
+  DiagnosticEngine Diags;
+  std::optional<syntax::SusFile> File =
+      syntax::parseSusFile(Ctx, Source.str(), Diags);
+  if (!File)
+    return {"parse error"};
+  const StringInterner &In2 = Ctx.interner();
+  std::vector<std::string> Out;
+  std::vector<const Expr *> Bodies;
+  auto Requests = [&](Symbol Name, const Expr *E) {
+    Bodies.push_back(E);
+    std::string Line(In2.text(Name));
+    Line += ":";
+    for (const plan::RequestSite &Site : plan::extractRequests(E))
+      Line += " " + std::to_string(Site.id());
+    Line += " /";
+    for (const plan::RequestSite &Site : plan::extractTopLevelRequests(E))
+      Line += " " + std::to_string(Site.id());
+    Out.push_back(Line);
+  };
+  for (const auto &[Loc, Service] : File->Repo.services())
+    Requests(Loc, Service);
+  for (const auto &[Name, Client] : File->Clients)
+    Requests(Name, Client);
+  std::string Events = "events:";
+  for (const Event &Ev : policy::eventUniverse(Bodies))
+    Events += " " + Ev.str(In2);
+  Out.push_back(Events);
+  std::string Refs = "policies:";
+  for (const PolicyRef &Ref : policy::policyRefs(Bodies))
+    Refs += " " + Ref.str(In2);
+  Out.push_back(Refs);
+  return Out;
+}
+
+TEST_F(HistTest, CollectorsKeepFirstOccurrenceOrderOnExamples) {
+  EXPECT_EQ(collectorOrders(SUS_EXAMPLES_DIR "/hotel.sus"),
+            (std::vector<std::string>{
+                "br: 3 / 3", "s1: /", "s2: /", "s3: /", "s4: /",
+                "c1: 1 / 1", "c2: 2 / 2",
+                "events: alpha_sgn(s1) alpha_p(45) alpha_ta(80) "
+                "alpha_sgn(s2) alpha_p(70) alpha_ta(100) alpha_sgn(s3) "
+                "alpha_p(90) alpha_sgn(s4) alpha_p(50) alpha_ta(90)",
+                "policies: phi(s1,45,100) phi({s1,s3},40,70)"}));
+  EXPECT_EQ(collectorOrders(SUS_EXAMPLES_DIR "/marketplace.sus"),
+            (std::vector<std::string>{
+                "lowball: /", "fair: /", "fair2: /", "buyer: 1 / 1",
+                "events: alpha_offer(30) alpha_offer(60)",
+                "policies: floor(50)"}));
+
+  // Nested requests come outermost first, and the top-level variant
+  // stops at each request's body.
+  const Expr *Inner = Ctx.request(2, phi(), Ctx.event("x"));
+  const Expr *E = Ctx.seq(
+      {Ctx.event("y"), Ctx.request(1, PolicyRef(), Ctx.seq(Inner, Inner)),
+       Ctx.request(3, PolicyRef(), Ctx.event("x"))});
+  std::vector<RequestId> All, Top;
+  for (const plan::RequestSite &Site : plan::extractRequests(E))
+    All.push_back(Site.id());
+  for (const plan::RequestSite &Site : plan::extractTopLevelRequests(E))
+    Top.push_back(Site.id());
+  EXPECT_EQ(All, (std::vector<RequestId>{1, 2, 3}));
+  EXPECT_EQ(Top, (std::vector<RequestId>{1, 3}));
+  std::vector<Event> Events = policy::eventUniverse(E);
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[0].str(Ctx.interner()), "alpha_y");
+  EXPECT_EQ(Events[1].str(Ctx.interner()), "alpha_x");
+}
+
+TEST_F(HistTest, EveryWalkerLoopsAlongALongChain) {
+  // 100,000 terms: a walker that recursed along the `;` spine would
+  // overflow the default stack long before the end.
+  constexpr size_t N = 100000;
+  std::vector<const Expr *> Parts;
+  for (size_t I = 0; I < N; ++I)
+    Parts.push_back(I % 4 == 0   ? Ctx.event("e")
+                    : I % 4 == 1 ? Ctx.send("a", Ctx.empty())
+                    : I % 4 == 2 ? Ctx.receive("b", Ctx.empty())
+                                 : Ctx.frameClose(phi()));
+  const Expr *Chain = Ctx.seq(Parts);
+  const Expr *Framed = Ctx.framing(phi(), Chain);
+
+  size_t Nodes = 0;
+  walk(Framed, [&](const Expr *) {
+    ++Nodes;
+    return true;
+  });
+  EXPECT_EQ(Nodes, 1 + (N - 1) + 5); // The framing, the spine, 5 leaves.
+  EXPECT_EQ(print(Ctx, Chain).size(),
+            N / 4 * (std::string("%e; a!; b?; fclose phi(1); ").size()) -
+                2);
+  EXPECT_TRUE(isWellFormed(Ctx, Framed));
+  EXPECT_TRUE(wellFormedIssues(Ctx, Framed).empty());
+  EXPECT_EQ(validity::maxFramingNesting(Framed), 1u);
+  EXPECT_EQ(validity::regularizeFramings(Ctx, Ctx.framing(phi(), Framed)),
+            Framed);
+  EXPECT_EQ(plan::extractRequests(Ctx.request(1, phi(), Chain)).size(), 1u);
+  EXPECT_EQ(policy::eventUniverse(Framed).size(), 1u);
+  EXPECT_EQ(policy::policyRefs({Framed}).size(), 1u);
+
+  // Substituting through the chain rebuilds it exactly.
+  const Expr *Open = Ctx.seq(Chain, Ctx.var("h"));
+  EXPECT_EQ(Ctx.substitute(Open, Ctx.symbol("h"), Ctx.empty()), Chain);
+
+  // Projection keeps the communications; duality is an involution.
+  const Expr *Contract = contract::project(Ctx, Framed);
+  EXPECT_FALSE(contract::isContract(Framed));
+  EXPECT_TRUE(contract::isContract(Contract));
+  EXPECT_EQ(contract::project(Ctx, Contract), Contract);
+  const Expr *Dual = contract::dualContract(Ctx, Contract);
+  EXPECT_EQ(contract::dualContract(Ctx, Dual), Contract);
+  EXPECT_EQ(contract::readySets(Contract),
+            (std::vector<contract::ReadySet>{
+                {CommAction::output(Ctx.symbol("a"))}}));
+  EXPECT_TRUE(contract::summarizeProjection(Contract).Screenable);
+
+  // Φ of the chain is one ⌋phi per quarter of its terms.
+  plan::SessionTreeFactory Trees;
+  size_t Pending = 0;
+  for (const plan::PendingClose *P = Trees.pendingFrameCloses(Chain); P;
+       P = P->Next)
+    Pending += *P->Policy == phi();
+  EXPECT_EQ(Pending, N / 4);
+
+  // A chain under a prefix, followed by more: the BPA translation
+  // re-nests the translated chain onto what follows.
+  bpa::BpaContext Bpa;
+  EXPECT_NE(bpa::fromHist(Bpa, Ctx, Chain), nullptr);
+  EXPECT_NE(bpa::fromHist(Bpa, Ctx,
+                          Ctx.seq(Ctx.send("c", Chain), Ctx.event("f"))),
+            nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -170,7 +170,7 @@ TEST_F(PipelineTest, UnhitGovernorKeepsParallelReportsBitForBit) {
   VerifierOptions Governed;
   Governed.Governor = std::make_shared<ResourceGovernor>();
   Governed.Governor->setDeadlineAfterMillis(60000);
-  Governed.Governor->setLimit(ResourceKind::ProductStates, 1u << 20);
+  Governed.Governor->setProductLimit(1u << 20);
 
   for (const auto &[Client, Loc] :
        {std::pair{Ex.C1, Ex.LC1}, std::pair{Ex.C2, Ex.LC2}}) {
