@@ -113,15 +113,19 @@ Symbol BpaContext::freshVar(StringInterner &Interner) {
 }
 
 bool sus::bpa::canTerminate(const BpaContext &Ctx, const Term *T) {
+  // A sequence terminates iff every head on its right spine does: loop
+  // along the spine, recursing only into heads and sums.
+  while (const auto *S = dyn_cast<SeqTerm>(T)) {
+    if (!canTerminate(Ctx, S->left()))
+      return false;
+    T = S->right();
+  }
   switch (T->kind()) {
   case TermKind::Nil:
     return true;
   case TermKind::Action:
+  case TermKind::Seq: // Never reached: the loop above consumed it.
     return false;
-  case TermKind::Seq: {
-    const auto *S = cast<SeqTerm>(T);
-    return canTerminate(Ctx, S->left()) && canTerminate(Ctx, S->right());
-  }
   case TermKind::Sum: {
     const auto *S = cast<SumTerm>(T);
     return canTerminate(Ctx, S->left()) || canTerminate(Ctx, S->right());
@@ -140,8 +144,21 @@ void deriveInto(BpaContext &Ctx, const Term *T,
                 std::vector<BpaTransition> &Out, unsigned Fuel) {
   if (Fuel == 0)
     return;
+  // Along a sequence's right spine, each head's steps continue with the
+  // rest of the chain, and the rest steps on its own only while every
+  // head before it can terminate.
+  while (const auto *S = dyn_cast<SeqTerm>(T)) {
+    std::vector<BpaTransition> Left;
+    deriveInto(Ctx, S->left(), Left, Fuel);
+    for (BpaTransition &Tr : Left)
+      Out.push_back({Tr.L, Ctx.seq(Tr.Target, S->right())});
+    if (!canTerminate(Ctx, S->left()))
+      return;
+    T = S->right();
+  }
   switch (T->kind()) {
   case TermKind::Nil:
+  case TermKind::Seq: // Never reached: the loop above consumed it.
     return;
   case TermKind::Action:
     Out.push_back({cast<ActionTerm>(T)->label(), Ctx.nil()});
@@ -150,16 +167,6 @@ void deriveInto(BpaContext &Ctx, const Term *T,
     const auto *S = cast<SumTerm>(T);
     deriveInto(Ctx, S->left(), Out, Fuel);
     deriveInto(Ctx, S->right(), Out, Fuel);
-    return;
-  }
-  case TermKind::Seq: {
-    const auto *S = cast<SeqTerm>(T);
-    std::vector<BpaTransition> Left;
-    deriveInto(Ctx, S->left(), Left, Fuel);
-    for (BpaTransition &Tr : Left)
-      Out.push_back({Tr.L, Ctx.seq(Tr.Target, S->right())});
-    if (canTerminate(Ctx, S->left()))
-      deriveInto(Ctx, S->right(), Out, Fuel);
     return;
   }
   case TermKind::Var: {
@@ -172,6 +179,43 @@ void deriveInto(BpaContext &Ctx, const Term *T,
   }
 }
 
+/// Appends the rendering of \p T to \p Out, looping along sequence
+/// spines and closing their parentheses at the end.
+void printInto(const StringInterner &Interner, const Term *T,
+               std::string &Out) {
+  size_t Open = 0;
+  while (const auto *S = dyn_cast<SeqTerm>(T)) {
+    Out += "(";
+    printInto(Interner, S->left(), Out);
+    Out += " . ";
+    T = S->right();
+    ++Open;
+  }
+  switch (T->kind()) {
+  case TermKind::Nil:
+    Out += "0";
+    break;
+  case TermKind::Action:
+    Out += cast<ActionTerm>(T)->label().str(Interner);
+    break;
+  case TermKind::Seq: // Never reached: the loop above consumed it.
+    break;
+  case TermKind::Sum: {
+    const auto *S = cast<SumTerm>(T);
+    Out += "(";
+    printInto(Interner, S->left(), Out);
+    Out += " + ";
+    printInto(Interner, S->right(), Out);
+    Out += ")";
+    break;
+  }
+  case TermKind::Var:
+    Out += Interner.text(cast<VarTerm>(T)->name());
+    break;
+  }
+  Out.append(Open, ')');
+}
+
 } // namespace
 
 std::vector<BpaTransition> sus::bpa::deriveBpa(BpaContext &Ctx,
@@ -181,26 +225,10 @@ std::vector<BpaTransition> sus::bpa::deriveBpa(BpaContext &Ctx,
   return Out;
 }
 
-std::string sus::bpa::printTerm(const BpaContext &Ctx,
+std::string sus::bpa::printTerm(const BpaContext &,
                                 const StringInterner &Interner,
                                 const Term *T) {
-  switch (T->kind()) {
-  case TermKind::Nil:
-    return "0";
-  case TermKind::Action:
-    return cast<ActionTerm>(T)->label().str(Interner);
-  case TermKind::Seq: {
-    const auto *S = cast<SeqTerm>(T);
-    return "(" + printTerm(Ctx, Interner, S->left()) + " . " +
-           printTerm(Ctx, Interner, S->right()) + ")";
-  }
-  case TermKind::Sum: {
-    const auto *S = cast<SumTerm>(T);
-    return "(" + printTerm(Ctx, Interner, S->left()) + " + " +
-           printTerm(Ctx, Interner, S->right()) + ")";
-  }
-  case TermKind::Var:
-    return std::string(Interner.text(cast<VarTerm>(T)->name()));
-  }
-  return "?";
+  std::string Out;
+  printInto(Interner, T, Out);
+  return Out;
 }

@@ -11,19 +11,16 @@ using namespace sus::hist;
 using namespace sus::contract;
 
 ContractSummary sus::contract::summarizeProjection(const Expr *Contract) {
+  if (!Contract->isContract())
+    return {}; // Screenable stays false: "anything goes".
   ContractSummary Summary;
-  // One walk checks the contract fragment and collects every choice guard.
-  bool InFragment = true;
+  Summary.Screenable = true;
   walk(Contract, [&](const Expr *E) {
     if (const auto *C = dyn_cast<ChoiceExpr>(E))
       for (const ChoiceBranch &B : C->branches())
         Summary.Alphabet.insert(B.Guard);
-    InFragment = InFragment && inContractFragment(E);
-    return InFragment;
+    return true;
   });
-  if (!InFragment)
-    return {}; // Screenable stays false: "anything goes".
-  Summary.Screenable = true;
   Summary.InitialSets = readySets(Contract);
   for (const ReadySet &S : Summary.InitialSets) {
     if (S.empty())

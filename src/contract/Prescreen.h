@@ -22,8 +22,8 @@
 /// A ContractSummary caches everything both screens need (initial ready
 /// sets, syntactic alphabet, nullability) so repeated screening of the
 /// same contract is set intersections only — this is what ServiceIndex
-/// memoizes per published service and per request body, and what
-/// core::VerifierCache memoizes per expression for the scan's filter.
+/// memoizes per published service and per request body, the one store
+/// both the scan and the indexed search screen from.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -31,10 +31,11 @@ private:
   /// Rebuilds a node only when a child's projection changed it. The
   /// factories are hash-consing normalizers whose outputs are their own
   /// fixpoints, so re-applying one to a node's unchanged children would
-  /// return that very node: skipping the call is exact, and a service
-  /// already in the contract fragment projects to itself without a
-  /// single factory lookup.
+  /// return that very node: skipping the call is exact, and a subterm
+  /// already in the contract fragment projects to itself unvisited.
   const Expr *compute(const Expr *E) {
+    if (E->isContract())
+      return E;
     switch (E->kind()) {
     case ExprKind::Empty:
     case ExprKind::Event:
@@ -80,36 +81,9 @@ private:
 } // namespace
 
 const Expr *sus::contract::project(HistContext &Ctx, const Expr *E) {
+  if (E->isContract())
+    return E;
   trace::Span Span("projection", "pipeline");
   Projector P(Ctx);
   return P.visit(E);
-}
-
-bool sus::contract::inContractFragment(const Expr *E) {
-  switch (E->kind()) {
-  case ExprKind::Empty:
-  case ExprKind::Var:
-  case ExprKind::Mu:
-  case ExprKind::Seq:
-  case ExprKind::ExtChoice:
-  case ExprKind::IntChoice:
-    return true;
-  case ExprKind::Event:
-  case ExprKind::Request:
-  case ExprKind::Framing:
-  case ExprKind::CloseMark:
-  case ExprKind::FrameOpen:
-  case ExprKind::FrameClose:
-    return false;
-  }
-  return false;
-}
-
-bool sus::contract::isContract(const Expr *E) {
-  bool Contract = true;
-  walk(E, [&Contract](const Expr *X) {
-    Contract = Contract && inContractFragment(X);
-    return Contract;
-  });
-  return Contract;
 }

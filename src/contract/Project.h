@@ -25,16 +25,13 @@
 namespace sus {
 namespace contract {
 
-/// Computes H! (hash-consed, memoized).
+/// Computes H! (hash-consed, memoized). A contract projects to itself,
+/// so that case returns \p E without a walk.
 const hist::Expr *project(hist::HistContext &Ctx, const hist::Expr *E);
 
 /// True if \p E is already in the contract fragment: built only from
-/// ε, h, µh.H, Σ, ⊕ and sequential composition.
-bool isContract(const hist::Expr *E);
-
-/// True if the node \p E itself is one of those forms (its children need
-/// not be).
-bool inContractFragment(const hist::Expr *E);
+/// ε, h, µh.H, Σ, ⊕ and sequential composition (a node fact, see Expr.h).
+inline bool isContract(const hist::Expr *E) { return E->isContract(); }
 
 } // namespace contract
 } // namespace sus

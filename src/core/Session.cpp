@@ -230,7 +230,11 @@ bool Session::loadSnapshot(std::string_view Bytes, std::string &Err,
 }
 
 std::string Session::saveSnapshot(SnapshotStats *Stats) {
-  return core::saveSnapshot(Ctx, File->Repo, *V->cache(), V->index(), Stats);
+  // The scan screens through an index too, but only an indexed session
+  // persists it: a --no-index snapshot stays index-free.
+  return core::saveSnapshot(Ctx, File->Repo, *V->cache(),
+                            V->options().UseIndex ? V->index() : nullptr,
+                            Stats);
 }
 
 bool core::readFile(const std::string &Path, std::string &Out) {

@@ -26,16 +26,6 @@ Verifier::~Verifier() = default;
 // Compliance
 //===----------------------------------------------------------------------===//
 
-bool Verifier::bindingCompliant(const hist::Expr *RequestBody,
-                                const hist::Expr *Service) {
-  // Screens refute only pairs the product would refute too, so a Reject
-  // prunes conclusively whether or not a governor is armed.
-  if (Cache->prescreen(Ctx, RequestBody, Service) !=
-      contract::PrescreenVerdict::Pass)
-    return false;
-  return productCompliant(RequestBody, Service);
-}
-
 bool Verifier::productCompliant(const hist::Expr *RequestBody,
                                 const hist::Expr *Service) {
   contract::ComplianceResult R =
@@ -146,7 +136,7 @@ PlanVerdict Verifier::checkPlan(const hist::Expr *Client,
 }
 
 const plan::ServiceIndex *Verifier::index() {
-  if (!indexEffective())
+  if (!Options.PruneWithCompliance)
     return nullptr;
   if (!Index)
     Index = std::make_unique<plan::ServiceIndex>(Ctx, Repo);
@@ -154,7 +144,7 @@ const plan::ServiceIndex *Verifier::index() {
 }
 
 void Verifier::adoptIndex(std::unique_ptr<plan::ServiceIndex> Warm) {
-  if (indexEffective())
+  if (Options.PruneWithCompliance)
     Index = std::move(Warm);
 }
 
@@ -181,16 +171,14 @@ plan::EnumeratorOptions Verifier::enumeratorOptions() {
   EOpts.MaxPlans = Options.MaxPlans;
   EOpts.Governor = gov();
   EOpts.Index = index();
+  EOpts.VisitEveryService = !Options.UseIndex;
   if (!Options.PruneWithCompliance)
     return EOpts;
-  // Index candidates already passed the screens inside the index, so
-  // only the scan screens per binding: the indexed path keeps no summary
-  // lookup per candidate.
-  EOpts.Filter = [this, Scan = EOpts.Index == nullptr](
-                     const plan::RequestSite &Site, plan::Loc,
-                     const hist::Expr *Service) {
-    return Scan ? bindingCompliant(Site.body(), Service)
-                : productCompliant(Site.body(), Service);
+  // The index screens every binding it leaves out; what it proposes pays
+  // for the memoized product.
+  EOpts.Filter = [this](const plan::RequestSite &Site, plan::Loc,
+                        const hist::Expr *Service) {
+    return productCompliant(Site.body(), Service);
   };
   return EOpts;
 }

@@ -132,24 +132,20 @@ struct VerificationReport {
 struct VerifierOptions {
   /// Prune plan enumeration with per-binding compliance pre-checks
   /// (sound: a non-compliant binding can never be part of a valid plan).
-  /// A scanned binding is first run through the pre-screens of
-  /// contract/Prescreen.h over summaries memoized in the VerifierCache;
-  /// only the pairs they pass pay for the memoized product. Indexed
-  /// candidates passed the same screens inside the index, so they go
-  /// straight to the product.
+  /// The verifier's plan::ServiceIndex screens the bindings: a location it
+  /// does not propose for a request fails the pre-screens of
+  /// contract/Prescreen.h, and only the locations it proposes pay for the
+  /// memoized product.
   bool PruneWithCompliance = true;
   size_t MaxPlans = 1 << 14;
   size_t MaxStatesPerPlan = 1 << 18;
 
-  /// Enumerate candidates through a plan::ServiceIndex (built lazily per
-  /// verifier, kept current by applyDelta) instead of scanning the whole
-  /// repository per request. Effective only with PruneWithCompliance on:
-  /// the index's pre-screens reject exactly (a subset of) what the
-  /// compliance filter rejects, so indexed runs emit the identical plan
-  /// set; without the filter the scan would emit non-compliant plans the
-  /// index skips, which would change reports. Both paths run the same
-  /// screens, so they differ only in the bindings they try (the report's
-  /// "bindings tried" line); off (the default) keeps the scan's count.
+  /// Decides only whether the search visits every published service or
+  /// only the index's candidates, which is the report's "bindings tried"
+  /// line: both try the same candidates in the same order, so they emit
+  /// the same plans. Off (the default) keeps the scan's count. Without
+  /// PruneWithCompliance there is no index and the search visits every
+  /// service regardless.
   bool UseIndex = false;
 
   /// Optional resource governor threaded through every kernel this
@@ -217,15 +213,15 @@ public:
   /// be the one the delta was applied to.
   VerifierCache::EvictionStats applyDelta(const plan::RepositoryDelta &Delta);
 
-  /// The candidate index, built on first use (verifyClient with UseIndex,
-  /// or an explicit call — e.g. to warm it before timing). Null only when
-  /// indexing is disabled by options.
+  /// The candidate index, built on first use (the first search, or an
+  /// explicit call — e.g. to warm it before timing). Null only when
+  /// PruneWithCompliance is off.
   const plan::ServiceIndex *index();
 
   /// Installs a pre-built candidate index (the snapshot warm-start path:
   /// a ServiceIndex rebuilt from persisted summaries instead of fresh
   /// contract analysis). The index must describe this verifier's
-  /// repository. Ignored (dropped) when indexing is disabled by options.
+  /// repository. Ignored (dropped) when PruneWithCompliance is off.
   void adoptIndex(std::unique_ptr<plan::ServiceIndex> Warm);
 
   /// Replaces the session governor for subsequent checks — the daemon
@@ -236,21 +232,11 @@ public:
     Options.Governor = std::move(Governor);
   }
 
-  /// Memoized H1 ⊢ H2 between a request body and a service, screened
-  /// first: a pre-screen Reject is a conclusive refutation (even under an
-  /// armed governor) and builds no product. Otherwise the memoized
-  /// product decides; under an armed governor it also returns true when
-  /// the product was cut short: only a *conclusive* refutation may prune
-  /// a binding. Trips are never memoized.
-  bool bindingCompliant(const hist::Expr *RequestBody,
-                        const hist::Expr *Service);
-
   /// The enumerator options every search of this verifier runs with
-  /// (full verification and repair alike): plan limit, governor, the
-  /// candidate index when effective, and with PruneWithCompliance the
-  /// compliance filter — screened per binding on a scan, product-only
-  /// on index candidates (already screened). The filter refers to this
-  /// verifier, which must outlive the enumeration.
+  /// (full verification and repair alike): plan limit, governor, and with
+  /// PruneWithCompliance the candidate index and the product filter on
+  /// its candidates. The filter refers to this verifier, which must
+  /// outlive the enumeration.
   plan::EnumeratorOptions enumeratorOptions();
 
   /// Session cache counters (shared with every co-owner of the cache).
@@ -281,18 +267,15 @@ private:
                                             const plan::Plan &Pi,
                                             bool *CacheHit = nullptr);
 
-  /// bindingCompliant without the screens: the memoized product alone.
+  /// Memoized H1 ⊢ H2 between a request body and a service. Under an
+  /// armed governor it also returns true when the product was cut short:
+  /// only a *conclusive* refutation may prune a binding. Trips are never
+  /// memoized.
   bool productCompliant(const hist::Expr *RequestBody,
                         const hist::Expr *Service);
 
   /// The session governor, or null when ungoverned.
   const ResourceGovernor *gov() const { return Options.Governor.get(); }
-
-  /// True when candidate selection goes through the index: requires both
-  /// UseIndex and the compliance filter (see VerifierOptions::UseIndex).
-  bool indexEffective() const {
-    return Options.UseIndex && Options.PruneWithCompliance;
-  }
 
   hist::HistContext &Ctx;
   const plan::Repository &Repo;
@@ -300,7 +283,7 @@ private:
   VerifierOptions Options;
   std::shared_ptr<VerifierCache> Cache;
 
-  /// Lazily built candidate index (only when indexEffective()).
+  /// Lazily built candidate index (only with PruneWithCompliance).
   std::unique_ptr<plan::ServiceIndex> Index;
 };
 

@@ -224,7 +224,8 @@ Response Engine::stats(const Request &R) {
      << " hits, projection " << C.ProjectionHits << "/" << C.ProjectionLookups
      << " hits, validity " << C.ValidityHits << "/" << C.ValidityLookups
      << " hits\n";
-  if (const plan::ServiceIndex *Index = V.index()) {
+  if (const plan::ServiceIndex *Index =
+          V.options().UseIndex ? V.index() : nullptr) {
     plan::IndexStats IStats = Index->stats();
     OS << "index: " << Index->size() << " services, " << IStats.Lookups
        << " lookups (" << IStats.Hits << " memo hits)\n";

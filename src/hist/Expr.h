@@ -18,8 +18,9 @@
 /// Each node also carries the facts §3's well-formedness conditions need,
 /// computed bottom-up by the HistContext factory that made it: its free
 /// recursion variables with how they occur (FreeVarSet), whether it always
-/// communicates, and whether some µ inside it is ill-formed. Closedness
-/// and well-formedness are then reads, not walks.
+/// communicates, whether some µ inside it is ill-formed, and whether it
+/// lies in the contract fragment. Closedness, well-formedness and
+/// contract-ness are then reads, not walks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,13 +133,17 @@ public:
   /// unguarded in its body.
   bool hasIllFormedMu() const { return Flags & IllFormedMuFlag; }
 
+  /// True if the node is in the contract fragment of §4: it and every
+  /// node below it is ε, h, µh.H, Σ, ⊕ or a sequence of those.
+  bool isContract() const { return Flags & ContractFlag; }
+
 protected:
   Expr(ExprKind K, size_t Hash) : Kind(K), HashValue(Hash) {}
   ~Expr() = default;
 
 private:
   friend class HistContext;
-  enum : uint8_t { CommunicatesFlag = 1, IllFormedMuFlag = 2 };
+  enum : uint8_t { CommunicatesFlag = 1, IllFormedMuFlag = 2, ContractFlag = 4 };
 
   ExprKind Kind;
   uint8_t Flags = 0;

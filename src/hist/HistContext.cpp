@@ -84,11 +84,12 @@ void HistContext::reserve(size_t N) { NodeTable.reserve(N); }
 
 template <typename T, typename... Args>
 Expr *HistContext::make(const FreeVarSet *Free, bool Communicates,
-                        bool IllFormedMu, Args &&...As) {
+                        bool IllFormedMu, bool Contract, Args &&...As) {
   Expr *E = Nodes.create<T>(std::forward<Args>(As)...);
   E->Free = Free;
   E->Flags = (Communicates ? Expr::CommunicatesFlag : 0) |
-             (IllFormedMu ? Expr::IllFormedMuFlag : 0);
+             (IllFormedMu ? Expr::IllFormedMuFlag : 0) |
+             (Contract ? Expr::ContractFlag : 0);
   return E;
 }
 
@@ -153,7 +154,7 @@ const Expr *HistContext::empty() {
     size_t Hash = kindHash(ExprKind::Empty);
     Empty = intern(
         Hash, [](const Expr *E) { return E->isEmpty(); },
-        [&] { return make<EmptyExpr>(nullptr, false, false, Hash); });
+        [&] { return make<EmptyExpr>(nullptr, false, false, true, Hash); });
   }
   return Empty;
 }
@@ -170,7 +171,7 @@ const Expr *HistContext::var(Symbol Name) {
       },
       [&] {
         Scratch.assign({{Name, FreeVarSet::Unguarded}});
-        return make<VarExpr>(internScratch(), false, false, Name, Hash);
+        return make<VarExpr>(internScratch(), false, false, true, Name, Hash);
       });
 }
 
@@ -196,7 +197,7 @@ const Expr *HistContext::mu(Symbol Var, const Expr *Body) {
             Scratch.push_back(E);
         bool IllFormed = Bound->Occurs != 0 || Body->hasIllFormedMu();
         return make<MuExpr>(internScratch(), Body->communicates(), IllFormed,
-                            Var, Body, Hash);
+                            Body->isContract(), Var, Body, Hash);
       });
 }
 
@@ -210,7 +211,7 @@ const Expr *HistContext::event(Event Ev) {
         const auto *V = dyn_cast<EventExpr>(E);
         return V && V->event() == Ev;
       },
-      [&] { return make<EventExpr>(nullptr, false, false, Ev, Hash); });
+      [&] { return make<EventExpr>(nullptr, false, false, false, Ev, Hash); });
 }
 
 const Expr *HistContext::seq(const Expr *Head, const Expr *Tail) {
@@ -269,7 +270,8 @@ const Expr *HistContext::seq(const Expr *Head, const Expr *Tail) {
         return make<SeqExpr>(Free,
                              Head->communicates() || Tail->communicates(),
                              Head->hasIllFormedMu() || Tail->hasIllFormedMu(),
-                             Head, Tail, Hash);
+                             Head->isContract() && Tail->isContract(), Head,
+                             Tail, Hash);
       });
 }
 
@@ -302,8 +304,10 @@ const Expr *HistContext::makeChoice(ExprKind Kind,
         // unguarded any more.
         Scratch.clear();
         bool IllFormed = false;
+        bool Contract = true;
         for (const ChoiceBranch &B : Branches) {
           IllFormed |= B.Body->hasIllFormedMu();
+          Contract &= B.Body->isContract();
           if (const FreeVarSet *F = B.Body->freeVars())
             for (FreeVarSet::Entry E : F->entries()) {
               E.Occurs &= ~FreeVarSet::Unguarded;
@@ -329,7 +333,8 @@ const Expr *HistContext::makeChoice(ExprKind Kind,
                                              sizeof(ChoiceExpr)));
         E->Free = Free;
         E->Flags = Expr::CommunicatesFlag |
-                   (IllFormed ? Expr::IllFormedMuFlag : 0);
+                   (IllFormed ? Expr::IllFormedMuFlag : 0) |
+                   (Contract ? Expr::ContractFlag : 0);
         return E;
       });
 }
@@ -395,7 +400,7 @@ const Expr *HistContext::request(RequestId Request, PolicyRef Policy,
         // Close_{r,ϕ} follows the body: nothing in it is in tail position.
         return make<RequestExpr>(
             withOccurs(Body->freeVars(), FreeVarSet::NonTail, 0),
-            Body->communicates(), Body->hasIllFormedMu(), Request,
+            Body->communicates(), Body->hasIllFormedMu(), false, Request,
             std::move(Policy), Body, Hash);
       });
 }
@@ -414,8 +419,8 @@ const Expr *HistContext::framing(PolicyRef Policy, const Expr *Body) {
         // ⌋ϕ follows the body: nothing in it is in tail position.
         return make<FramingExpr>(
             withOccurs(Body->freeVars(), FreeVarSet::NonTail, 0),
-            Body->communicates(), Body->hasIllFormedMu(), std::move(Policy),
-            Body, Hash);
+            Body->communicates(), Body->hasIllFormedMu(), false,
+            std::move(Policy), Body, Hash);
       });
 }
 
@@ -430,7 +435,7 @@ const Expr *HistContext::closeMark(RequestId Request, PolicyRef Policy) {
         return C && C->request() == Request && C->policy() == Policy;
       },
       [&] {
-        return make<CloseMarkExpr>(nullptr, false, false, Request,
+        return make<CloseMarkExpr>(nullptr, false, false, false, Request,
                                    std::move(Policy), Hash);
       });
 }
@@ -445,8 +450,8 @@ const Expr *HistContext::frameOpen(PolicyRef Policy) {
         return F && F->policy() == Policy;
       },
       [&] {
-        return make<FrameOpenExpr>(nullptr, false, false, std::move(Policy),
-                                   Hash);
+        return make<FrameOpenExpr>(nullptr, false, false, false,
+                                   std::move(Policy), Hash);
       });
 }
 
@@ -460,8 +465,8 @@ const Expr *HistContext::frameClose(PolicyRef Policy) {
         return F && F->policy() == Policy;
       },
       [&] {
-        return make<FrameCloseExpr>(nullptr, false, false, std::move(Policy),
-                                    Hash);
+        return make<FrameCloseExpr>(nullptr, false, false, false,
+                                    std::move(Policy), Hash);
       });
 }
 

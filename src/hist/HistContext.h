@@ -173,7 +173,7 @@ private:
   /// be interned.
   template <typename T, typename... Args>
   Expr *make(const FreeVarSet *Free, bool Communicates, bool IllFormedMu,
-             Args &&...As);
+             bool Contract, Args &&...As);
 
   const Expr *makeChoice(ExprKind Kind, std::span<const ChoiceBranch> B);
 

@@ -75,21 +75,36 @@ private:
       // Already bound on this branch (shared id, e.g. a recursive
       // service); keep the existing binding.
       search();
-    } else if (Options.Index) {
+    } else if (Options.Index && !Options.VisitEveryService) {
       // Indexed candidate selection: only the locations whose published
       // contract could possibly comply, in the same (sorted-by-location)
-      // order the full scan below visits them.
+      // order the scan below visits them.
       for (Loc Location : Options.Index->candidates(Site.body())) {
         const Expr *Service = Repo.find(Location);
         if (!Service)
           continue; // Index ahead of the repository; skip defensively.
+        ++Result.BindingsTried;
         if (!tryBinding(Site, Location, Service))
           break;
       }
     } else {
-      for (const auto &[Location, Service] : Repo.services())
+      // The scan visits every published service. With an index, a merge
+      // walk against its sorted candidate list tries only the candidates.
+      std::vector<Loc> Candidates;
+      if (Options.Index)
+        Candidates = Options.Index->candidates(Site.body());
+      auto Next = Candidates.begin();
+      for (const auto &[Location, Service] : Repo.services()) {
+        ++Result.BindingsTried;
+        if (Options.Index) {
+          while (Next != Candidates.end() && *Next < Location)
+            ++Next;
+          if (Next == Candidates.end() || *Next != Location)
+            continue;
+        }
         if (!tryBinding(Site, Location, Service))
           break;
+      }
     }
 
     Pending.push_back(Site);
@@ -100,7 +115,6 @@ private:
   /// trying further candidates for this site.
   bool tryBinding(const RequestSite &Site, Loc Location,
                   const Expr *Service) {
-    ++Result.BindingsTried;
     if (Options.Filter && !Options.Filter(Site, Location, Service))
       return true;
 

@@ -41,12 +41,19 @@ struct EnumeratorOptions {
   const ResourceGovernor *Governor = nullptr;
 
   /// Optional candidate index: per request, try only the locations the
-  /// index proposes (sorted by location, so the search visits them in the
+  /// index proposes (sorted by location, so the search tries them in the
   /// same order a full Repository scan would) instead of every published
   /// service. The index only drops statically non-compliant bindings, so
   /// with a compliance Filter installed the emitted plan set is identical
   /// to a scan's. Not owned; must describe the same repository.
   const ServiceIndex *Index = nullptr;
+
+  /// With an Index: still walk every published service in location order
+  /// and count each in BindingsTried, as a scan does, but try only the
+  /// index's candidates; a non-candidate is rejected by its absence from
+  /// the candidate list. The same bindings are tried in the same order
+  /// either way; only BindingsTried differs.
+  bool VisitEveryService = false;
 
   /// Optional emission filter for incremental repair: when set, only
   /// complete plans binding at least one of these locations are emitted
@@ -66,7 +73,7 @@ enum class StopReason : uint8_t {
 struct EnumerationResult {
   std::vector<Plan> Plans;
   bool Truncated = false;  ///< Hit MaxPlans (== Stop == PlanLimit).
-  size_t BindingsTried = 0; ///< Search effort (for the B3 benchmark).
+  size_t BindingsTried = 0; ///< Bindings visited (for the B3 benchmark).
   /// Distinguishes "the limit cut emission" (PlanLimit) from "the budget
   /// cut the search" (Resources): the two need different reactions —
   /// raise MaxPlans vs. raise the budget — and were previously ambiguous.

@@ -3,6 +3,10 @@
 #include "plan/ServiceIndex.h"
 
 #include "support/Metrics.h"
+#include "support/Trace.h"
+
+#include <algorithm>
+#include <iterator>
 
 using namespace sus;
 using namespace sus::hist;
@@ -41,10 +45,29 @@ metrics::Counter &updatesCounter() {
   return C;
 }
 
+/// Keeps \p Locs sorted and duplicate-free. The builds insert in
+/// location order, so this is an append there.
+void insertSorted(std::vector<Loc> &Locs, Loc Location) {
+  if (Locs.empty() || Locs.back() < Location) {
+    Locs.push_back(Location);
+    return;
+  }
+  auto It = std::lower_bound(Locs.begin(), Locs.end(), Location);
+  if (*It != Location)
+    Locs.insert(It, Location);
+}
+
+void eraseSorted(std::vector<Loc> &Locs, Loc Location) {
+  auto It = std::lower_bound(Locs.begin(), Locs.end(), Location);
+  if (It != Locs.end() && *It == Location)
+    Locs.erase(It);
+}
+
 } // namespace
 
 ServiceIndex::ServiceIndex(HistContext &Ctx, const Repository &Repo)
     : Ctx(Ctx) {
+  trace::Span Span("plan.index.build", "verifier");
   MutexLock Lock(M);
   for (const auto &[Location, Service] : Repo.services())
     insertLocked(Location, Service);
@@ -54,6 +77,7 @@ ServiceIndex::ServiceIndex(HistContext &Ctx, const Repository &Repo)
 ServiceIndex::ServiceIndex(HistContext &Ctx, const Repository &Repo,
                            const std::vector<SnapshotEntry> &Warm)
     : Ctx(Ctx) {
+  trace::Span Span("plan.index.build", "verifier");
   std::map<std::pair<Loc, const Expr *>, const contract::ContractSummary *>
       ByKey;
   for (const SnapshotEntry &E : Warm)
@@ -89,11 +113,11 @@ void ServiceIndex::installLocked(Loc Location, const Expr *Service,
   E.Service = Service;
   E.Summary = std::move(Summary);
   if (!E.Summary.Screenable) {
-    Unscreened.insert(Location);
+    insertSorted(Unscreened, Location);
   } else {
     for (const contract::ReadySet &S : E.Summary.InitialSets)
       for (const CommAction &A : S)
-        Buckets[A.complement()].insert(Location);
+        insertSorted(Buckets[A.complement()], Location);
   }
   Entries[Location] = std::move(E);
 }
@@ -104,14 +128,14 @@ void ServiceIndex::removeLocked(Loc Location) {
     return;
   const Entry &E = It->second;
   if (!E.Summary.Screenable) {
-    Unscreened.erase(Location);
+    eraseSorted(Unscreened, Location);
   } else {
     for (const contract::ReadySet &S : E.Summary.InitialSets)
       for (const CommAction &A : S) {
         auto BIt = Buckets.find(A.complement());
         if (BIt == Buckets.end())
           continue;
-        BIt->second.erase(Location);
+        eraseSorted(BIt->second, Location);
         if (BIt->second.empty())
           Buckets.erase(BIt);
       }
@@ -142,21 +166,27 @@ std::vector<Loc> ServiceIndex::candidates(const Expr *RequestBody) const {
                  .first;
   const contract::ContractSummary &Body = BodyIt->second;
 
-  // std::set<Loc> orders by Symbol, exactly like Repository::services(),
-  // so the emitted candidate list is a subsequence of the full scan.
-  std::set<Loc> Selected;
+  // Buckets are sorted by location, exactly like Repository::services(),
+  // so their merged union is a subsequence of the full scan.
+  std::vector<Loc> Selected;
   if (!Body.Screenable || !Body.NeedsSync) {
     // No non-empty initial ready set to key on: every location is a
     // candidate (and the pre-screens below cannot reject anything).
+    Selected.reserve(Entries.size());
     for (const auto &[Location, E] : Entries)
-      Selected.insert(Location);
+      Selected.push_back(Location);
   } else {
+    Selected = Unscreened;
     for (const CommAction &C : Body.IndexKey) {
       auto BIt = Buckets.find(C);
-      if (BIt != Buckets.end())
-        Selected.insert(BIt->second.begin(), BIt->second.end());
+      if (BIt == Buckets.end())
+        continue;
+      std::vector<Loc> Merged;
+      Merged.reserve(Selected.size() + BIt->second.size());
+      std::set_union(Selected.begin(), Selected.end(), BIt->second.begin(),
+                     BIt->second.end(), std::back_inserter(Merged));
+      Selected = std::move(Merged);
     }
-    Selected.insert(Unscreened.begin(), Unscreened.end());
   }
 
   std::vector<Loc> Out;

@@ -43,7 +43,6 @@
 #include "support/Sync.h"
 
 #include <map>
-#include <set>
 #include <vector>
 
 namespace sus {
@@ -124,10 +123,12 @@ private:
   mutable Mutex M;
   mutable IndexStats Stats SUS_GUARDED_BY(M);
 
-  /// bucket[ā] = locations offering action a in some initial ready set.
-  std::map<hist::CommAction, std::set<Loc>> Buckets SUS_GUARDED_BY(M);
+  /// bucket[ā] = locations offering action a in some initial ready set,
+  /// sorted and duplicate-free.
+  std::map<hist::CommAction, std::vector<Loc>> Buckets SUS_GUARDED_BY(M);
   /// Locations whose projection is not screenable: always candidates.
-  std::set<Loc> Unscreened SUS_GUARDED_BY(M);
+  /// Sorted and duplicate-free.
+  std::vector<Loc> Unscreened SUS_GUARDED_BY(M);
   /// Per-location reverse map, for incremental removal.
   std::map<Loc, Entry> Entries SUS_GUARDED_BY(M);
   /// Request-body summaries (immutable: keyed on hash-consed exprs).

@@ -584,7 +584,8 @@ int runPlan(const PlanCliOptions &Opts) {
                 << "]";
     std::cout << "\n";
     std::cout << "valid plans: " << Baseline.validPlans().size() << "\n";
-    if (const plan::ServiceIndex *Index = Verifier.index()) {
+    if (const plan::ServiceIndex *Index =
+            Opts.UseIndex ? Verifier.index() : nullptr) {
       plan::IndexStats IStats = Index->stats();
       std::cout << "index: " << Index->size() << " services, "
                 << IStats.Lookups << " lookups (" << IStats.Hits

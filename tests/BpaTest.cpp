@@ -286,4 +286,41 @@ TEST_F(BpaTest, CanTerminateFollowsStructure) {
   EXPECT_FALSE(canTerminate(Bpa, Bpa.seq(A, Bpa.nil())));
 }
 
+TEST_F(BpaTest, LongChainsLoopAlongTheRightSpine) {
+  // A 100,000-term chain of terminable heads (a + 0) . (a + 0) . ... : the
+  // kernels must loop along the spine, not recurse once per term.
+  constexpr size_t N = 100000;
+  const Term *A = Bpa.action(Label::event(Event{Hist.symbol("a"), Value()}));
+  const Term *Head = Bpa.sum(A, Bpa.nil());
+  std::vector<const Term *> Suffixes; // Suffixes[I] = the last I+1 heads.
+  Suffixes.reserve(N);
+  const Term *Chain = Head;
+  Suffixes.push_back(Chain);
+  for (size_t I = 1; I < N; ++I) {
+    Chain = Bpa.seq(Head, Chain);
+    Suffixes.push_back(Chain);
+  }
+
+  EXPECT_TRUE(canTerminate(Bpa, Chain));
+  EXPECT_FALSE(canTerminate(Bpa, Bpa.seq(Chain, A)));
+
+  // Every head can step on a and vanish, leaving the chain after it.
+  std::vector<BpaTransition> Steps = deriveBpa(Bpa, Chain);
+  ASSERT_EQ(Steps.size(), N);
+  for (size_t I = 0; I < N; ++I) {
+    ASSERT_EQ(Steps[I].L, Steps[0].L);
+    ASSERT_EQ(Steps[I].Target, I + 1 < N ? Suffixes[N - 2 - I] : Bpa.nil())
+        << "step " << I;
+  }
+
+  std::string HeadText = printTerm(Bpa, Hist.interner(), Head);
+  EXPECT_EQ(HeadText, "(alpha_a + 0)");
+  std::string Text = printTerm(Bpa, Hist.interner(), Chain);
+  EXPECT_EQ(Text.size(), N * HeadText.size() + (N - 1) * 5);
+  EXPECT_EQ(Text.substr(0, 1 + HeadText.size() + 3),
+            "(" + HeadText + " . ");
+  EXPECT_EQ(Text.substr(Text.size() - HeadText.size() - (N - 1)),
+            HeadText + std::string(N - 1, ')'));
+}
+
 } // namespace

@@ -114,13 +114,19 @@ TEST_F(CoreTest, ValidPlanVerdictIsFullyGreen) {
 }
 
 TEST_F(CoreTest, BindingComplianceIsMemoized) {
+  // The search's binding filter is the memoized product: the second call
+  // on the same pair is a cache hit.
   Verifier V(Ctx, Ex.Repo, Ex.Registry);
   auto Sites = plan::extractRequests(Ex.C1);
   ASSERT_EQ(Sites.size(), 1u);
-  bool First = V.bindingCompliant(Sites[0].body(), Ex.Br);
-  bool Second = V.bindingCompliant(Sites[0].body(), Ex.Br);
+  plan::EnumeratorOptions EOpts = V.enumeratorOptions();
+  ASSERT_TRUE(EOpts.Filter);
+  bool First = EOpts.Filter(Sites[0], Ex.LBr, Ex.Br);
+  bool Second = EOpts.Filter(Sites[0], Ex.LBr, Ex.Br);
   EXPECT_EQ(First, Second);
   EXPECT_TRUE(First);
+  EXPECT_EQ(V.stats().ComplianceLookups, 2u);
+  EXPECT_EQ(V.stats().complianceComputes(), 1u);
 }
 
 TEST_F(CoreTest, ReportPrinterMentionsVerdicts) {

@@ -710,6 +710,78 @@ TEST_F(HistTest, CollectorsKeepFirstOccurrenceOrderOnExamples) {
   EXPECT_EQ(Events[1].str(Ctx.interner()), "alpha_x");
 }
 
+/// The contract-fragment check as a walk over every node below \p E: the
+/// oracle for the node fact Expr::isContract().
+bool isContractByWalk(const Expr *E) {
+  bool Contract = true;
+  walk(E, [&Contract](const Expr *X) {
+    switch (X->kind()) {
+    case ExprKind::Event:
+    case ExprKind::Request:
+    case ExprKind::Framing:
+    case ExprKind::CloseMark:
+    case ExprKind::FrameOpen:
+    case ExprKind::FrameClose:
+      Contract = false;
+      break;
+    default:
+      break;
+    }
+    return Contract;
+  });
+  return Contract;
+}
+
+/// Checks the fact against the walk on every node below \p Root, and that
+/// projecting a contract returns it without making a node. Counts the
+/// nodes checked into \p Contracts and \p Others.
+void expectContractFactMatchesWalk(HistContext &Ctx, const Expr *Root,
+                                   size_t &Contracts, size_t &Others) {
+  walk(Root, [&](const Expr *E) {
+    EXPECT_EQ(E->isContract(), isContractByWalk(E)) << print(Ctx, E);
+    EXPECT_EQ(contract::isContract(E), E->isContract());
+    size_t Before = Ctx.numNodes();
+    const Expr *P = contract::project(Ctx, E);
+    EXPECT_TRUE(P->isContract()) << print(Ctx, E);
+    if (E->isContract()) {
+      EXPECT_EQ(P, E) << print(Ctx, E);
+      EXPECT_EQ(Ctx.numNodes(), Before) << print(Ctx, E);
+      ++Contracts;
+    } else {
+      ++Others;
+    }
+    return true;
+  });
+}
+
+TEST_F(HistTest, ContractFactMatchesTheFragmentWalk) {
+  size_t Contracts = 0, Others = 0;
+  auto CheckFile = [&](const std::string &Source, const std::string &What) {
+    HistContext Parsed;
+    DiagnosticEngine Diags;
+    std::optional<syntax::SusFile> File =
+        syntax::parseSusFile(Parsed, Source, Diags);
+    ASSERT_TRUE(File) << What;
+    for (const auto &[Loc, Service] : File->Repo.services())
+      expectContractFactMatchesWalk(Parsed, Service, Contracts, Others);
+    for (const auto &[Name, Client] : File->Clients)
+      expectContractFactMatchesWalk(Parsed, Client, Contracts, Others);
+  };
+  for (const char *Path :
+       {SUS_EXAMPLES_DIR "/hotel.sus", SUS_EXAMPLES_DIR "/marketplace.sus"}) {
+    std::ifstream In(Path);
+    std::stringstream Source;
+    Source << In.rdbuf();
+    CheckFile(Source.str(), Path);
+  }
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    CheckFile(fuzz::generateProgram(Seed).source(),
+              "seed " + std::to_string(Seed));
+  // Not vacuous: both verdicts occur.
+  EXPECT_GT(Contracts, 100u);
+  EXPECT_GT(Others, 100u);
+}
+
 TEST_F(HistTest, EveryWalkerLoopsAlongALongChain) {
   // 100,000 terms: a walker that recursed along the `;` spine would
   // overflow the default stack long before the end.

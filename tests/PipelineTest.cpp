@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <string>
@@ -308,14 +309,15 @@ TEST_F(PipelineTest, CacheIsSharedAcrossVerifierInstances) {
 TEST_F(PipelineTest, NonCompliantWitnessSurvivesMemoization) {
   Verifier V(Ctx, Ex.Repo, Ex.Registry);
 
-  // Warm the cache through the boolean pruning interface: request 3 lives
-  // in the broker's body and S2 does not comply with it.
-  const Expr *Body3 = nullptr;
+  // Warm the cache through the search's boolean binding filter: request 3
+  // lives in the broker's body and S2 does not comply with it.
+  std::optional<plan::RequestSite> Site3;
   for (const plan::RequestSite &Site : plan::extractRequests(Ex.Br))
     if (Site.id() == 3)
-      Body3 = Site.body();
-  ASSERT_NE(Body3, nullptr);
-  EXPECT_FALSE(V.bindingCompliant(Body3, Ex.S2));
+      Site3 = Site;
+  ASSERT_TRUE(Site3.has_value());
+  EXPECT_FALSE(V.enumeratorOptions().Filter(*Site3, Ex.LS2, Ex.S2));
+  EXPECT_EQ(V.stats().complianceComputes(), 1u);
   VerifierStats Warm = V.stats();
 
   // The memoized full verdict still carries the witness, on both the
@@ -351,12 +353,14 @@ TEST_F(PipelineTest, NonCompliantWitnessSurvivesMemoization) {
 }
 
 TEST(PipelineScanTest, HotelScanScreensBindingsBeforeTheProduct) {
-  // `susc FILE` on the paper's example scans: every binding is tried,
-  // but the pre-screens refute the hotel-for-broker and broker-for-hotel
-  // bindings before any product is built. Per client the scan screens
-  // out the same five pairs (both clients' request bodies hash-cons to
-  // one expression); the products left are the three pairs of the
-  // declared plans plus the two enumerated hotels they do not cover.
+  // `susc FILE` on the paper's example scans: every binding counts as
+  // tried, but the index proposes only the broker for request 1 and only
+  // the hotels for request 3, so the hotel-for-broker and
+  // broker-for-hotel bindings are refuted by their absence from a bucket
+  // before any product or pre-screen runs. Both clients' request bodies
+  // hash-cons to one expression, so each body's candidate list is built
+  // once; the products left are the three pairs of the declared plans
+  // plus the two enumerated hotels they do not cover.
   std::string Source;
   ASSERT_TRUE(readFile(SUS_EXAMPLES_DIR "/hotel.sus", Source));
   metrics::enable();
@@ -370,11 +374,27 @@ TEST(PipelineScanTest, HotelScanScreensBindingsBeforeTheProduct) {
   EXPECT_EQ(metrics::counter("plan.enumerator.bindings_tried").value(), 20u);
   EXPECT_EQ(S.verifier().stats().complianceComputes(), 5u);
   EXPECT_EQ(metrics::counter("compliance.checks").value(), 5u);
-  EXPECT_EQ(metrics::counter("plan.prescreen.alphabet_rejects").value() +
-                metrics::counter("plan.prescreen.first_step_rejects").value(),
-            10u);
+  EXPECT_EQ(metrics::counter("plan.prescreen.alphabet_rejects").value(), 0u);
+  EXPECT_EQ(metrics::counter("plan.prescreen.first_step_rejects").value(),
+            0u);
+  EXPECT_EQ(metrics::counter("plan.index.lookups").value(), 4u);
+  EXPECT_EQ(metrics::counter("plan.index.hits").value(), 2u);
+  EXPECT_EQ(metrics::counter("plan.index.misses").value(), 2u);
+  EXPECT_EQ(metrics::counter("plan.index.candidates").value(), 10u);
   EXPECT_NE(OS.str().find("candidate plans: 3 (bindings tried: 10)"),
             std::string::npos);
+
+  // No product was built for a location the index left out.
+  const plan::ServiceIndex *Index = S.verifier().index();
+  ASSERT_NE(Index, nullptr);
+  for (const VerifierCache::ComplianceEntry &E :
+       S.verifier().cache()->exportEntries().Compliances) {
+    std::vector<plan::Loc> Candidates = Index->candidates(E.RequestBody);
+    EXPECT_TRUE(std::any_of(Candidates.begin(), Candidates.end(),
+                            [&](plan::Loc L) {
+                              return S.file().Repo.find(L) == E.Service;
+                            }));
+  }
   metrics::disable();
   metrics::reset();
 }

@@ -18,6 +18,7 @@
 #include "plan/RepositoryDelta.h"
 #include "plan/RequestExtract.h"
 #include "plan/ServiceIndex.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -271,6 +272,15 @@ TEST(PlanIndexDifferential, IndexedEnumerationMatchesScanOver100Seeds) {
     EXPECT_EQ(ScanResult.Truncated, IndexResult.Truncated) << "seed " << Seed;
     EXPECT_LE(IndexResult.BindingsTried, ScanResult.BindingsTried)
         << "seed " << Seed;
+
+    // Walking every service against the index tries the same candidates
+    // and counts exactly what the scan counts.
+    EnumeratorOptions Walked = Indexed;
+    Walked.VisitEveryService = true;
+    EnumerationResult WalkResult = enumeratePlans(Client, Repo, Walked);
+    EXPECT_EQ(ScanResult.Plans, WalkResult.Plans) << "seed " << Seed;
+    EXPECT_EQ(ScanResult.BindingsTried, WalkResult.BindingsTried)
+        << "seed " << Seed;
   }
 }
 
@@ -284,7 +294,7 @@ TEST(PlanIndexDifferential, ScreenedScanMatchesUnscreenedScanOver100Seeds) {
     Loc ClientLoc = Ctx.symbol("client");
     policy::PolicyRegistry Registry;
 
-    // Production: the Verifier's scan, screening every binding first.
+    // Production: the Verifier's scan, screened through its index.
     core::Verifier Screened(Ctx, Repo, Registry);
     core::VerificationReport Report = Screened.verifyClient(Client, ClientLoc);
 
@@ -322,25 +332,49 @@ TEST(PlanIndexDifferential, ScreenedScanMatchesUnscreenedScanOver100Seeds) {
 }
 
 TEST_F(ServiceIndexTest, IndexedVerifierScreensNothingTwice) {
-  // Index candidates passed the screens inside the index, so the indexed
-  // path's filter goes straight to the product: the VerifierCache builds
-  // no summary at all, while a scan summarizes every service it tries.
+  // Both searches screen through the verifier's one index: the scan
+  // merely counts every published service as tried. They look up the same
+  // candidate lists, build the same products, and build none for a
+  // location the index left out.
   core::VerifierOptions Indexed;
   Indexed.UseIndex = true;
   core::Verifier IV(Ctx, Ex.Repo, Ex.Registry, Indexed);
   core::Verifier SV(Ctx, Ex.Repo, Ex.Registry);
+  size_t ITried = 0, STried = 0;
   for (const auto &[Client, Loc] :
        {std::make_pair(Ex.C1, Ex.LC1), std::make_pair(Ex.C2, Ex.LC2)}) {
     core::VerificationReport I = IV.verifyClient(Client, Loc);
     core::VerificationReport S = SV.verifyClient(Client, Loc);
     EXPECT_EQ(I.validPlans(), S.validPlans());
-    EXPECT_LE(I.BindingsTried, S.BindingsTried);
+    EXPECT_EQ(I.CandidateCount, S.CandidateCount);
+    ITried += I.BindingsTried;
+    STried += S.BindingsTried;
   }
-  for (const auto &[L, Service] : Ex.Repo.services()) {
-    EXPECT_FALSE(IV.cache()->hasSummary(Service));
-    EXPECT_TRUE(SV.cache()->hasSummary(Service));
+  // Per client the scan visits the 5 published services for request 1 and
+  // again for request 3 under the one broker binding; the indexed search
+  // visits the broker, then the 4 hotels.
+  EXPECT_EQ(STried, 2u * (5u + 5u));
+  EXPECT_EQ(ITried, 2u * (1u + 4u));
+
+  for (core::Verifier *V : {&IV, &SV}) {
+    const ServiceIndex *Index = V->index();
+    ASSERT_NE(Index, nullptr);
+    IndexStats Stats = Index->stats();
+    EXPECT_EQ(Stats.Lookups, 4u);
+    EXPECT_EQ(Stats.Hits, 2u);
+    EXPECT_EQ(Stats.Candidates, 10u);
+    EXPECT_EQ(Stats.AlphabetRejects + Stats.FirstStepRejects, 0u);
+    for (const core::VerifierCache::ComplianceEntry &E :
+         V->cache()->exportEntries().Compliances) {
+      std::vector<Loc> Candidates = Index->candidates(E.RequestBody);
+      EXPECT_TRUE(std::any_of(Candidates.begin(), Candidates.end(),
+                              [&](Loc L) {
+                                return Ex.Repo.find(L) == E.Service;
+                              }));
+    }
   }
   EXPECT_EQ(IV.stats().complianceComputes(), SV.stats().complianceComputes());
+  EXPECT_EQ(SV.stats().complianceComputes(), 5u);
 }
 
 TEST_F(ServiceIndexTest, IndexedHotelEnumerationMatchesScan) {
@@ -409,6 +443,25 @@ TEST_F(ServiceIndexTest, ApplyDropsTheCandidateMemo) {
   std::vector<Loc> After = Index.candidates(Body);
   EXPECT_EQ(std::find(After.begin(), After.end(), Ex.LS3), After.end());
   EXPECT_EQ(Index.size(), Ex.Repo.size());
+}
+
+TEST_F(ServiceIndexTest, EachBuildOpensOneIndexBuildSpan) {
+  // The cold build and the warm one from snapshot summaries each name
+  // their layer in a trace.
+  trace::enable(/*Capacity=*/256);
+  ServiceIndex Cold(Ctx, Ex.Repo);
+  ServiceIndex Warm(Ctx, Ex.Repo, Cold.snapshotEntries());
+  std::ostringstream OS;
+  trace::writeChromeTrace(OS);
+  trace::disable();
+  trace::reset();
+  std::string Text = OS.str();
+  size_t Spans = 0;
+  for (size_t At = Text.find("\"plan.index.build\""); At != std::string::npos;
+       At = Text.find("\"plan.index.build\"", At + 1))
+    ++Spans;
+  EXPECT_EQ(Spans, 2u);
+  EXPECT_EQ(Warm.size(), Cold.size());
 }
 
 } // namespace

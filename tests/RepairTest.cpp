@@ -12,6 +12,7 @@
 #include "core/Repair.h"
 #include "plan/RepositoryDelta.h"
 #include "plan/RequestExtract.h"
+#include "plan/ServiceIndex.h"
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,21 @@ using namespace sus::hist;
 using namespace sus::plan;
 
 namespace {
+
+/// True when \p Index holds exactly one entry per published service of
+/// \p Repo, keyed by location, with that location's current service.
+bool indexMatches(const ServiceIndex &Index, const Repository &Repo) {
+  std::vector<ServiceIndex::SnapshotEntry> Entries = Index.snapshotEntries();
+  if (Entries.size() != Repo.size())
+    return false;
+  size_t I = 0;
+  for (const auto &[Location, Service] : Repo.services()) {
+    if (Entries[I].Location != Location || Entries[I].Service != Service)
+      return false;
+    ++I;
+  }
+  return true;
+}
 
 class RepairTest : public ::testing::Test {
 protected:
@@ -82,7 +98,13 @@ TEST_F(RepairTest, EvictionTouchesExactlyTheStaleEntries) {
     if (E.Service == Ex.S3)
       ++StaleCompliance;
   ASSERT_GE(StaleCompliance, 1u);
-  ASSERT_TRUE(V.cache()->hasSummary(Ex.S3));
+  // The index holds the one pre-screen summary per published service.
+  const ServiceIndex *Index = V.index();
+  ASSERT_NE(Index, nullptr);
+  ASSERT_TRUE(indexMatches(*Index, Ex.Repo));
+  const Expr *Body1 = extractRequests(Ex.C1).at(0).body();
+  (void)Index->candidates(Body1);
+  IndexStats Before = Index->stats();
 
   // Re-version s3 with S4's behaviour: the old S3 expression is retired
   // (nobody else publishes it).
@@ -94,15 +116,16 @@ TEST_F(RepairTest, EvictionTouchesExactlyTheStaleEntries) {
   EXPECT_EQ(Evicted.ValidityEvicted, MentionS3);
   // Compliance: exactly the memoized verdicts against the retired expr.
   EXPECT_EQ(Evicted.ComplianceEvicted, StaleCompliance);
-  // Projection and summary: S3's own; the request-body ones are
-  // client-side and must survive.
+  // Projection: S3's own; the request-body ones are client-side and must
+  // survive.
   EXPECT_EQ(Evicted.ProjectionEvicted, 1u);
-  EXPECT_EQ(Evicted.SummaryEvicted, 1u);
-  EXPECT_FALSE(V.cache()->hasSummary(Ex.S3));
-  for (const Expr *Behaviour : {Ex.C1, Ex.Br})
-    for (const RequestSite &Site : extractRequests(Behaviour))
-      EXPECT_TRUE(V.cache()->hasSummary(Site.body()))
-          << "request " << Site.id();
+  // Index: exactly s3's entry is re-summarized (S4 now), and the
+  // candidate-list memo is dropped, so the next lookup is a miss.
+  EXPECT_TRUE(indexMatches(*Index, Ex.Repo));
+  EXPECT_EQ(Index->stats().Rebuilds, Before.Rebuilds + 1);
+  (void)Index->candidates(Body1);
+  EXPECT_EQ(Index->stats().Lookups, Before.Lookups + 1);
+  EXPECT_EQ(Index->stats().Hits, Before.Hits);
 }
 
 TEST_F(RepairTest, AddingAServiceEvictsNothing) {
